@@ -20,6 +20,7 @@ import numpy as np
 
 from .conference import (
     ConferenceMatrix,
+    _values_from_exponents,
     build_conference,
     conference_residual,
     critical_angle,
@@ -103,6 +104,17 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         )
         resid = conference_residual(C)
         checks.append(("conference-residual", resid <= tol, f"{resid:.3e}"))
+        values = C.values
+        diag = float(np.abs(values.diagonal()).max())
+        checks.append(("zero-diagonal", diag <= tol, f"{diag:.3e}"))
+        off = ~np.eye(C.q, dtype=bool)
+        unit = float(np.abs(np.abs(values[off]) - 1.0).max(initial=0.0))
+        checks.append(("unimodular", unit <= tol, f"{unit:.3e}"))
+        sym = float(np.abs(values - values.T).max())
+        checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
+        if C.exponents is not None:
+            dev = float(np.abs(values - _values_from_exponents(C.exponents, omega)).max())
+            checks.append(("exponent-values", dev <= tol, f"{dev:.3e}"))
         if exact:
             if record.exponents is None:
                 raise _ExactUnavailable("exact layer unavailable: record has no exponent matrix")

@@ -118,16 +118,17 @@ def build_conference(field: GaloisField, omega: complex) -> ConferenceMatrix:
         raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
     omega = _require_unit(omega, "omega")
     k = (q + 1) // 2
-    exponents = np.zeros((q, q), dtype=np.int8)
-    elements = field.elements
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if i != j:
-                exponents[i, j] = field.chi(field.sub(a, b))
-    values = np.zeros((q, q), dtype=np.complex128)
+    exponents = field.chi_differences()
+    values = _values_from_exponents(exponents, omega)
+    return ConferenceMatrix(q=q, k=k, omega=omega, exponents=exponents, values=values)
+
+
+def _values_from_exponents(exponents: np.ndarray, omega: complex) -> np.ndarray:
+    # omega**e off the diagonal; the sentinel 0 stands for the value zero
+    values = np.zeros(exponents.shape, dtype=np.complex128)
     values[exponents == 1] = omega
     values[exponents == -1] = 1.0 / omega
-    return ConferenceMatrix(q=q, k=k, omega=omega, exponents=exponents, values=values)
+    return values
 
 
 def gram_counts(C: ConferenceMatrix) -> GramCounts:
@@ -234,11 +235,13 @@ def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
     if np.abs(permute(recip, sigma).values - base.values).max() > 1e-12:
         raise WitnessMismatch("non-square permutation does not map C(1/omega0) to C(omega0)")
 
+    scalings = (1j,) * q
+    u = np.array(scalings)
     negated = build_conference(field, -omega0)
-    scaled = negated
-    for i in range(q):
-        scaled = scale_row_col(scaled, i, 1j)
-    if np.abs(scaled.values - base.values).max() > 1e-12:
+    # scaling row and column i by u_i for every i at once; the diagonal
+    # stays zero because it is zero before scaling
+    scaled = u[:, None] * negated.values * u[None, :]
+    if np.abs(scaled - base.values).max() > 1e-12:
         raise WitnessMismatch("all-i scaling does not map C(-omega0) to C(omega0)")
 
-    return EquivalenceWitnesses(permutation=sigma, scalings=(1j,) * q)
+    return EquivalenceWitnesses(permutation=sigma, scalings=scalings)

@@ -132,6 +132,29 @@ def _validate_header(kind: str, order: int, k: int) -> None:
         raise RecordParseError(f"implausible header: order={order}, k={k}")
 
 
+def _exponents_from_lists(rows: list) -> np.ndarray:
+    exponents = np.array(rows)
+    if exponents.dtype.kind != "i" or not np.isin(exponents, (-1, 0, 1)).all():
+        raise RecordParseError("exponents must be integers in {-1, 0, 1}")
+    return exponents.astype(np.int8)
+
+
+def _validate_shapes(record: ExportRecord) -> None:
+    # the checks index entries by the header order, so a disagreement must
+    # stop here rather than surface as a broadcast error downstream
+    shape, order = record.entries.shape, record.order
+    if record.kind == "planes":
+        ok = len(shape) == 2 and shape[0] == order and shape[1] > 0 and shape[1] % 2 == 0
+        expected = f"({order}, even)"
+    else:
+        ok = shape == (order, order)
+        expected = f"({order}, {order})"
+    if not ok:
+        raise RecordParseError(f"{record.kind} entries have shape {shape}, header implies {expected}")
+    if record.exponents is not None and record.exponents.shape != shape:
+        raise RecordParseError(f"exponents have shape {record.exponents.shape}, entries {shape}")
+
+
 def _parse_json(text: str) -> ExportRecord:
     try:
         doc = json.loads(text)
@@ -145,7 +168,7 @@ def _parse_json(text: str) -> ExportRecord:
         kind, order, k = doc["kind"], int(doc["order"]), int(doc["k"])
         _validate_header(kind, order, k)
         entries = _entries_from_lists(doc["entries"], bool(doc["complex"]))
-        exponents = None if doc["exponents"] is None else np.array(doc["exponents"], dtype=np.int8)
+        exponents = None if doc["exponents"] is None else _exponents_from_lists(doc["exponents"])
         return ExportRecord(
             kind=kind,
             order=order,
@@ -201,7 +224,7 @@ def _parse_text(text: str) -> ExportRecord:
                     raise RecordParseError("exponent row width mismatch")
                 exp_rows.append([int(t) for t in tokens])
                 pos += 1
-            exponents = np.array(exp_rows, dtype=np.int8)
+            exponents = _exponents_from_lists(exp_rows)
         if pos >= len(lines) or lines[pos] != "end":
             raise RecordParseError("missing end marker")
         return ExportRecord(
@@ -222,9 +245,9 @@ def _parse_text(text: str) -> ExportRecord:
 def parse(text: str) -> ExportRecord:
     """Parse either serialization, sniffing JSON by its leading brace."""
     stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(text)
-    return _parse_text(text)
+    record = _parse_json(text) if stripped.startswith("{") else _parse_text(text)
+    _validate_shapes(record)
+    return record
 
 
 def read_record(path: str) -> ExportRecord:

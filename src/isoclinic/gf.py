@@ -10,11 +10,20 @@ the residue i itself.
 The quadratic character chi maps zero to 0, nonzero squares to +1 and
 non-squares to -1; it is computed as x^((q-1)/2), which lands on the field
 element 1 or -1.  For q = 1 (mod 4) the character is even: chi(-x) = chi(x).
+
+`GaloisField.chi_differences()` is the exponent matrix E[i, j] =
+chi(a_i - a_j) that every construction reads.  Addition only touches the
+base-p digits, so the index of a_i - a_j is the digitwise difference mod p
+read back in base p, and E is one lookup into the chi table.  Its diagonal is
+chi(0) = 0; for q = 1 (mod 4) it is symmetric, for q = 3 (mod 4)
+antisymmetric.
 """
 
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from .errors import DivisionByZero, InvalidExponent, InvalidPrime
 
@@ -106,7 +115,6 @@ class GaloisField:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero: Element = self.elements[0]
         self.one: Element = self.elements[1]
-        self._chi: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"GaloisField(p={self.p}, alpha={self.alpha})"
@@ -163,10 +171,16 @@ class GaloisField:
 
     def chi(self, x: Element) -> int:
         """Quadratic character: 0 on zero, +1 on squares, -1 on non-squares."""
-        if self._chi is None:
-            self._chi = self._chi_table()
-        return self._chi[self._index[x]]
+        return self._chi_table[self._index[x]]
 
+    def chi_differences(self) -> np.ndarray:
+        """The int8 q x q matrix with entry [i, j] = chi(a_i - a_j)."""
+        digits = np.array(self.elements, dtype=np.int64)
+        diff = (digits[:, None, :] - digits[None, :, :]) % self.p
+        index = diff @ self.p ** np.arange(self.alpha, dtype=np.int64)
+        return np.array(self._chi_table, dtype=np.int8)[index]
+
+    @functools.cached_property
     def _chi_table(self) -> tuple[int, ...]:
         e = (self.q - 1) // 2
         minus_one = self.neg(self.one)

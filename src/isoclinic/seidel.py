@@ -75,13 +75,13 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
         raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
     k = (q + 1) // 2
     theta = critical_angle(k)
-    chi = np.zeros((q, q))
-    elements = field.elements
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if i != j:
-                chi[i, j] = field.chi(field.sub(a, b))
-    ang = theta * chi
+    dense = _reflection_blocks(theta * field.chi_differences())
+    return SeidelMatrix(q=q, k=k, theta=theta, dense=dense)
+
+
+def _reflection_blocks(ang: np.ndarray) -> np.ndarray:
+    """Dense 2q x 2q matrix with block s_ang[i, j] off the diagonal, zero on it."""
+    q = ang.shape[0]
     c, s = np.cos(ang), np.sin(ang)
     blocks = np.empty((q, q, 2, 2))
     blocks[..., 0, 0] = c
@@ -90,8 +90,7 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
     blocks[..., 1, 1] = -c
     idx = np.arange(q)
     blocks[idx, idx] = 0.0
-    dense = blocks.swapaxes(1, 2).reshape(2 * q, 2 * q)
-    return SeidelMatrix(q=q, k=k, theta=theta, dense=dense)
+    return blocks.swapaxes(1, 2).reshape(2 * q, 2 * q)
 
 
 def seidel_square_residual(S: SeidelMatrix) -> float:
@@ -185,16 +184,7 @@ def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
     dev = float(np.abs(np.abs(C.values[off]) - 1.0).max())
     if dev > 1e-8:
         raise NotUnimodular(f"off-diagonal entries deviate from |c| = 1 by {dev!r}")
-    ang = np.angle(C.values)
-    c, s = np.cos(ang), np.sin(ang)
-    blocks = np.empty((q, q, 2, 2))
-    blocks[..., 0, 0] = c
-    blocks[..., 0, 1] = s
-    blocks[..., 1, 0] = s
-    blocks[..., 1, 1] = -c
-    idx = np.arange(q)
-    blocks[idx, idx] = 0.0
-    dense = blocks.swapaxes(1, 2).reshape(2 * q, 2 * q)
+    dense = _reflection_blocks(np.angle(C.values))
     return SeidelMatrix(q=q, k=C.k, theta=critical_angle(C.k), dense=dense)
 
 

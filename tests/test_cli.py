@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from isoclinic import parse
-from isoclinic.cli import EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_PARSE, EXIT_VERIFY, main
+from isoclinic import ExportRecord, parse, serialize
+from isoclinic.cli import EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_PARSE, EXIT_VERIFY, build_record, main
 
 OPEN_K = [11, 17, 23, 29, 33, 35, 39, 43, 47]
 
@@ -108,6 +110,63 @@ def test_verify_detects_corruption(tmp_path, capsys):
     code, stdout, _ = run(capsys, ["verify", str(out)])
     assert code == EXIT_VERIFY
     assert "result FAIL" in stdout
+
+
+def _malformed_record(case):
+    q, k = 13, 7
+    base = build_record("conference", k)
+    if case == "forged":
+        # sqrt(q-1) U satisfies C C* = (q-1) I, but its diagonal is nonzero,
+        # its entries are not unimodular and it is not symmetric
+        rng = np.random.default_rng(2014)
+        Q, R = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+        U = Q * (R.diagonal() / np.abs(R.diagonal()))
+        return ExportRecord("conference", q, k, base.theta, math.sqrt(q - 1) * U, None, base.metadata), [], EXIT_VERIFY
+    if case == "out-of-range-exponents":
+        wide = base.exponents.astype(np.int64)
+        wide[0, 1] = wide[1, 0] = 300
+        return ExportRecord("conference", q, k, base.theta, base.entries, wide, base.metadata), ["--exact"], EXIT_PARSE
+    # header order 9 against 13 x 13 entries
+    return ExportRecord("conference", 9, k, base.theta, base.entries, base.exponents, base.metadata), [], EXIT_PARSE
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", ["forged", "out-of-range-exponents", "mismatched-order"])
+def test_verify_malformed_record_exit_code(tmp_path, case, fmt):
+    record, flags, expected = _malformed_record(case)
+    out = tmp_path / f"{case}.{fmt}"
+    out.write_text(serialize(record, fmt))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoclinic", "verify", str(out), *flags],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_forged_conference_names_failed_checks(tmp_path, capsys):
+    record, _, _ = _malformed_record("forged")
+    out = tmp_path / "forged.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    assert "conference-residual    PASS" in stdout
+    for name in ("zero-diagonal", "unimodular", "symmetry"):
+        assert f"{name:<22} FAIL" in stdout, name
+
+
+def test_verify_exponents_disagreeing_with_values(tmp_path, capsys):
+    # C(1/omega0) is a conference matrix in its own right; only the
+    # exponent layer of C(omega0) attached to it gives it away
+    record = build_record("conference", 5)
+    record.entries = record.entries.conj()
+    out = tmp_path / "c.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    assert f"{'exponent-values':<22} FAIL" in stdout
+    assert f"{'symmetry':<22} PASS" in stdout
 
 
 def test_verify_garbage_file(tmp_path, capsys):

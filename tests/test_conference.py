@@ -13,6 +13,7 @@ from isoclinic import (
     InvalidPermutation,
     NotSymmetrizable,
     NotUnimodular,
+    WitnessMismatch,
     build_conference,
     conference_residual,
     critical_angle,
@@ -25,6 +26,7 @@ from isoclinic import (
     scale_row_col,
     verify_counts,
 )
+from isoclinic import conference
 
 J = cmath.exp(2j * cmath.pi / 3)
 
@@ -337,6 +339,24 @@ def test_equivalence_witnesses():
         for i in range(q):
             scaled = scale_row_col(scaled, i, 1j)
         assert np.abs(scaled.values - base.values).max() <= 1e-12
+
+
+def test_equivalence_witnesses_apply_the_scaling(monkeypatch):
+    # the scaling check must compare the scaled C(-omega0) with C(omega0),
+    # so a wrong C(-omega0) is caught
+    f = make_field(5)
+    minus_omega0 = -critical_omega(3)
+    real_build = conference.build_conference
+
+    def build(field, omega):
+        C = real_build(field, omega)
+        if omega == minus_omega0:
+            C.values[0, 1] *= 1j
+        return C
+
+    monkeypatch.setattr(conference, "build_conference", build)
+    with pytest.raises(WitnessMismatch, match="all-i scaling"):
+        equivalence_witnesses(f)
 
 
 def test_equivalence_witness_sigma_frozen_q5():

@@ -104,6 +104,54 @@ def test_parse_rejects_row_width_mismatch():
         parse("\n".join(lines) + "\n")
 
 
+def _drop_last_column(record):
+    record.entries = record.entries[:, :-1]
+    return record
+
+
+def _exponents_out_of_range(record):
+    record.exponents = record.exponents.astype(np.int64)
+    record.exponents[0, 1] = 300
+    return record
+
+
+def _order_too_small(record):
+    record.order -= 2
+    return record
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "kind,mutate",
+    [
+        ("gram", _drop_last_column),
+        ("planes", _drop_last_column),
+        ("planes", _order_too_small),
+        ("seidel", _order_too_small),
+        ("conference", _exponents_out_of_range),
+    ],
+)
+def test_parse_rejects_inconsistent_body(kind, mutate, fmt):
+    text = serialize(mutate(build_record(kind, 3)), fmt)
+    with pytest.raises(RecordParseError):
+        parse(text)
+
+
+def test_parse_rejects_fractional_exponents():
+    # the text format writes exponents as integers, so only JSON can carry these
+    record = build_record("conference", 3)
+    record.exponents = record.exponents * 0.5
+    with pytest.raises(RecordParseError, match="exponents must be integers"):
+        parse(serialize(record, "json"))
+
+
+def test_parse_rejects_exponent_shape_mismatch():
+    record = build_record("conference", 3)
+    record.exponents = record.exponents[:4, :4]
+    with pytest.raises(RecordParseError, match="exponents have shape"):
+        parse(serialize(record, "json"))
+
+
 def test_serialize_unknown_format():
     with pytest.raises(ValueError):
         serialize(build_record("conference", 3), "yaml")

@@ -7,6 +7,7 @@ so the frozen constants below are cross-checked rather than copied.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +179,18 @@ def test_chi_multiplicative(p, alpha):
 def test_chi_balance(p, alpha):
     f = make_field(p, alpha)
     assert sum(f.chi(x) for x in f.elements) == 0
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3), (7, 1), (3, 3)])
+def test_chi_differences_matches_scalar_chi(p, alpha):
+    f = make_field(p, alpha)
+    E = f.chi_differences()
+    assert E.dtype == np.int8 and E.shape == (f.q, f.q)
+    expected = [[f.chi(f.sub(a, b)) for b in f.elements] for a in f.elements]
+    assert np.array_equal(E, np.array(expected))
+    # even character for q = 1 (mod 4), odd for q = 3 (mod 4)
+    sign = 1 if f.q % 4 == 1 else -1
+    assert np.array_equal(E.T, sign * E)
 
 
 def test_chi_parity_of_minus_one():

@@ -71,6 +71,32 @@ def test_build_seidel_k3_structure():
     assert np.trace(S.dense) == 0.0
 
 
+def reference_seidel_dense(field):
+    # the construction entry by entry: angle theta * chi(a_i - a_j), the
+    # block [[cos, sin], [sin, -cos]] off the diagonal, zero on it
+    q = field.q
+    theta = critical_angle((q + 1) // 2)
+    chi = np.zeros((q, q))
+    for i, a in enumerate(field.elements):
+        for j, b in enumerate(field.elements):
+            if i != j:
+                chi[i, j] = field.chi(field.sub(a, b))
+    ang = theta * chi
+    c, s = np.cos(ang), np.sin(ang)
+    dense = np.zeros((2 * q, 2 * q))
+    for i in range(q):
+        for j in range(q):
+            if i != j:
+                dense[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = [[c[i, j], s[i, j]], [s[i, j], -c[i, j]]]
+    return dense
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)])
+def test_build_seidel_matches_entrywise_reference(p, alpha):
+    f = make_field(p, alpha)
+    assert np.array_equal(build_seidel(f).dense, reference_seidel_dense(f))
+
+
 def test_blocks_view():
     S = build_seidel(make_field(5))
     assert S.blocks.shape == (5, 5, 2, 2)
