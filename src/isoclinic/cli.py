@@ -13,12 +13,14 @@ Exit codes: 0 success, 1 verification failure, 2 inadmissible parameters,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from .conference import (
+    UNIT_TOL,
     ConferenceMatrix,
     _values_from_exponents,
     build_conference,
@@ -88,13 +90,33 @@ class _ExactUnavailable(Exception):
     pass
 
 
+def _metadata_omega(meta: dict) -> complex:
+    """The record's unit scalar omega, 1 when absent."""
+    pair = meta.get("omega", [1.0, 0.0])
+    numbers = isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
+    try:
+        omega = complex(*pair) if numbers else complex(math.nan)
+    except OverflowError:  # an int beyond the float range
+        omega = complex(math.nan)
+    if abs(abs(omega) ** 2 - 1.0) <= UNIT_TOL:  # false for nan and inf parts
+        return omega
+    raise RecordParseError(f"metadata omega must be a pair of finite numbers on the unit circle, got {pair!r}")
+
+
+def _metadata_lambda(meta: dict) -> Fraction:
+    """The planes record's exact isoclinism parameter lambda."""
+    pair = meta.get("lambda")
+    if isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) and pair[1] != 0:
+        return Fraction(*pair)
+    raise RecordParseError(f"metadata lambda must be two integers with a nonzero denominator, got {pair!r}")
+
+
 def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[str, bool, str]]:
     """Kind-appropriate checks as (name, ok, detail) rows."""
     checks: list[tuple[str, bool, str]] = []
     kind = record.kind
     if kind == "conference":
-        meta = record.metadata
-        omega = complex(*meta["omega"]) if "omega" in meta else complex(1.0)
+        omega = _metadata_omega(record.metadata)
         C = ConferenceMatrix(
             q=record.order,
             k=record.k,
@@ -138,26 +160,25 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
         return checks
     if kind == "gram":
+        if record.order % 2 != 0:
+            raise RecordParseError("gram record order must be even")
         A = record.entries.astype(np.float64)
         n = A.shape[0]
         sym = float(np.abs(A - A.T).max())
         checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
         idem = float(np.abs(A @ A - 2.0 * A).max())
         checks.append(("eigenvalues-0-2", idem <= max(tol, 1e-10) * n, f"|A^2-2A| = {idem:.3e}"))
-        eye = np.eye(2)
-        diag = max(float(np.abs(A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] - eye).max()) for i in range(n // 2))
+        diag_blocks = np.einsum("iaib->iab", A.reshape(n // 2, 2, n // 2, 2))
+        diag = float(np.abs(diag_blocks - np.eye(2)).max())
         checks.append(("unit-diagonal-blocks", diag <= tol, f"{diag:.3e}"))
         return checks
     if kind == "planes":
-        meta = record.metadata
-        num, den = meta["lambda"]
         basis = record.entries.astype(np.float64)
         pt = PlaneTuple(
             r=record.order,
             n=basis.shape[1] // 2,
-            lam=Fraction(int(num), int(den)),
+            lam=_metadata_lambda(record.metadata),
             basis=basis,
-            gram=basis.T @ basis,
         )
         orth = orthonormality_residual(pt)
         checks.append(("orthonormal-pairs", orth <= tol, f"{orth:.3e}"))

@@ -13,14 +13,17 @@ holds for every unimodular omega.  At the critical omega with
 Re(omega^2) = (2 - k) / (k - 1) the off-diagonal constant c vanishes and
 C C* = (2k - 2) I.
 
-The constant c is certified exactly, without floating point, by counting
-exponent differences: for each off-diagonal (i, j), the products
-C[i, g] * conj(C[g, j]) over the q - 2 inner indices g split into r ones,
-s factors omega^2 and t factors omega^-2 with
+The constant c is certified exactly by counting exponent differences: for
+each off-diagonal (i, j), the products C[i, g] * conj(C[g, j]) over the
+q - 2 inner indices g split into r ones, s factors omega^2 and t factors
+omega^-2 with
 
     (r, s, t) = (k - 2, (k - 1)/2, (k - 1)/2),
 
-independent of i, j and omega.
+independent of i, j and omega.  The counts are products of the 0/1
+indicator matrices of the exponents: integer-valued sums of at most q - 2
+ones, far below 2^53, so the floating-point matrix products are exact and
+are compared with ==, with no tolerance.
 """
 
 from __future__ import annotations
@@ -134,24 +137,22 @@ def _values_from_exponents(exponents: np.ndarray, omega: complex) -> np.ndarray:
 def gram_counts(C: ConferenceMatrix) -> GramCounts:
     """Count exponent differences E[i, g] - E[g, j] over inner indices g.
 
-    Exact integer computation on the symbolic layer; the diagonal of the
-    result is meaningless and set to -1.
+    With P = [E = 1] and N = [E = -1], the difference is +2 for P[i, g] N[g, j],
+    -2 for N[i, g] P[g, j] and 0 for equal signs, so s = P N, t = N P and
+    r = P P + N N.  The zero diagonal of E keeps g = i and g = j out of every
+    count.  The diagonal of the result is meaningless and set to -1.
     """
     if C.exponents is None:
         raise ValueError("symbolic exponent layer absent; only numeric checks apply")
-    e = C.exponents.astype(np.int16)
-    q = C.q
-    # diff[i, j, g] = e[i, g] - e[g, j]; inner indices g = i and g = j are
-    # excluded from every bucket via an out-of-band sentinel
-    diff = e[:, None, :] - e.T[None, :, :]
-    idx = np.arange(q)
-    diff[idx, :, idx] = 99
-    diff[:, idx, idx] = 99
-    r = (diff == 0).sum(axis=2)
-    s = (diff == 2).sum(axis=2)
-    t = (diff == -2).sum(axis=2)
+    pos = (C.exponents == 1).astype(np.float64)
+    neg = (C.exponents == -1).astype(np.float64)
+    # every entry is a sum of at most q ones, far below 2^53, so the float64
+    # (BLAS) products are exact and the cast to int64 loses nothing
+    r = (pos @ pos + neg @ neg).astype(np.int64)
+    s = (pos @ neg).astype(np.int64)
+    t = (neg @ pos).astype(np.int64)
     for m in (r, s, t):
-        m[idx, idx] = -1
+        np.fill_diagonal(m, -1)
     return GramCounts(r=r, s=s, t=t)
 
 
@@ -159,7 +160,7 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     """True iff every off-diagonal count triple equals (k-2, (k-1)/2, (k-1)/2).
 
     Together with Re(omega^2) = (2-k)/(k-1) this certifies
-    C C* = (2k-2) I exactly, with no floating-point arithmetic.
+    C C* = (2k-2) I exactly: the counts are integers compared with ==.
     """
     counts = gram_counts(C)
     k = C.k

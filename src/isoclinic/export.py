@@ -139,6 +139,12 @@ def _exponents_from_lists(rows: list) -> np.ndarray:
     return exponents.astype(np.int8)
 
 
+def _metadata(value: Any) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise RecordParseError(f"metadata must be a JSON object, got {value!r}")
+    return value
+
+
 def _validate_shapes(record: ExportRecord) -> None:
     # the checks index entries by the header order, so a disagreement must
     # stop here rather than surface as a broadcast error downstream
@@ -176,7 +182,7 @@ def _parse_json(text: str) -> ExportRecord:
             theta=float(doc["theta"]),
             entries=entries,
             exponents=exponents,
-            metadata=dict(doc["metadata"]),
+            metadata=_metadata(doc["metadata"]),
         )
     except RecordParseError:
         raise
@@ -234,7 +240,7 @@ def _parse_text(text: str) -> ExportRecord:
             theta=float(header["theta"]),
             entries=_entries_from_lists(matrix_rows, is_complex),
             exponents=exponents,
-            metadata=json.loads(header["metadata"]),
+            metadata=_metadata(json.loads(header["metadata"])),
         )
     except RecordParseError:
         raise

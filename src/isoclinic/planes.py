@@ -8,6 +8,11 @@ X of row rank 2k - 1 therefore yields q = 2k - 1 planes in R^(2k-1),
 spanned by consecutive column pairs of X, any two of which meet at the same
 pair of angles: B = P_i^T P_j has B^T B = lambda I_2.
 
+Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
+basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
+B = P_i^T P_j, i < j, whose products B^T B are formed in one batched
+contraction.
+
 That count is maximal for this angle parameter: the pairwise bound
 
     v <= r (1 - lambda) / (2 - r lambda)        (valid while r lambda < 2)
@@ -44,7 +49,6 @@ class PlaneTuple:
     n: int
     lam: Fraction
     basis: np.ndarray
-    gram: np.ndarray
 
     def plane(self, i: int) -> np.ndarray:
         return self.basis[:, 2 * i : 2 * i + 2]
@@ -81,7 +85,7 @@ def extract_bases(gram: np.ndarray, r: int, lam: Fraction) -> PlaneTuple:
         if len(nz) and v[nz[0]] < 0:
             v = -v
         basis[row] = math.sqrt(vals[idx]) * v
-    return PlaneTuple(r=r, n=m // 2, lam=Fraction(lam), basis=basis, gram=gram.copy())
+    return PlaneTuple(r=r, n=m // 2, lam=Fraction(lam), basis=basis)
 
 
 def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
@@ -92,25 +96,18 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
 
 def orthonormality_residual(pt: PlaneTuple) -> float:
     """Max deviation of any plane's P^T P from I_2."""
-    eye = np.eye(2)
-    worst = 0.0
-    for i in range(pt.n):
-        p = pt.plane(i)
-        worst = max(worst, float(np.abs(p.T @ p - eye).max()))
-    return worst
+    planes = pt.basis.reshape(pt.r, pt.n, 2)
+    blocks = np.einsum("xia,xib->iab", planes, planes, optimize=True)
+    return float(np.abs(blocks - np.eye(2)).max(initial=0.0))
 
 
 def isoclinic_residual(pt: PlaneTuple) -> float:
     """Max deviation of any B^T B from lambda I_2, B = P_i^T P_j, i < j."""
-    lam = float(pt.lam)
-    eye = np.eye(2)
-    worst = 0.0
-    for i in range(pt.n):
-        pi = pt.plane(i)
-        for j in range(i + 1, pt.n):
-            b = pi.T @ pt.plane(j)
-            worst = max(worst, float(np.abs(b.T @ b - lam * eye).max()))
-    return worst
+    gram = (pt.basis.T @ pt.basis).reshape(pt.n, 2, pt.n, 2)
+    i, j = np.triu_indices(pt.n, 1)
+    b = gram[i, :, j, :]  # b[m] = P_i^T P_j for the m-th pair i < j
+    btb = np.einsum("mab,mac->mbc", b, b)
+    return float(np.abs(btb - float(pt.lam) * np.eye(2)).max(initial=0.0))
 
 
 class BoundCheck(NamedTuple):

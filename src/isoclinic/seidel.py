@@ -121,16 +121,15 @@ def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
     """Eigenvalues +-sqrt(2k-2) with multiplicities from projector traces.
 
     S^2 = (2k-2) I forces the two-point spectrum; the multiplicities are the
-    traces of P = (I +- S/mu)/2, integers up to roundoff.
+    traces n/2 +- tr(S)/(2 mu) of P = (I +- S/mu)/2, integers up to roundoff.
     """
     if seidel_square_residual(S) > 1e-10:
         raise NotInvolutory("S^2 is not (2k-2) I within 1e-10")
-    n = 2 * S.q
     mu = math.sqrt(2 * S.k - 2)
-    eye = np.eye(n)
+    shift = float(np.trace(S.dense)) / (2.0 * mu)
     out: list[tuple[float, int]] = []
     for sign in (1.0, -1.0):
-        tr = float(np.trace(0.5 * (eye + sign * S.dense / mu)))
+        tr = S.q + sign * shift
         m = round(tr)
         if abs(tr - m) > 1e-8:
             raise NotInvolutory(f"projector trace {tr!r} is not an integer up to 1e-8")

@@ -130,10 +130,30 @@ def _malformed_record(case):
     return ExportRecord("conference", 9, k, base.theta, base.entries, base.exponents, base.metadata), [], EXIT_PARSE
 
 
+def _bad_metadata(case):
+    # metadata the checks read, made unusable; each must be a parse error
+    record = build_record("planes" if case.startswith("lambda") else "conference", 3)
+    if case == "omega-not-a-pair":
+        record.metadata["omega"] = "xy"
+    elif case == "omega-zero":
+        record.metadata["omega"] = [0.0, 0.0]
+    elif case == "metadata-not-an-object":
+        record.metadata = 5
+    elif case == "lambda-missing":
+        del record.metadata["lambda"]
+    else:
+        record.metadata["lambda"] = [1, 0]
+    return record, [], EXIT_PARSE
+
+
+MALFORMED = ["forged", "out-of-range-exponents", "mismatched-order"]
+BAD_METADATA = ["omega-not-a-pair", "omega-zero", "lambda-missing", "metadata-not-an-object", "lambda-zero-denominator"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("case", ["forged", "out-of-range-exponents", "mismatched-order"])
+@pytest.mark.parametrize("case", MALFORMED + BAD_METADATA)
 def test_verify_malformed_record_exit_code(tmp_path, case, fmt):
-    record, flags, expected = _malformed_record(case)
+    record, flags, expected = _bad_metadata(case) if case in BAD_METADATA else _malformed_record(case)
     out = tmp_path / f"{case}.{fmt}"
     out.write_text(serialize(record, fmt))
     proc = subprocess.run(
@@ -167,6 +187,18 @@ def test_verify_exponents_disagreeing_with_values(tmp_path, capsys):
     assert code == EXIT_VERIFY
     assert f"{'exponent-values':<22} FAIL" in stdout
     assert f"{'symmetry':<22} PASS" in stdout
+
+
+def test_verify_odd_order_gram_is_parse_error(tmp_path, capsys):
+    # the diagonal blocks pair up rows and columns, so the order must be even
+    record = build_record("gram", 3)
+    for order in (1, 9):
+        odd = ExportRecord("gram", order, 3, record.theta, record.entries[:order, :order], None, record.metadata)
+        out = tmp_path / f"g{order}.json"
+        out.write_text(serialize(odd, "json"))
+        code, _, stderr = run(capsys, ["verify", str(out)])
+        assert code == EXIT_PARSE
+        assert "even" in stderr
 
 
 def test_verify_garbage_file(tmp_path, capsys):

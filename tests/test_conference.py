@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +165,68 @@ def test_counts_frozen_and_brute_force(p, alpha, expected):
             assert sum(triple) == q - 2
     assert verify_counts(C)
     assert expected == (k - 2, (k - 1) // 2, (k - 1) // 2)
+
+
+def reference_gram_counts(C):
+    """Counts from the q x q x q tensor diff[i, j, g] = E[i, g] - E[g, j].
+
+    The inner indices g = i and g = j are excluded from every bucket by an
+    out-of-band sentinel.  An oracle for the matrix-product counts.
+    """
+    e = C.exponents.astype(np.int16)
+    q = C.q
+    diff = e[:, None, :] - e.T[None, :, :]
+    idx = np.arange(q)
+    diff[idx, :, idx] = 99
+    diff[:, idx, idx] = 99
+    return (diff == 0).sum(axis=2), (diff == 2).sum(axis=2), (diff == -2).sum(axis=2)
+
+
+def reference_verify_counts(C):
+    off = ~np.eye(C.q, dtype=bool)
+    half = (C.k - 1) // 2
+    r, s, t = reference_gram_counts(C)
+    return bool((r[off] == C.k - 2).all() and (s[off] == half).all() and (t[off] == half).all())
+
+
+def _flip_pair(e):
+    e = e.copy()
+    e[0, 1] = e[1, 0] = -e[0, 1]
+    return e
+
+
+def _flip_one(e):
+    e = e.copy()
+    e[0, 1] = -e[0, 1]
+    return e
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)])
+def test_counts_match_tensor_reference(p, alpha):
+    q = p**alpha
+    C = build_conference(make_field(p, alpha), critical_omega((q + 1) // 2))
+    counts = gram_counts(C)
+    off = ~np.eye(q, dtype=bool)
+    for got, want in zip((counts.r, counts.s, counts.t), reference_gram_counts(C)):
+        assert np.array_equal(got[off], want[off])
+        assert (got.diagonal() == -1).all()
+    assert verify_counts(C) and reference_verify_counts(C)
+    for corrupt in (_flip_pair, _flip_one):
+        tampered = replace(C, exponents=corrupt(C.exponents))
+        assert not verify_counts(tampered)
+        assert not reference_verify_counts(tampered)
+
+
+def test_counts_memory_at_q729():
+    # a q^3 intermediate would take over a gigabyte here; a few q^2 arrays fit the bound
+    C = build_conference(make_field(3, 6), critical_omega(365))
+    tracemalloc.start()
+    try:
+        assert verify_counts(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_counts_detect_flipped_exponent():

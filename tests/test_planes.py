@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,38 @@ def test_planes_are_equi_isoclinic(p, alpha):
     assert orthonormality_residual(pt) <= 1e-10
     assert isoclinic_residual(pt) <= 1e-10
     assert np.linalg.matrix_rank(pt.basis) == q
+
+
+def reference_orthonormality_residual(pt):
+    """Plane-by-plane loop; an oracle for the block-Gram residual."""
+    return max(float(np.abs(pt.plane(i).T @ pt.plane(i) - np.eye(2)).max()) for i in range(pt.n))
+
+
+def reference_isoclinic_residual(pt):
+    """Pair-by-pair loop; an oracle for the block-Gram residual."""
+    lam = float(pt.lam)
+    worst = 0.0
+    for i in range(pt.n):
+        for j in range(i + 1, pt.n):
+            b = pt.plane(i).T @ pt.plane(j)
+            worst = max(worst, float(np.abs(b.T @ b - lam * np.eye(2)).max()))
+    return worst
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)])
+def test_residuals_match_pair_loop_reference(p, alpha):
+    pt = planes_from_seidel(build_seidel(make_field(p, alpha)))
+    basis = pt.basis.copy()
+    basis[:, -2:] *= 1.01  # the last plane is neither orthonormal nor isoclinic to the others
+    scaled = replace(pt, basis=basis)
+    for residual, reference in (
+        (orthonormality_residual, reference_orthonormality_residual),
+        (isoclinic_residual, reference_isoclinic_residual),
+    ):
+        assert abs(residual(pt) - reference(pt)) <= 1e-15
+        assert residual(pt) <= 1e-10
+        assert abs(residual(scaled) - reference(scaled)) <= 1e-15
+        assert residual(scaled) > 1e-4 and reference(scaled) > 1e-4
 
 
 def test_pairwise_angles_are_equal():
