@@ -184,6 +184,15 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(("orthonormal-pairs", orth <= tol, f"{orth:.3e}"))
         iso = isoclinic_residual(pt)
         checks.append(("isoclinic", iso <= tol, f"{iso:.3e}"))
+        # 2k - 1 planes in R^(2k - 1): as many planes as dimensions, and that
+        # count attains the exact bound at this lambda
+        checks.append(("plane-count", pt.n == pt.r, f"n = {pt.n}, r = {pt.r}"))
+        try:
+            bc = ls_bound(pt.r, pt.lam, pt.n)
+        except ValueError as exc:  # r < 4 or lambda outside (0, 1): no bound applies
+            checks.append(("count-bound-tight", False, str(exc)))
+        else:
+            checks.append(("count-bound-tight", bc.tight, f"v = {pt.n}, bound {bc.bound}"))
         return checks
     # hadamard
     from .hadamard import HadamardMatrix

@@ -15,6 +15,7 @@ metadata dict as one embedded JSON line).  Both round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -57,19 +58,91 @@ def records_equal(a: ExportRecord, b: ExportRecord) -> bool:
     )
 
 
-def _entries_to_lists(entries: np.ndarray) -> list:
-    if np.iscomplexobj(entries):
-        return [[[z.real, z.imag] for z in row] for row in entries]
-    return [[float(x) for x in row] for row in entries]
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
-def _entries_from_lists(rows: list, is_complex: bool) -> np.ndarray:
-    if is_complex:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=np.complex128)
-    return np.array(rows, dtype=np.float64)
+def _float_tokens(values: np.ndarray, render) -> np.ndarray:
+    """render applied to each float64 entry, called once per distinct bit pattern.
+
+    Complex arrays are viewed as trailing (re, im) pairs.  Distinctness is
+    taken on the uint64 view, so -0.0 and 0.0 (and NaN payloads) stay apart.
+    """
+    if np.iscomplexobj(values):
+        floats = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+        floats = floats.reshape(values.shape + (2,))
+    else:
+        floats = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(floats.view(np.uint64).ravel(), return_inverse=True)
+    strings = np.array([render(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return strings[inverse].reshape(floats.shape)
+
+
+def _int_tokens(values: np.ndarray) -> np.ndarray:
+    """int.__repr__ of each entry of an integer array, called once per distinct value."""
+    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    strings = np.array([str(x) for x in distinct.tolist()], dtype=object)
+    return strings[inverse].reshape(values.shape)
+
+
+def _json_nested(tokens: np.ndarray, level: int) -> str:
+    """The rendered scalars in tokens laid out as json.dumps(tokens.tolist(), indent=1).
+
+    level is the indent level of the line the opening bracket sits on.  The
+    layout is one join: between two consecutive scalars, j lists close and
+    j open again, where j counts the trailing dimensions whose boundary lies
+    between them, so only ndim distinct separators occur.
+    """
+    shape = tokens.shape
+    if tokens.size == 0:  # empty lists print as [], which the separators do not model
+        text = json.dumps(tokens.tolist(), indent=1)
+        return text.replace("\n", "\n" + " " * level)
+    m = len(shape)
+    depth = level + m  # indent of the scalars
+
+    def closing(j):
+        return "".join("\n" + " " * (depth - 1 - t) + "]" for t in range(j))
+
+    def opening(j):
+        return "".join("[\n" + " " * (depth - j + 1 + t) for t in range(j))
+
+    separators = np.array([closing(j) + ",\n" + " " * (depth - j) + opening(j) for j in range(m)], dtype=object)
+    flat = np.arange(1, tokens.size)
+    crossed = np.zeros(tokens.size - 1, dtype=np.intp)
+    for stride in np.cumprod(shape[:0:-1]):
+        crossed += flat % stride == 0
+    out = np.empty(2 * tokens.size - 1, dtype=object)
+    out[0::2] = tokens.ravel()
+    out[1::2] = separators[crossed]
+    return opening(m) + "".join(out.tolist()) + closing(m)
+
+
+def _exponent_tokens(exponents: np.ndarray, render_other) -> np.ndarray:
+    exponents = np.asarray(exponents)
+    if exponents.dtype.kind in "iu":
+        return _int_tokens(exponents)
+    # only integer exponents parse back; others are still written, one by one
+    return np.array([render_other(x) for x in exponents.ravel().tolist()], dtype=object).reshape(exponents.shape)
+
+
+_BODY = '\n "entries": 0,\n "exponents": 0,\n'
 
 
 def to_json(record: ExportRecord) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True) of the record, byte for byte.
+
+    The header comes from json.dumps with placeholders; the two arrays are
+    spliced in with each distinct value rendered once.  Keys are sorted and
+    JSON strings hold no raw newline, so the placeholder lines occur once,
+    right after "complex".
+    """
     doc = {
         "format": MAGIC,
         "version": VERSION,
@@ -79,14 +152,21 @@ def to_json(record: ExportRecord) -> str:
         "theta": record.theta,
         "complex": record.is_complex,
         "metadata": record.metadata,
-        "entries": _entries_to_lists(record.entries),
-        "exponents": None if record.exponents is None else record.exponents.tolist(),
+        "entries": 0,
+        "exponents": 0,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    head, _, tail = json.dumps(doc, indent=1, sort_keys=True).partition(_BODY)
+    entries = _json_nested(_float_tokens(record.entries, _json_float), 1)
+    exponents = "null" if record.exponents is None else _json_nested(_exponent_tokens(record.exponents, json.dumps), 1)
+    return f'{head}\n "entries": {entries},\n "exponents": {exponents},\n{tail}\n'
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _text_rows(tokens: np.ndarray) -> list[str]:
+    return [" ".join(row.ravel().tolist()) for row in tokens]
 
 
 def to_text(record: ExportRecord) -> str:
@@ -103,16 +183,10 @@ def to_text(record: ExportRecord) -> str:
         f"cols {cols}",
         "entries",
     ]
-    if record.is_complex:
-        for row in record.entries:
-            lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
-    else:
-        for row in record.entries:
-            lines.append(" ".join(_fmt(x) for x in row))
+    lines += _text_rows(_float_tokens(record.entries, float.__repr__))
     if record.exponents is not None:
         lines.append("exponents")
-        for row in record.exponents:
-            lines.append(" ".join(str(int(e)) for e in row))
+        lines += _text_rows(_exponent_tokens(record.exponents, lambda e: str(int(e))))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -132,10 +206,14 @@ def _validate_header(kind: str, order: int, k: int) -> None:
         raise RecordParseError(f"implausible header: order={order}, k={k}")
 
 
-def _exponents_from_lists(rows: list) -> np.ndarray:
-    exponents = np.array(rows)
-    if exponents.dtype.kind != "i" or not np.isin(exponents, (-1, 0, 1)).all():
-        raise RecordParseError("exponents must be integers in {-1, 0, 1}")
+_EXPONENT_RULE = "exponents must be integers in {-1, 0, 1}"
+
+
+def _exponents(values: np.ndarray) -> np.ndarray:
+    """The exponent layer as int8, rejecting any entry outside {-1, 0, 1}."""
+    exponents = values.astype(np.int64)
+    if not np.isin(exponents, (-1, 0, 1)).all():
+        raise RecordParseError(_EXPONENT_RULE)
     return exponents.astype(np.int8)
 
 
@@ -161,20 +239,55 @@ def _validate_shapes(record: ExportRecord) -> None:
         raise RecordParseError(f"exponents have shape {record.exponents.shape}, entries {shape}")
 
 
+def _json_typed(value: Any, types: tuple[type, ...], rule: str) -> np.ndarray:
+    """A nested JSON list as an object array whose every element has one of types.
+
+    A bool is not a number here (type, not isinstance), and a ragged list
+    leaves lists among the elements, so both fail the check.
+    """
+    array = np.array(value, dtype=object)
+    if not set(map(type, array.ravel().tolist())) <= set(types):
+        raise RecordParseError(rule)
+    return array
+
+
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise RecordParseError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_entries(value: Any, is_complex: bool) -> np.ndarray:
+    array = _json_typed(value, (int, float), "entries must be equal-length lists of JSON numbers")
+    if is_complex and (array.ndim != 3 or array.shape[2] != 2):
+        raise RecordParseError(f"complex entries must be rows of [re, im] pairs, got shape {array.shape}")
+    if not is_complex and array.ndim != 2:
+        raise RecordParseError(f"real entries must be rows of numbers, got shape {array.shape}")
+    values = array.astype(np.float64)
+    return values.view(np.complex128).reshape(values.shape[:2]) if is_complex else values
+
+
 def _parse_json(text: str) -> ExportRecord:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RecordParseError(f"invalid JSON: {exc}") from exc
     try:
         if doc["format"] != MAGIC:
             raise RecordParseError(f"unexpected format tag {doc['format']!r}")
-        if doc["version"] != VERSION:
+        if type(doc["version"]) is not int or doc["version"] != VERSION:
             raise RecordParseError(f"unsupported version {doc['version']!r}")
-        kind, order, k = doc["kind"], int(doc["order"]), int(doc["k"])
+        kind, order, k = doc["kind"], _json_int(doc, "order"), _json_int(doc, "k")
         _validate_header(kind, order, k)
-        entries = _entries_from_lists(doc["entries"], bool(doc["complex"]))
-        exponents = None if doc["exponents"] is None else _exponents_from_lists(doc["exponents"])
+        if type(doc["theta"]) not in (int, float):
+            raise RecordParseError(f"theta must be a number, got {doc['theta']!r}")
+        if type(doc["complex"]) is not bool:
+            raise RecordParseError(f"complex must be true or false, got {doc['complex']!r}")
+        entries = _json_entries(doc["entries"], doc["complex"])
+        exponents = None
+        if doc["exponents"] is not None:
+            exponents = _exponents(_json_typed(doc["exponents"], (int,), _EXPONENT_RULE))
         return ExportRecord(
             kind=kind,
             order=order,
@@ -186,8 +299,22 @@ def _parse_json(text: str) -> ExportRecord:
         )
     except RecordParseError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise RecordParseError(f"malformed record document: {exc}") from exc
+
+
+def _text_block(lines: list[str], rows: int, width: int, convert, dtype, what: str) -> np.ndarray:
+    """rows lines of width tokens as one array, converting each distinct token once."""
+    if len(lines) != rows:
+        raise RecordParseError(f"{what} section ends after {len(lines)} of {rows} rows")
+    tokens: list[str] = []
+    for line in lines:
+        row = line.split()
+        if len(row) != width:
+            raise RecordParseError(f"{what} row has {len(row)} tokens, expected {width}")
+        tokens += row
+    table = {token: convert(token) for token in set(tokens)}
+    return np.fromiter(map(table.__getitem__, tokens), dtype=dtype, count=len(tokens)).reshape(rows, width)
 
 
 def _parse_text(text: str) -> ExportRecord:
@@ -209,28 +336,15 @@ def _parse_text(text: str) -> ExportRecord:
         rows, cols = int(header["rows"]), int(header["cols"])
         is_complex = bool(int(header["complex"]))
         width = 2 * cols if is_complex else cols
-        matrix_rows = []
-        for _ in range(rows):
-            tokens = lines[pos].split()
-            if len(tokens) != width:
-                raise RecordParseError(f"entry row has {len(tokens)} tokens, expected {width}")
-            values = [float(t) for t in tokens]
-            if is_complex:
-                matrix_rows.append([[values[2 * c], values[2 * c + 1]] for c in range(cols)])
-            else:
-                matrix_rows.append(values)
-            pos += 1
+        entries = _text_block(lines[pos : pos + rows], rows, width, float, np.float64, "entry")
+        if is_complex:
+            entries = entries.view(np.complex128)
+        pos += rows
         exponents = None
         if pos < len(lines) and lines[pos] == "exponents":
             pos += 1
-            exp_rows = []
-            for _ in range(rows):
-                tokens = lines[pos].split()
-                if len(tokens) != cols:
-                    raise RecordParseError("exponent row width mismatch")
-                exp_rows.append([int(t) for t in tokens])
-                pos += 1
-            exponents = _exponents_from_lists(exp_rows)
+            exponents = _exponents(_text_block(lines[pos : pos + rows], rows, cols, int, np.int64, "exponent"))
+            pos += rows
         if pos >= len(lines) or lines[pos] != "end":
             raise RecordParseError("missing end marker")
         return ExportRecord(
@@ -238,13 +352,13 @@ def _parse_text(text: str) -> ExportRecord:
             order=order,
             k=k,
             theta=float(header["theta"]),
-            entries=_entries_from_lists(matrix_rows, is_complex),
+            entries=entries,
             exponents=exponents,
             metadata=_metadata(json.loads(header["metadata"])),
         )
     except RecordParseError:
         raise
-    except (KeyError, ValueError, IndexError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, IndexError, OverflowError, RecursionError) as exc:
         raise RecordParseError(f"malformed text record: {exc}") from exc
 
 
@@ -258,7 +372,11 @@ def parse(text: str) -> ExportRecord:
 
 def read_record(path: str) -> ExportRecord:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise RecordParseError(f"record is not UTF-8 text: {exc}") from exc
+    return parse(text)
 
 
 def write_record(record: ExportRecord, path: str, fmt: str) -> None:

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoclinic import ExportRecord, parse, serialize
 from isoclinic.cli import EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_PARSE, EXIT_VERIFY, build_record, main
+from isoclinic.export import KINDS
 
 OPEN_K = [11, 17, 23, 29, 33, 35, 39, 43, 47]
 
@@ -187,6 +194,103 @@ def test_verify_exponents_disagreeing_with_values(tmp_path, capsys):
     assert code == EXIT_VERIFY
     assert f"{'exponent-values':<22} FAIL" in stdout
     assert f"{'symmetry':<22} PASS" in stdout
+
+
+def test_verify_json_type_swap_is_parse_error(tmp_path):
+    # a complex pair with a third number used to be read as its first two
+    doc = json.loads(serialize(build_record("conference", 3), "json"))
+    doc["entries"][0][1].append(0.0)
+    out = tmp_path / "c.json"
+    out.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "isoclinic", "verify", str(out)], capture_output=True, text=True)
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr and "cannot parse" in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_planes_with_a_plane_dropped(tmp_path, capsys, fmt):
+    # the remaining q - 1 planes are still orthonormal and equi-isoclinic,
+    # but fewer than r and short of the bound
+    record = build_record("planes", 3)
+    record.entries = record.entries[:, :-2]
+    record.metadata["planes"] -= 1
+    out = tmp_path / f"p.{fmt}"
+    out.write_text(serialize(record, fmt))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    for name, verdict in (
+        ("orthonormal-pairs", "PASS"),
+        ("isoclinic", "PASS"),
+        ("plane-count", "FAIL"),
+        ("count-bound-tight", "FAIL"),
+    ):
+        assert f"{name:<22} {verdict}" in stdout, name
+
+
+def test_verify_planes_lambda_without_a_bound(tmp_path, capsys):
+    record = build_record("planes", 3)
+    record.metadata["lambda"] = [3, 2]  # outside (0, 1): ls_bound is undefined
+    out = tmp_path / "p.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    assert f"{'count-bound-tight':<22} FAIL lambda must lie" in stdout
+
+
+@functools.cache
+def _fuzz_base(kind, k, fmt):
+    return serialize(build_record(kind, k), fmt).encode()
+
+
+FUZZ_BASES = [(kind, k, fmt) for kind in KINDS for k in (3, 7) for fmt in ("json", "text")]
+FUZZ_TOKENS = ["", "x", "nan", "-inf", "1e400", "-0.0", "99999999999999999999999", "1.5", "7", "-3",
+               "null", "true", '"1"', "[]", "{}", "[1,", "]", "\u00e9"]  # fmt: skip
+FUZZ_VALUES = ["1.5", None, True, False, [], [1.0], [1.0, 2.0, 3.0], {}, 10**400, -0.0, math.nan, math.inf]
+
+
+@st.composite
+def mutated_records(draw):
+    """A q = 5 or q = 13 record, serialized, with one mutation."""
+    kind, k, fmt = draw(st.sampled_from(FUZZ_BASES))
+    data = _fuzz_base(kind, k, fmt)
+    how = draw(st.sampled_from(["truncate", "byte", "token", "type-swap", "shape"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "byte":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    if how == "token":
+        parts = re.split(rb"(\s+)", data)
+        i = 2 * draw(st.integers(0, len(parts) // 2))
+        parts[i] = draw(st.sampled_from(FUZZ_TOKENS)).encode()
+        return b"".join(parts)
+    doc = json.loads(_fuzz_base(kind, k, "json"))
+    size = len(doc["entries"])
+    if how == "type-swap":
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, len(doc["entries"][0]) - 1))
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        if doc["complex"] and draw(st.booleans()):
+            doc["entries"][i][j][draw(st.integers(0, 1))] = value
+        else:
+            doc["entries"][i][j] = value
+        return json.dumps(doc).encode()
+    # a wrong shape in the header: order in JSON, rows or cols in text
+    wrong = draw(st.integers(-2, 2 * size + 2))
+    if fmt == "json":
+        doc["order"] = wrong
+        return json.dumps(doc).encode()
+    key = draw(st.sampled_from([b"rows", b"cols", b"order"]))
+    return re.sub(rb"^" + key + rb" \d+$", key + b" %d" % wrong, data, count=1, flags=re.M)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=mutated_records(), exact=st.booleans())
+def test_verify_fuzz_ends_in_documented_exit_code(tmp_path_factory, data, exact):
+    path = tmp_path_factory.mktemp("fuzz") / "record"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path)] + (["--exact"] if exact else []))
+    assert code in (EXIT_OK, EXIT_VERIFY, EXIT_IO, EXIT_PARSE)
 
 
 def test_verify_odd_order_gram_is_parse_error(tmp_path, capsys):

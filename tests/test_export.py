@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -155,3 +159,307 @@ def test_parse_rejects_exponent_shape_mismatch():
 def test_serialize_unknown_format():
     with pytest.raises(ValueError):
         serialize(build_record("conference", 3), "yaml")
+
+
+# SHA-256 of serialize(build_record(kind, k), fmt), unchanged since the
+# per-entry writer: exports are byte-identical across versions of the writer
+PINNED_DIGESTS = """
+3 conference json defebaa8340f6bb44e7ab1e4a05c1fd87930e4269bd47c45c259dcf25789f22b
+3 conference text b36233608580c422ca79ce7b76766e5a96b194b8fc6abb289f3380c45ec68fe4
+3 seidel json 2fe53f488868e28418e92cb6bfe3da49428e8cedb65ec82c226ff620a8823f9b
+3 seidel text 27e312d69e83892a9f784164d0d870981c5363e2f97f2c4d7d5400324f52f9ec
+3 gram json bad8559f799774ebdaeadc67f5f9e2b7aaa30778856782fde58aa5753bbca612
+3 gram text 381b6aae11c54cc12e3c38f32887a097a5ff96ae5008739be8c8c11c40badc6c
+3 planes json 15d73f701c3adced1c5b8babc009cc8ee9572ca10adf1091fa82f7ad0ef8866e
+3 planes text ddd0d7bce850b7069baed0da1d5200d76f09c20860013b9ff31b78f4dc7ee074
+3 hadamard json 020a9501d7e87e60e1a47cf74f2234ffa5e1a3119acc5a1ad1753c9b38bbc6c2
+3 hadamard text b21abc89c1796fad54c86e76baa9c88799ff1c80ad9b6a9b956b074c6f93d8ec
+5 conference json 1a2506f5349f388a0abe805df73e36d76e505c7355d77504a01914699e3cfa96
+5 conference text 013f31e004bcfb78de3b237c385a37931ed0f7480d813fbbdf3bccdde0190413
+5 seidel json d03d968d69bd19a5b766898378267db77201d970e42eed9e85949bf7dc1b2206
+5 seidel text 4a38bb9ec46d5927966dcbb00798bcc6cc518619c9eec11b5561230a56e55ef3
+5 gram json 4407008147af62cb2deb828fd0e52e4f6ab2bdad8d720e94d04a0a6328016621
+5 gram text cc160b3139cd4e429cfc1b93f5f7769279ac657f53bd3de74b140a57c3aef165
+5 planes json 7ec115cc3e4b2f536c772bfdf0863f57796e0e2b43038e5dd397bd20ea644793
+5 planes text 528736e11e8262a6df13ebcf4d44c5faa4d61845af8e4be78de5f4dfed9b58fd
+5 hadamard json 5a7cadc76bf0b628d3fa2a577b88bde28579b03f28566aaed254e7962719e5b9
+5 hadamard text d02f7288998e2f68a88ff6aea3ebfcc5170840bcb0b9e022ea2ba29a9df5ec2e
+7 conference json 7bec8ed55b5645979f7fcdba11ce204859f8ac8d11b3fc19ef0b161e606fc3ed
+7 conference text ce39613406271f654e30330ad2b08fd0c7e830e30a3a7997befb7ae67430985e
+7 seidel json f55a0ea26a38c44f646c8b755c8d7ac0c3f711f9692805d6c5511841579e6fb4
+7 seidel text f9c64decafcbfb037f4b8aecffd2dc72339f42265cc36e3540451c5cbfac6b23
+7 gram json 3d15026b67a47d1c7bc87aef59fb940e269987a13aaa9b4af78d2d850d41203b
+7 gram text f5461d5c3d0e9eea196e5354b7dbdfc30ccccf72a43794e4b56233ac46e5db0a
+7 planes json 913e447b5a9231435b456ee63876281f6e419e62e655917498ec464ccf0d4162
+7 planes text 36a78d53b75b87a6fb7e1595d158dd373b4e6f773d1f6abf0a9b50adc03b902f
+7 hadamard json 1b59c354fe65ae8f77cef3aa434fc4d47ec49aa2bc1f6b07d0a6d5db1c57bfcc
+7 hadamard text 011fd89fe638038667fd7a43de01a50627d6e13ed915d6366bc6e1707c1f7e5e
+13 conference json 631f1082a3d405aa132f48466b851c65074805177014abb6076eeffb164aca42
+13 conference text bb7e400229cdcd7996043622c72ffd146991c2175a986fafbdaddce202ce7b77
+13 seidel json 1c53a9702db0dfa4b0367a621339d33910802a3f315eb9d3dbd7f3ad1628e76a
+13 seidel text 9c206cef15c31763cd2cf00157e6515f379563f693ecd0dcc6b88c84e66452de
+13 gram json e1fd01878b68e5c78e954bf75f8bc66d3d26977675310035837666ab48b4ba96
+13 gram text eec510ffa0329cafd28cc3d3fa0645fc29d9931260605c80647ada8af4c79ffa
+13 planes json b95219c3468fea851d12302d4abdef8ff2a6ac3dd06a69e89c602836d6fd7541
+13 planes text 696fdef12501fb1b2f0147f6a7c9d4f7a24c90a9706e53bf0b898367bcfd1e57
+13 hadamard json ac9ffbaccfb759398b6aaef79030b99c65eda9eba93dc56a494b1591811dd5c1
+13 hadamard text 3b9cfc00967fa06107b50bcd30a5e1abb332371560838f7ded3d4bf4f8b8aa6a
+31 conference json cdadfa94a4f6ec51e47b1c96e4cb3b3cfabbb719d8c226e81ed997510c3344a7
+31 conference text 6cea8285e5b782ecb422cc0406b86d56f90c9781b3fdf27197cca3bfbfa1460f
+31 seidel json c54165d89b403b6fd510622ebfaded2a4da18d031defd5235f5eb5f6c9d4118a
+31 seidel text eb1588ae05e96fc5126802993857190dff36e92ad09678a1d490cecde956f122
+31 gram json 1e9edcb11a96238b4fcaaa7128b012d7ac71478019021fc1f126eb716df89a4a
+31 gram text 482250fd9fa270e90a8e0d22d14ed5dcf34b719e1c1eb7092c2ae9d83485b3a8
+31 planes json 17e72038f0561da590481739de4f5c07d94def22063f030e8d72706271f7ae31
+31 planes text b8a7881e52985eff3e4899eb94cf21b57aa1eed596cae2c3b14ac00c17144050
+31 hadamard json cb707f24754b067c1df4293fb1a8fba285c81fb5eebaf0b56b8327cee5519184
+31 hadamard text 2d785e3d8ecce859b2b9f918afcef64588299a12152c4083e4fcb084ffe865db
+41 conference json 4235dce5f7f37382402ebbbf7defcb808f22d5ea1b9df56565111a50d8fae624
+41 conference text f9e6d92b5a0f9767707f41dbe29c23f10b1d16ce8567441ab34100b6045c7dc6
+41 seidel json 2a99e2c2cc84b297a4c9e97a8c8c4068eb6bd2db5b2173f72a145085ed9c539b
+41 seidel text be919c926b91ea3a353495515db94d085a8722e3c4abf7b8f3943220e2cb46a9
+41 gram json 61ada730dacf930ccde8b11d94127626803f885f43a391d92521639588431e18
+41 gram text a840b6816990f78f61518d28bca20f4e8178a81dd48d23f2f3e5dac5bd2acf63
+41 planes json e3a2db5c8889faa98bda9078cf80a3229ca8d6e7e32faf8f855c809ebd3bbdc1
+41 planes text 3ec1f0f90276829ff2a98bb7ffb2c5e029ddba8292055dbd0bc3c7b3f8760bed
+41 hadamard json 49fa1574ab3f801d8881c0d917083229dc1899288268ad53230c83ad8d53f7e6
+41 hadamard text bb7949878e571649a078812c8edb48fa17592d686f09b2d00d4fe01302b5f6a2
+61 conference json f552eea56227cc70f13e5bf98b381d2c4aa382120315a1b999403ab85557b9ee
+61 conference text aebb45f4f30350f3e6bbe737451d4e6e17413f326460516b2c48e60934ec5986
+61 seidel json 628005e1f8604a09c1ac2b7d9459b537e52381667cabfbee415955f3ad62c6e3
+61 seidel text a5ef1685792ebda185b0b6d1746ff17d993fd40739415414d8426befe1896ff4
+61 gram json 3f22b6354c5334d6689c0dbea5de4cacea7459963df7f39a56ae934ee13d4238
+61 gram text 82b8c2a2ac5864473df6a72e193406589307dead381e277e63031d4eaf89c025
+61 planes json 7b3bc429672956a0046f9c428f348d77c2f44dd8b43eb11805c90d02398474e4
+61 planes text ff23ca201411cb8ecc9fdd738985ef9968dabaa267907dfafad49a7b5a766294
+61 hadamard json 98d4c89dd4341c945185d838df0a2c8287a27bb0f80c7a0b3a0df77215f3e295
+61 hadamard text e911ef8ac0ef80dafe51151be6c42f03dd0f9b27f898d75baf1d4453d9497bb8
+63 conference json 832aaccd11accc939682770990f503c8cc3c58643ccf8112123699561a7b0354
+63 conference text 9cb29f1ac9a5149c834c94c6efc8a9ec1d97b45764cd65fac226bf600790378b
+63 seidel json 830acf1986324d342aaf827bf9c79e25ed9920a159b9d1cb59700a246f7dee00
+63 seidel text 3250ea2b019ab2357d810e44b3b018b5ec50f0c3921c546f6dcbf063327c21cd
+63 gram json 550b2f228ea07086825ec6f0fda26827f79ee1ae259f9c0bd265801a13be0714
+63 gram text dae5a9a9baf9c25906ef3542647213249b012d97a42759f98744c46a1ef9346a
+63 planes json ff445493adb713a0687b0c5b939bb4ab7bf19e30534e04be3a3d173c44514906
+63 planes text 8dcae3504a797f620460567a80ee1d1d0e039545978e328272c25296aba4b6cf
+63 hadamard json c16a4ea59d71ff4d8a15a8005f12051168da8fe6a371bd867235dcedfd9c823d
+63 hadamard text b58563675c41300f81c64918ee9590f18d9e8273bf34319a07c0304c4401b7f7
+"""
+
+
+@functools.cache
+def _record(kind, k):
+    return build_record(kind, k)
+
+
+@pytest.mark.parametrize("k,kind,fmt,digest", [line.split() for line in PINNED_DIGESTS.split("\n") if line])
+def test_export_digest_pinned(k, kind, fmt, digest):
+    text = serialize(_record(kind, int(k)), fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _reference_to_json(record):
+    """The per-entry writer: json.dumps of nested Python lists."""
+    if np.iscomplexobj(record.entries):
+        entries = [[[z.real, z.imag] for z in row] for row in record.entries]
+    else:
+        entries = [[float(x) for x in row] for row in record.entries]
+    doc = {
+        "format": "isoclinic-record",
+        "version": 1,
+        "kind": record.kind,
+        "order": record.order,
+        "k": record.k,
+        "theta": record.theta,
+        "complex": record.is_complex,
+        "metadata": record.metadata,
+        "entries": entries,
+        "exponents": None if record.exponents is None else record.exponents.tolist(),
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _reference_to_text(record):
+    """The per-entry writer: repr of each float, joined row by row."""
+
+    def fmt(x):
+        return repr(float(x))
+
+    rows, cols = record.entries.shape
+    lines = [
+        "isoclinic-record 1",
+        f"kind {record.kind}",
+        f"order {record.order}",
+        f"k {record.k}",
+        f"theta {fmt(record.theta)}",
+        f"complex {int(record.is_complex)}",
+        "metadata " + json.dumps(record.metadata, sort_keys=True),
+        f"rows {rows}",
+        f"cols {cols}",
+        "entries",
+    ]
+    if record.is_complex:
+        for row in record.entries:
+            lines.append(" ".join(f"{fmt(z.real)} {fmt(z.imag)}" for z in row))
+    else:
+        for row in record.entries:
+            lines.append(" ".join(fmt(x) for x in row))
+    if record.exponents is not None:
+        lines.append("exponents")
+        for row in record.exponents:
+            lines.append(" ".join(str(int(e)) for e in row))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+NEGATIVE_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, 0.1]
+
+
+def _special_conference(exponent_dtype=np.int8):
+    record = build_record("conference", 3)
+    values = record.entries.copy()
+    values.flat[: len(SPECIAL)] = [complex(x, y) for x, y in zip(SPECIAL, SPECIAL[::-1])]
+    values[4, 4] = complex(-0.0, -0.0)
+    record.entries = values
+    record.exponents = record.exponents.astype(exponent_dtype)
+    return record
+
+
+def _special_seidel():
+    record = build_record("seidel", 3)
+    record.entries = record.entries.copy()
+    record.entries[0, : len(SPECIAL)] = SPECIAL
+    return record
+
+
+def _special_planes():
+    record = build_record("planes", 3)  # basis of shape (5, 10)
+    record.entries = record.entries.copy()
+    record.entries[1, : len(SPECIAL)] = SPECIAL
+    return record
+
+
+def _nan_payloads():
+    record = _special_seidel()
+    record.entries[1, :2] = [NAN_PAYLOAD, NEGATIVE_NAN]
+    return record
+
+
+def _float_exponents():
+    record = _special_conference()
+    record.exponents = record.exponents * 0.5
+    record.exponents[0, 0] = -0.0
+    return record
+
+
+def _dropped_plane():
+    record = _special_planes()
+    record.entries = record.entries[:, :-2]
+    return record
+
+
+def _no_columns():
+    record = build_record("gram", 3)
+    record.entries = np.empty((3, 0))
+    return record
+
+
+ROUND_TRIP = {
+    "conference-int8": lambda: _special_conference(np.int8),
+    "conference-int64": lambda: _special_conference(np.int64),
+    "seidel": _special_seidel,
+    "planes": _special_planes,
+    "planes-dropped": _dropped_plane,
+}
+WRITE_ONLY = {
+    "nan-payloads": _nan_payloads,
+    "float-exponents": _float_exponents,
+    "no-columns": _no_columns,
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", list(ROUND_TRIP) + list(WRITE_ONLY))
+def test_writer_matches_per_entry_reference(case, fmt):
+    record = {**ROUND_TRIP, **WRITE_ONLY}[case]()
+    reference = _reference_to_json(record) if fmt == "json" else _reference_to_text(record)
+    assert serialize(record, fmt) == reference
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", list(ROUND_TRIP))
+def test_roundtrip_bitwise(case, fmt):
+    record = ROUND_TRIP[case]()
+    back = parse(serialize(record, fmt))
+    assert back.entries.dtype == record.entries.dtype
+    assert np.array_equal(back.entries.view(np.uint64), record.entries.view(np.uint64))
+    assert (back.exponents is None) == (record.exponents is None)
+    if record.exponents is not None:
+        assert back.exponents.dtype == np.int8
+        assert np.array_equal(back.exponents, record.exponents)
+
+
+def _json_doc(kind):
+    return json.loads(serialize(build_record(kind, 3), "json"))
+
+
+def _set_entry(value, component=None):
+    def mutate(doc):
+        if component is None:
+            doc["entries"][0][1] = value
+        else:
+            doc["entries"][0][1][component] = value
+
+    return mutate
+
+
+def _extend_every_pair(doc):
+    for row in doc["entries"]:
+        for pair in row:
+            pair.append(0.0)
+
+
+STRICT_JSON = {
+    "pair-of-three": ("conference", lambda doc: doc["entries"][0][1].append(0.0), "equal-length lists"),
+    "every-pair-of-three": ("conference", _extend_every_pair, r"\[re, im\] pairs"),
+    "complex-string": ("conference", _set_entry("0.5", 0), "JSON numbers"),
+    "real-string": ("seidel", _set_entry("1.5"), "JSON numbers"),
+    "real-null": ("seidel", _set_entry(None), "JSON numbers"),
+    "real-true": ("seidel", _set_entry(True), "JSON numbers"),
+    "real-pair": ("seidel", _set_entry([1.0, 0.0]), "equal-length lists"),
+    "theta-string": ("conference", lambda doc: doc.update(theta="0.3"), "theta must be a number"),
+    "order-fractional": ("conference", lambda doc: doc.update(order=4.7), "order must be an integer"),
+    "k-fractional": ("conference", lambda doc: doc.update(k=3.5), "k must be an integer"),
+    "k-true": ("conference", lambda doc: doc.update(k=True), "k must be an integer"),
+    "complex-string-flag": ("seidel", lambda doc: doc.update(complex="false"), "complex must be true or false"),
+    "version-float": ("seidel", lambda doc: doc.update(version=1.0), "unsupported version"),
+    "exponent-true": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, True), "exponents must be"),
+    "exponent-huge": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, 10**30), "too large"),
+    "entry-huge": ("seidel", _set_entry(10**400), "too large"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRICT_JSON))
+def test_parse_json_strict_typing(case):
+    kind, mutate, match = STRICT_JSON[case]
+    doc = _json_doc(kind)
+    mutate(doc)
+    with pytest.raises(RecordParseError, match=match):
+        parse(json.dumps(doc))
+
+
+def test_parse_json_accepts_integer_entries():
+    # JSON does not tell 1 from 1.0 apart in meaning; integers are numbers
+    doc = _json_doc("seidel")
+    doc["entries"][0][0] = 0
+    record = parse(json.dumps(doc))
+    assert record.entries.dtype == np.float64 and record.entries[0, 0] == 0.0
+
+
+def test_read_record_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(serialize(build_record("seidel", 3), "text").encode().replace(b"kind", b"k\xffnd"))
+    with pytest.raises(RecordParseError, match="UTF-8"):
+        read_record(str(path))
