@@ -121,7 +121,7 @@ def build_conference(field: GaloisField, omega: complex) -> ConferenceMatrix:
         raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
     omega = _require_unit(omega, "omega")
     k = (q + 1) // 2
-    exponents = field.chi_differences()
+    exponents = field.chi_differences().copy()  # the field's array is shared and read-only
     values = _values_from_exponents(exponents, omega)
     return ConferenceMatrix(q=q, k=k, omega=omega, exponents=exponents, values=values)
 
@@ -230,10 +230,12 @@ def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
     omega0 = critical_omega(k)
     base = build_conference(field, omega0)
 
+    E = field.chi_differences()
     g = field.first_nonsquare()
     sigma = tuple(field.index(field.mul(a, g)) for a in field.elements)
-    recip = build_conference(field, 1.0 / omega0)
-    if np.abs(permute(recip, sigma).values - base.values).max() > 1e-12:
+    # exact: C(1/omega0) permuted by sigma is C(omega0) iff E[sigma, sigma] = -E,
+    # because omega0^2 != 1; this is chi(a g) = -chi(a) for the non-square g
+    if not np.array_equal(E[np.ix_(sigma, sigma)], -E):
         raise WitnessMismatch("non-square permutation does not map C(1/omega0) to C(omega0)")
 
     scalings = (1j,) * q

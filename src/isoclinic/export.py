@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -303,8 +304,16 @@ def _parse_json(text: str) -> ExportRecord:
         raise RecordParseError(f"malformed record document: {exc}") from exc
 
 
-def _text_block(lines: list[str], rows: int, width: int, convert, dtype, what: str) -> np.ndarray:
-    """rows lines of width tokens as one array, converting each distinct token once."""
+# the text tokens the writer produces, in ASCII; int() and float() alone
+# would also take signs, underscores and non-ASCII digits
+_DIGITS = re.compile(r"[0-9]+")
+_FLOAT = re.compile(r"-?(inf|nan|[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?)")
+_EXPONENT = re.compile(r"-1|0|1")
+_HEADER_TOKENS = dict(order=_DIGITS, k=_DIGITS, rows=_DIGITS, cols=_DIGITS, theta=_FLOAT, complex=re.compile("[01]"))
+
+
+def _text_block(lines: list[str], rows: int, width: int, convert, pattern, dtype, what: str) -> np.ndarray:
+    """rows lines of width tokens as one array, checking and converting each distinct token once."""
     if len(lines) != rows:
         raise RecordParseError(f"{what} section ends after {len(lines)} of {rows} rows")
     tokens: list[str] = []
@@ -313,7 +322,11 @@ def _text_block(lines: list[str], rows: int, width: int, convert, dtype, what: s
         if len(row) != width:
             raise RecordParseError(f"{what} row has {len(row)} tokens, expected {width}")
         tokens += row
-    table = {token: convert(token) for token in set(tokens)}
+    table = {}
+    for token in set(tokens):
+        if not pattern.fullmatch(token):
+            raise RecordParseError(f"malformed {what} token {token!r}")
+        table[token] = convert(token)
     return np.fromiter(map(table.__getitem__, tokens), dtype=dtype, count=len(tokens)).reshape(rows, width)
 
 
@@ -331,19 +344,22 @@ def _parse_text(text: str) -> ExportRecord:
         if pos == len(lines):
             raise RecordParseError("no entries section")
         pos += 1
+        for key, pattern in _HEADER_TOKENS.items():
+            if not pattern.fullmatch(header[key]):
+                raise RecordParseError(f"header {key} must match {pattern.pattern}, got {header[key]!r}")
         kind, order, k = header["kind"], int(header["order"]), int(header["k"])
         _validate_header(kind, order, k)
         rows, cols = int(header["rows"]), int(header["cols"])
-        is_complex = bool(int(header["complex"]))
+        is_complex = header["complex"] == "1"
         width = 2 * cols if is_complex else cols
-        entries = _text_block(lines[pos : pos + rows], rows, width, float, np.float64, "entry")
+        entries = _text_block(lines[pos : pos + rows], rows, width, float, _FLOAT, np.float64, "entry")
         if is_complex:
             entries = entries.view(np.complex128)
         pos += rows
         exponents = None
         if pos < len(lines) and lines[pos] == "exponents":
             pos += 1
-            exponents = _exponents(_text_block(lines[pos : pos + rows], rows, cols, int, np.int64, "exponent"))
+            exponents = _text_block(lines[pos : pos + rows], rows, cols, int, _EXPONENT, np.int8, "exponent")
             pos += rows
         if pos >= len(lines) or lines[pos] != "end":
             raise RecordParseError("missing end marker")

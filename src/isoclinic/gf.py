@@ -14,9 +14,9 @@ element 1 or -1.  For q = 1 (mod 4) the character is even: chi(-x) = chi(x).
 `GaloisField.chi_differences()` is the exponent matrix E[i, j] =
 chi(a_i - a_j) that every construction reads.  Addition only touches the
 base-p digits, so the index of a_i - a_j is the digitwise difference mod p
-read back in base p, and E is one lookup into the chi table.  Its diagonal is
-chi(0) = 0; for q = 1 (mod 4) it is symmetric, for q = 3 (mod 4)
-antisymmetric.
+read back in base p, and E is one lookup into the chi table.  It is computed
+once per field and shared as a read-only array.  Its diagonal is chi(0) = 0;
+for q = 1 (mod 4) it is symmetric, for q = 3 (mod 4) antisymmetric.
 """
 
 from __future__ import annotations
@@ -26,22 +26,9 @@ import functools
 import numpy as np
 
 from .errors import DivisionByZero, InvalidExponent, InvalidPrime
+from .orders import factor_prime_power
 
 Element = tuple[int, ...]
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for desk-scale orders."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _base_p_digits(i: int, p: int, width: int) -> Element:
@@ -98,7 +85,7 @@ class GaloisField:
     """
 
     def __init__(self, p: int, alpha: int = 1):
-        if not isinstance(p, int) or not is_prime(p) or p == 2:
+        if not isinstance(p, int) or p == 2 or factor_prime_power(p) != (p, 1):
             raise InvalidPrime(f"characteristic must be an odd prime, got {p!r}")
         if not isinstance(alpha, int) or alpha < 1:
             raise InvalidExponent(f"extension degree must be a positive integer, got {alpha!r}")
@@ -174,11 +161,17 @@ class GaloisField:
         return self._chi_table[self._index[x]]
 
     def chi_differences(self) -> np.ndarray:
-        """The int8 q x q matrix with entry [i, j] = chi(a_i - a_j)."""
+        """The int8 q x q matrix E[i, j] = chi(a_i - a_j), computed once and shared read-only."""
+        return self._chi_differences
+
+    @functools.cached_property
+    def _chi_differences(self) -> np.ndarray:
         digits = np.array(self.elements, dtype=np.int64)
         diff = (digits[:, None, :] - digits[None, :, :]) % self.p
         index = diff @ self.p ** np.arange(self.alpha, dtype=np.int64)
-        return np.array(self._chi_table, dtype=np.int8)[index]
+        E = np.array(self._chi_table, dtype=np.int8)[index]
+        E.flags.writeable = False
+        return E
 
     @functools.cached_property
     def _chi_table(self) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoclinic import ExportRecord, parse, serialize
+from isoclinic import ExportRecord, NotSymmetrizable, cli, parse, serialize
 from isoclinic.cli import EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_PARSE, EXIT_VERIFY, build_record, main
 from isoclinic.export import KINDS
 
@@ -237,6 +237,20 @@ def test_verify_planes_lambda_without_a_bound(tmp_path, capsys):
     assert f"{'count-bound-tight':<22} FAIL lambda must lie" in stdout
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_verify_nonfinite_entry_fails_without_warnings(tmp_path, kind, value):
+    # inf - inf, inf * 0 and 1e308 * 1e308 show as FAIL rows, not as numpy warnings
+    record = build_record(kind, 3)
+    record.entries[0, 1] = value
+    out = tmp_path / f"{kind}.txt"
+    out.write_text(serialize(record, "text"))
+    proc = subprocess.run([sys.executable, "-m", "isoclinic", "verify", str(out)], capture_output=True, text=True)
+    assert proc.returncode == EXIT_VERIFY, proc.stderr
+    assert " FAIL " in proc.stdout and "result FAIL" in proc.stdout
+    assert "Warning" not in proc.stderr, proc.stderr
+
+
 @functools.cache
 def _fuzz_base(kind, k, fmt):
     return serialize(build_record(kind, k), fmt).encode()
@@ -363,6 +377,64 @@ def test_pipeline_passes(capsys):
         "hadamard",
     ):
         assert any(name in ln for ln in lines), name
+
+
+def test_pipeline_attributes_an_error_to_the_stage_that_raised(monkeypatch):
+    def refuse(field):
+        raise NotSymmetrizable("refused")
+
+    monkeypatch.setattr(cli, "build_seidel", refuse)
+    rows = cli.run_pipeline(3, 1e-9)
+    assert [name for name, _, _ in rows] == list(cli.STAGES[:3])
+    assert [ok for _, ok, _ in rows[:2]] == [True, True]
+    assert rows[-1] == ("seidel-square", False, "NotSymmetrizable: refused")
+
+
+def test_pipeline_stops_after_the_first_fail(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "spectrum", lambda S: [(2.0, S.q + 1), (-2.0, S.q - 1)])
+    rows = cli.run_pipeline(3, 1e-9)
+    assert [name for name, _, _ in rows] == list(cli.STAGES[:4])
+    assert rows[-1][:2] == ("spectrum", False)
+    code, _, stderr = run(capsys, ["pipeline", "--k", "3"])
+    assert code == EXIT_VERIFY
+    assert "pipeline failed at stage spectrum" in stderr
+
+
+# the construction functions and the checks whose results the stages report
+PIPELINE_CALLS = (
+    "build_conference", "build_seidel", "planes_from_seidel", "double",
+    "verify_counts", "conference_residual", "seidel_square_residual", "spectrum",
+    "orthonormality_residual", "isoclinic_residual", "ls_bound", "hadamard_residual",
+)  # fmt: skip
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9, 13, 15])  # q = 5 ... 29
+def test_pipeline_checks_each_object_it_built_once(monkeypatch, k):
+    calls = {name: [] for name in PIPELINE_CALLS}
+
+    def recorder(fn, name):
+        def recorded(*args):
+            result = fn(*args)
+            calls[name].append((args, result))
+            return result
+
+        return recorded
+
+    for name in PIPELINE_CALLS:
+        monkeypatch.setattr(cli, name, recorder(getattr(cli, name), name))
+    rows = cli.run_pipeline(k, 1e-9)
+    assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(PIPELINE_CALLS, 1)
+    ((_, C),), ((_, S),), ((_, pt),), ((_, H),) = (calls[n] for n in PIPELINE_CALLS[:4])
+    built_from = {
+        "double": C, "verify_counts": C, "conference_residual": C,
+        "planes_from_seidel": S, "seidel_square_residual": S, "spectrum": S,
+        "orthonormality_residual": pt, "isoclinic_residual": pt, "hadamard_residual": H,
+    }  # fmt: skip
+    for name, obj in built_from.items():
+        assert calls[name][0][0][0] is obj, name
+    q = 2 * k - 1
+    assert calls["ls_bound"][0][0] == (q, pt.lam, q)
 
 
 def test_pipeline_rejects_inadmissible(capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from isoclinic import (
+    GaloisField,
     InvalidOrder,
     InvalidPermutation,
     NotSymmetrizable,
@@ -420,6 +421,15 @@ def test_equivalence_witnesses_apply_the_scaling(monkeypatch):
 
     monkeypatch.setattr(conference, "build_conference", build)
     with pytest.raises(WitnessMismatch, match="all-i scaling"):
+        equivalence_witnesses(f)
+
+
+def test_equivalence_witnesses_check_the_permutation(monkeypatch):
+    # g = 1 gives the identity permutation, which maps C(1/omega0) to itself,
+    # not to C(omega0): the exact check E[sigma, sigma] = -E must fail
+    f = GaloisField(5)
+    monkeypatch.setattr(f, "first_nonsquare", lambda: f.one)
+    with pytest.raises(WitnessMismatch, match="non-square permutation"):
         equivalence_witnesses(f)
 
 

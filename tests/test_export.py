@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -448,6 +449,58 @@ def test_parse_json_strict_typing(case):
     mutate(doc)
     with pytest.raises(RecordParseError, match=match):
         parse(json.dumps(doc))
+
+
+def _set_header(key, value):
+    def mutate(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[i] = f"{key} {value}"
+
+    return mutate
+
+
+def _set_token(section, token):
+    # the first token of the section's first row
+    def mutate(lines):
+        i = lines.index(section) + 1
+        lines[i] = " ".join([token] + lines[i].split()[1:])
+
+    return mutate
+
+
+# each is accepted by int() or float() but is not what the writer produces
+STRICT_TEXT = {
+    "complex-two": ("conference", _set_header("complex", "2"), "header complex must match"),
+    "k-underscore": ("conference", _set_header("k", "0_3"), "header k must match"),
+    "order-full-width-digit": ("conference", _set_header("order", "\uff15"), "header order must match"),
+    "rows-signed": ("seidel", _set_header("rows", "+10"), "header rows must match"),
+    "cols-spaced": ("seidel", _set_header("cols", " 10"), "header cols must match"),
+    "theta-underscore": ("seidel", _set_header("theta", "1_0.5"), "header theta must match"),
+    "exponent-plus-one": ("conference", _set_token("exponents", "+1"), "malformed exponent token"),
+    "exponent-leading-zero": ("conference", _set_token("exponents", "00"), "malformed exponent token"),
+    "entry-underscore": ("seidel", _set_token("entries", "0_0"), "malformed entry token"),
+    "entry-non-ascii-digit": ("seidel", _set_token("entries", "\u0660.0"), "malformed entry token"),
+    "entry-plus-sign": ("seidel", _set_token("entries", "+0.0"), "malformed entry token"),
+    "entry-infinity-word": ("conference", _set_token("entries", "Infinity"), "malformed entry token"),
+    "entry-capital-exponent": ("seidel", _set_token("entries", "1E-05"), "malformed entry token"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRICT_TEXT))
+def test_parse_text_strict_tokens(case):
+    kind, mutate, match = STRICT_TEXT[case]
+    lines = serialize(build_record(kind, 3), "text").splitlines()
+    mutate(lines)
+    with pytest.raises(RecordParseError, match=match):
+        parse("\n".join(lines) + "\n")
+
+
+def test_parse_text_accepts_every_token_repr_writes():
+    record = build_record("seidel", 3)
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 123.0]
+    record.entries.ravel()[: len(specials)] = specials
+    back = parse(serialize(record, "text"))
+    assert back.entries.tobytes() == record.entries.tobytes()
 
 
 def test_parse_json_accepts_integer_entries():

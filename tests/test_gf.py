@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from isoclinic import (
     DivisionByZero,
+    GaloisField,
     InvalidExponent,
     InvalidPrime,
+    build_conference,
+    critical_omega,
     make_field,
 )
 
@@ -227,3 +230,26 @@ def test_first_nonsquare_oracle(p, alpha):
 
 def test_make_field_caches():
     assert make_field(5) is make_field(5)
+
+
+def test_chi_differences_is_shared_and_read_only():
+    f = make_field(5, 2)
+    E = f.chi_differences()
+    assert f.chi_differences() is E
+    assert not E.flags.writeable
+    with pytest.raises(ValueError):
+        E[0, 1] = 0
+    # each conference matrix gets its own writable copy
+    C = build_conference(f, critical_omega(13))
+    assert C.exponents.flags.writeable
+    assert not np.shares_memory(C.exponents, E)
+    assert np.array_equal(C.exponents, E)
+
+
+def test_field_accepts_only_odd_primes():
+    # primality comes from the prime-power factorization of p
+    for p in (3, 5, 7, 11, 13, 97, 7919):
+        assert GaloisField(p).q == p
+    for p in (4, 15, 25, 27, 7917, 5.0, True):
+        with pytest.raises(InvalidPrime):
+            GaloisField(p)
