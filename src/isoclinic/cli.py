@@ -36,7 +36,7 @@ from .gf import GaloisField, make_field
 from .hadamard import double, hadamard_residual
 from .orders import OrderInfo, classify_order
 from .planes import PlaneTuple, isoclinic_residual, ls_bound, orthonormality_residual, planes_from_seidel
-from .seidel import SeidelMatrix, build_seidel, seidel_square_residual, spectrum
+from .seidel import SeidelMatrix, _blocks, build_seidel, seidel_square_residual, spectrum
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -168,7 +168,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
         idem = float(np.abs(A @ A - 2.0 * A).max())
         checks.append(("eigenvalues-0-2", idem <= max(tol, 1e-10) * n, f"|A^2-2A| = {idem:.3e}"))
-        diag_blocks = np.einsum("iaib->iab", A.reshape(n // 2, 2, n // 2, 2))
+        diag_blocks = np.einsum("iiab->iab", _blocks(A))
         diag = float(np.abs(diag_blocks - np.eye(2)).max())
         checks.append(("unit-diagonal-blocks", diag <= tol, f"{diag:.3e}"))
         return checks

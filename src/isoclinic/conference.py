@@ -196,10 +196,12 @@ def scale_row_col(C: ConferenceMatrix, index: int, u: complex) -> ConferenceMatr
 
 
 def _check_permutation(sigma: Sequence[int], n: int) -> np.ndarray:
-    idx = np.asarray(tuple(sigma), dtype=np.intp)
-    if idx.shape != (n,) or sorted(idx.tolist()) != list(range(n)):
-        raise InvalidPermutation(f"not a bijection on 0..{n - 1}: {tuple(sigma)!r}")
-    return idx
+    entries = tuple(sigma)
+    # a float or a string would be truncated or parsed by the conversion to intp
+    integers = all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in entries)
+    if not integers or sorted(map(int, entries)) != list(range(n)):
+        raise InvalidPermutation(f"not a bijection on 0..{n - 1}: {entries!r}")
+    return np.asarray(entries, dtype=np.intp)
 
 
 def permute(C: ConferenceMatrix, sigma: Sequence[int]) -> ConferenceMatrix:

@@ -318,7 +318,7 @@ def _text_block(lines: list[str], rows: int, width: int, convert, pattern, dtype
         raise RecordParseError(f"{what} section ends after {len(lines)} of {rows} rows")
     tokens: list[str] = []
     for line in lines:
-        row = line.split()
+        row = line.split(" ")
         if len(row) != width:
             raise RecordParseError(f"{what} row has {len(row)} tokens, expected {width}")
         tokens += row
@@ -331,9 +331,11 @@ def _text_block(lines: list[str], rows: int, width: int, convert, pattern, dtype
 
 
 def _parse_text(text: str) -> ExportRecord:
-    lines = text.splitlines()
+    # the writer separates lines by "\n" and tokens by " " only; splitlines()
+    # and split() would also take other Unicode line breaks and spaces
+    lines = text.split("\n")
     try:
-        if not lines or lines[0].split() != [MAGIC, str(VERSION)]:
+        if lines[0] != f"{MAGIC} {VERSION}":
             raise RecordParseError("missing or unsupported record header line")
         header: dict[str, str] = {}
         pos = 1

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotInvolutory, RankMismatch
-from .seidel import SeidelMatrix, seidel_square_residual
+from .seidel import SeidelMatrix, _blocks, seidel_square_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +66,10 @@ def extract_bases(gram: np.ndarray, r: int, lam: Fraction) -> PlaneTuple:
     """Factor gram = X^T X by symmetric eigendecomposition, keeping rank r.
 
     Eigenvalues above 1 are kept (the spectral gap of a valid gram separates
-    0 from 2); any other count raises RankMismatch.  Deterministic gauge:
-    descending eigenvalue order, each eigenvector's first nonzero component
-    made positive.
+    0 from 2); any other count raises RankMismatch.  Gauge: row t of X is
+    sqrt(lambda_t) v_t for the kept eigenvalues in descending order, each unit
+    eigenvector v_t signed so that its first entry above 1e-12 in magnitude is
+    positive (a unit vector of length m has an entry of at least 1/sqrt(m)).
     """
     gram = np.asarray(gram, dtype=float)
     m = gram.shape[0]
@@ -78,13 +79,11 @@ def extract_bases(gram: np.ndarray, r: int, lam: Fraction) -> PlaneTuple:
     keep = np.nonzero(vals > 1.0)[0][::-1]
     if len(keep) != r:
         raise RankMismatch(f"{len(keep)} eigenvalues above threshold, expected {r}")
-    basis = np.empty((r, m))
-    for row, idx in enumerate(keep):
-        v = vecs[:, idx]
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if len(nz) and v[nz[0]] < 0:
-            v = -v
-        basis[row] = math.sqrt(vals[idx]) * v
+    basis = vecs.T[keep]  # a new C-contiguous (r, m) array
+    del vecs  # free the (m, m) eigenvectors before the gauge's (r, m) temporaries
+    # the number of leading entries of magnitude <= 1e-12 is the index of the first larger one
+    first = np.logical_and.accumulate(np.abs(basis) <= 1e-12, axis=1).sum(axis=1)
+    basis *= np.copysign(np.sqrt(vals[keep]), basis[np.arange(r), first])[:, None]
     return PlaneTuple(r=r, n=m // 2, lam=Fraction(lam), basis=basis)
 
 
@@ -103,9 +102,8 @@ def orthonormality_residual(pt: PlaneTuple) -> float:
 
 def isoclinic_residual(pt: PlaneTuple) -> float:
     """Max deviation of any B^T B from lambda I_2, B = P_i^T P_j, i < j."""
-    gram = (pt.basis.T @ pt.basis).reshape(pt.n, 2, pt.n, 2)
     i, j = np.triu_indices(pt.n, 1)
-    b = gram[i, :, j, :]  # b[m] = P_i^T P_j for the m-th pair i < j
+    b = _blocks(pt.basis.T @ pt.basis)[i, j]  # b[m] = P_i^T P_j for the m-th pair i < j
     btb = np.einsum("mab,mac->mbc", b, b)
     return float(np.abs(btb - float(pt.lam) * np.eye(2)).max(initial=0.0))
 

@@ -16,6 +16,10 @@ extracted in the planes module.
 
 Reflection algebra used throughout: s_a s_b = r_{a-b} (a plane rotation),
 r_b s_a = s_a r_{-b} = s_{a+b}, hence r_{eta/2} s_a r_{-eta/2} = s_{a+eta}.
+
+Layout: block (i, j) of the dense array holds rows 2i, 2i+1 and columns 2j,
+2j+1.  Every block operation of the package reads and writes through the
+(q, q, 2, 2) view `_blocks` gives, which is also `SeidelMatrix.blocks`.
 """
 
 from __future__ import annotations
@@ -61,11 +65,10 @@ class SeidelMatrix:
     @property
     def blocks(self) -> np.ndarray:
         """View of shape (q, q, 2, 2): blocks[i, j] is the 2x2 block at (i, j)."""
-        q = self.q
-        return self.dense.reshape(q, 2, q, 2).swapaxes(1, 2)
+        return _blocks(self.dense)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        return self.dense[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+        return self.blocks[i, j]
 
 
 def build_seidel(field: GaloisField) -> SeidelMatrix:
@@ -79,18 +82,24 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
     return SeidelMatrix(q=q, k=k, theta=theta, dense=dense)
 
 
+def _blocks(dense: np.ndarray) -> np.ndarray:
+    """(q, q, 2, 2) block view of a 2q x 2q array; a view whenever dense is C-contiguous."""
+    q = dense.shape[0] // 2
+    return dense.reshape(q, 2, q, 2).swapaxes(1, 2)
+
+
 def _reflection_blocks(ang: np.ndarray) -> np.ndarray:
     """Dense 2q x 2q matrix with block s_ang[i, j] off the diagonal, zero on it."""
     q = ang.shape[0]
     c, s = np.cos(ang), np.sin(ang)
-    blocks = np.empty((q, q, 2, 2))
+    dense = np.empty((2 * q, 2 * q))
+    blocks = _blocks(dense)
     blocks[..., 0, 0] = c
     blocks[..., 0, 1] = s
     blocks[..., 1, 0] = s
-    blocks[..., 1, 1] = -c
-    idx = np.arange(q)
-    blocks[idx, idx] = 0.0
-    return blocks.swapaxes(1, 2).reshape(2 * q, 2 * q)
+    np.negative(c, out=blocks[..., 1, 1])  # -c would be one more q x q temporary
+    blocks[range(q), range(q)] = 0.0
+    return dense
 
 
 def seidel_square_residual(S: SeidelMatrix) -> float:
@@ -140,35 +149,33 @@ def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
 def normalize(S: SeidelMatrix) -> SeidelMatrix:
     """Equivalent matrix whose first block row and column are identity blocks.
 
-    Multiplies block column j by S[j, 1] and block row j by S[1, j] for
-    j >= 2 (1-based); as a dense operation this is conjugation by the
-    orthogonal block-diagonal matrix diag(I, S[1,2], ..., S[1,q]), so the
-    square identity and the spectrum are preserved.  Idempotent.
+    N[i, j] = R_i S[i, j] R_j^T with R = (I, S[0, 1], ..., S[0, q-1]), in
+    O(q^2).  If the blocks S[0, j] are orthogonal, this is an orthogonal
+    conjugation, so S^2 and the spectrum are preserved.  Idempotent.
     """
-    q = S.q
-    n = 2 * q
-    Q = np.zeros((n, n))
-    Q[0:2, 0:2] = np.eye(2)
-    for j in range(1, q):
-        Q[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = S.block(0, j)
-    dense = Q @ S.dense @ Q.T
-    return SeidelMatrix(q=q, k=S.k, theta=S.theta, dense=dense)
+    R = np.concatenate([np.eye(2)[None], S.blocks[0, 1:]])
+    dense = np.empty((2 * S.q, 2 * S.q))
+    # block indices last, so that einsum's inner loop runs along a block row rather than inside a 2 x 2 block
+    np.einsum("iab,bcij,jdc->adij", R, S.blocks.transpose(2, 3, 0, 1), R, out=_blocks(dense).transpose(2, 3, 0, 1))
+    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
 
 
 def transport_scaling(S: SeidelMatrix, index: int, eta: float) -> SeidelMatrix:
     """Multiply block row `index` by r_{eta/2} and block column by r_{-eta/2}.
 
-    Orthogonal conjugation, so S^2 and the spectrum are preserved.  This is
-    the Seidel-side image of scaling row/column `index` of the underlying
-    conference matrix by e^(i eta / 2): each touched reflection s_phi
-    becomes s_{phi + eta/2}.
+    N[index, j] = r S[index, j] and N[i, index] = S[i, index] r^T with
+    r = r_{eta/2}, in O(q) after the copy; no other block changes.  An
+    orthogonal conjugation, so S^2 and the spectrum are preserved: the image of
+    scaling row/column `index` of the conference matrix by e^(i eta / 2).
     """
     if not 0 <= index < S.q:
         raise IndexError(f"index {index} out of range for order {S.q}")
-    n = 2 * S.q
-    Q = np.eye(n)
-    Q[2 * index : 2 * index + 2, 2 * index : 2 * index + 2] = plane_rotation(eta / 2.0)
-    dense = Q @ S.dense @ Q.T
+    r = plane_rotation(eta / 2.0)
+    dense = S.dense.copy()
+    blocks = _blocks(dense)
+    at = slice(index, index + 1)  # a slice: a float index raises TypeError, and True selects block 1 only
+    blocks[at] = r @ blocks[at]
+    blocks[:, at] = blocks[:, at] @ r.T
     return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
 
 
@@ -190,8 +197,7 @@ def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
 def permute_blocks(S: SeidelMatrix, sigma: Sequence[int]) -> SeidelMatrix:
     """Simultaneous block row/column permutation mirroring conference.permute."""
     idx = _check_permutation(sigma, S.q)
-    q = S.q
-    pair = np.arange(2)
-    b = S.dense.reshape(q, 2, q, 2)
-    dense = b[np.ix_(idx, pair, idx, pair)].reshape(2 * q, 2 * q)
-    return SeidelMatrix(q=q, k=S.k, theta=S.theta, dense=dense)
+    # the indices broadcast to shape (q, 2, q, 2), so the result is already laid out as dense
+    i, a, j, b = np.ix_(idx, np.arange(2), idx, np.arange(2))
+    dense = S.blocks[i, j, a, b].reshape(2 * S.q, 2 * S.q)
+    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)

@@ -207,6 +207,18 @@ def test_verify_json_type_swap_is_parse_error(tmp_path):
     assert "Traceback" not in proc.stderr and "cannot parse" in proc.stderr
 
 
+def test_verify_non_ascii_separator_is_parse_error(tmp_path):
+    # an entry row separated by em spaces (U+2003) used to read as the same row
+    lines = serialize(build_record("seidel", 3), "text").split("\n")
+    i = lines.index("entries") + 1
+    lines[i] = lines[i].replace(" ", "\u2003")
+    out = tmp_path / "s.txt"
+    out.write_text("\n".join(lines), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "isoclinic", "verify", str(out)], capture_output=True, text=True)
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr and "cannot parse" in proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_planes_with_a_plane_dropped(tmp_path, capsys, fmt):
     # the remaining q - 1 planes are still orthonormal and equi-isoclinic,

@@ -18,6 +18,7 @@ from isoclinic import (
     NotUnimodular,
     WitnessMismatch,
     build_conference,
+    build_seidel,
     conference_residual,
     critical_angle,
     critical_omega,
@@ -26,6 +27,7 @@ from isoclinic import (
     gram_counts,
     make_field,
     permute,
+    permute_blocks,
     scale_row_col,
     verify_counts,
 )
@@ -339,6 +341,24 @@ def test_permute_rejects_non_bijections():
         permute(C, [0, 1, 1, 3, 4])
     with pytest.raises(InvalidPermutation):
         permute(C, [0, 1, 2])
+
+
+@pytest.mark.parametrize("sigma", [(0, 1.7, 2, 3, 4.2), (0, 1, 2, 3, 4.0), ("0", 1, 2, 3, 4), (True, 0, 2, 3, 4)])
+def test_permutations_reject_non_integer_entries(sigma):
+    # the conversion to an index array would truncate 1.7, parse "0" and read True as 1
+    f = make_field(5)
+    with pytest.raises(InvalidPermutation):
+        permute(build_conference(f, critical_omega(3)), sigma)
+    with pytest.raises(InvalidPermutation):
+        permute_blocks(build_seidel(f), sigma)
+
+
+def test_permutations_accept_numpy_integer_arrays():
+    f = make_field(5)
+    C, S = build_conference(f, critical_omega(3)), build_seidel(f)
+    sigma = np.array([3, 0, 4, 1, 2], dtype=np.int64)
+    assert np.array_equal(permute(C, sigma).values, permute(C, sigma.tolist()).values)
+    assert np.array_equal(permute_blocks(S, sigma).dense, permute_blocks(S, sigma.tolist()).dense)
 
 
 def test_order5_display_is_construction_at_omega_j():

@@ -468,7 +468,26 @@ def _set_token(section, token):
     return mutate
 
 
-# each is accepted by int() or float() but is not what the writer produces
+def _separate(section, sep):
+    # the first row of the section with its tokens separated by sep
+    def mutate(lines):
+        i = lines.index(section) + 1
+        lines[i] = lines[i].replace(" ", sep)
+
+    return mutate
+
+
+def _join_rows(section, sep):
+    # the first two rows of the section as one line, joined by sep
+    def mutate(lines):
+        i = lines.index(section) + 1
+        lines[i : i + 2] = [lines[i] + sep + lines[i + 1]]
+
+    return mutate
+
+
+# each is accepted by int(), float(), str.split() or str.splitlines() but is
+# not what the writer produces
 STRICT_TEXT = {
     "complex-two": ("conference", _set_header("complex", "2"), "header complex must match"),
     "k-underscore": ("conference", _set_header("k", "0_3"), "header k must match"),
@@ -483,6 +502,12 @@ STRICT_TEXT = {
     "entry-plus-sign": ("seidel", _set_token("entries", "+0.0"), "malformed entry token"),
     "entry-infinity-word": ("conference", _set_token("entries", "Infinity"), "malformed entry token"),
     "entry-capital-exponent": ("seidel", _set_token("entries", "1E-05"), "malformed entry token"),
+    "entries-em-space": ("seidel", _separate("entries", "\u2003"), "entry row has 1 tokens"),
+    "entries-tab": ("seidel", _separate("entries", "\t"), "entry row has 1 tokens"),
+    "exponents-tab": ("conference", _separate("exponents", "\t"), "exponent row has 1 tokens"),
+    "entries-line-separator": ("seidel", _join_rows("entries", "\u2028"), "entry row has 19 tokens"),
+    "header-file-separator": ("seidel", _set_header("k", "3\x1c"), "header k must match"),
+    "magic-tab": ("seidel", lambda lines: lines.__setitem__(0, "isoclinic-record\t1"), "header line"),
 }
 
 
@@ -516,3 +541,11 @@ def test_read_record_rejects_invalid_utf8(tmp_path):
     path.write_bytes(serialize(build_record("seidel", 3), "text").encode().replace(b"kind", b"k\xffnd"))
     with pytest.raises(RecordParseError, match="UTF-8"):
         read_record(str(path))
+
+
+def test_read_record_accepts_crlf_line_ends(tmp_path):
+    # read_record opens files with universal newlines, so "\r\n" reads as "\n"
+    record = build_record("seidel", 3)
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(serialize(record, "text").replace("\n", "\r\n").encode())
+    assert records_equal(read_record(str(path)), record)

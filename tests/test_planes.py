@@ -72,6 +72,35 @@ def test_extract_deterministic():
     assert np.array_equal(a.basis, b.basis)
 
 
+def reference_extract_bases(gram, r):
+    """Eigenvector-by-eigenvector gauge loop; an oracle for extract_bases."""
+    vals, vecs = np.linalg.eigh(gram)
+    keep = np.nonzero(vals > 1.0)[0][::-1]
+    basis = np.empty((r, gram.shape[0]))
+    for row, idx in enumerate(keep):
+        v = vecs[:, idx]
+        nz = np.nonzero(np.abs(v) > 1e-12)[0]
+        if len(nz) and v[nz[0]] < 0:
+            v = -v
+        basis[row] = math.sqrt(vals[idx]) * v
+    return basis
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4)])
+def test_extract_matches_gauge_loop_reference_bitwise(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    lam = Fraction(1, 2 * S.k - 2)
+    A = build_gram(S)
+    # two zero rows and columns in front: every kept eigenvector then starts
+    # with two entries below the 1e-12 threshold, which the gauge must skip
+    padded = np.zeros((2 * S.q + 2, 2 * S.q + 2))
+    padded[2:, 2:] = A
+    for gram in (A, padded):
+        basis = extract_bases(gram, S.q, lam).basis
+        assert basis.flags.c_contiguous
+        assert np.array_equal(basis.view(np.uint64), reference_extract_bases(gram, S.q).view(np.uint64))
+
+
 @pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1)])
 def test_planes_are_equi_isoclinic(p, alpha):
     q = p**alpha

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,108 @@ def test_permute_blocks_functorial():
     left = from_conference(permute(C, sigma))
     right = permute_blocks(from_conference(C), sigma)
     assert np.abs(left.dense - right.dense).max() == 0.0
+
+
+# dense and copy-based forms of the block operations, kept as oracles for the
+# block-view code in seidel.py
+
+
+def reference_reflection_blocks(ang):
+    """Fill a (q, q, 2, 2) block array, then copy it into the interleaved dense layout."""
+    q = ang.shape[0]
+    c, s = np.cos(ang), np.sin(ang)
+    blocks = np.empty((q, q, 2, 2))
+    blocks[..., 0, 0] = c
+    blocks[..., 0, 1] = s
+    blocks[..., 1, 0] = s
+    blocks[..., 1, 1] = -c
+    idx = np.arange(q)
+    blocks[idx, idx] = 0.0
+    return blocks.swapaxes(1, 2).reshape(2 * q, 2 * q)
+
+
+def reference_normalize(S):
+    """Q S Q^T with the dense block-diagonal Q = diag(I, S[0, 1], ..., S[0, q-1])."""
+    n = 2 * S.q
+    Q = np.zeros((n, n))
+    Q[0:2, 0:2] = np.eye(2)
+    for j in range(1, S.q):
+        Q[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = S.block(0, j)
+    return Q @ S.dense @ Q.T
+
+
+def reference_transport_scaling(S, index, eta):
+    """Q S Q^T with the dense Q equal to I except r_{eta/2} at block (index, index)."""
+    Q = np.eye(2 * S.q)
+    Q[2 * index : 2 * index + 2, 2 * index : 2 * index + 2] = plane_rotation(eta / 2.0)
+    return Q @ S.dense @ Q.T
+
+
+def reference_permute_blocks(S, sigma):
+    q = S.q
+    pair = np.arange(2)
+    b = S.dense.reshape(q, 2, q, 2)
+    return b[np.ix_(np.asarray(sigma), pair, np.asarray(sigma), pair)].reshape(2 * q, 2 * q)
+
+
+BLOCK_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4)]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("p,alpha", BLOCK_FIELDS)
+def test_block_fill_matches_copy_reference_bitwise(p, alpha):
+    f = make_field(p, alpha)
+    S = build_seidel(f)
+    assert np.array_equal(bits(S.dense), bits(reference_reflection_blocks(S.theta * f.chi_differences())))
+    C = scale_row_col(build_conference(f, critical_omega(S.k)), 1, cmath.exp(0.9j))
+    ang = np.angle(C.values)
+    assert np.array_equal(bits(from_conference(C).dense), bits(reference_reflection_blocks(ang)))
+
+
+@pytest.mark.parametrize("p,alpha", BLOCK_FIELDS)
+def test_block_operations_match_dense_references(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    q = S.q
+    sigma = np.random.default_rng(q).permutation(q)
+    permuted = permute_blocks(S, sigma)
+    assert np.array_equal(permuted.dense, reference_permute_blocks(S, sigma))
+    for T in (S, permuted, transport_scaling(S, 0, 0.8)):
+        assert np.abs(normalize(T).dense - reference_normalize(T)).max() <= 1e-15
+    for index, eta in [(0, 0.37), (q // 2, -1.2), (q - 1, 2.9)]:
+        moved = transport_scaling(S, index, eta).dense
+        assert np.abs(moved - reference_transport_scaling(S, index, eta)).max() <= 1e-15
+        assert np.array_equal(transport_scaling(S, index, 0.0).dense, S.dense)
+
+
+def test_transport_scaling_rewrites_only_its_block_row_and_column():
+    S = build_seidel(make_field(3, 2))
+    index = 4
+    moved = transport_scaling(S, index, 1.1)
+    outside = np.ones((S.q, S.q), dtype=bool)
+    outside[index] = False
+    outside[:, index] = False
+    assert np.array_equal(bits(moved.blocks[outside]), bits(S.blocks[outside]))
+    assert not np.array_equal(moved.blocks[index, index + 1], S.blocks[index, index + 1])
+    assert not np.array_equal(moved.blocks[index + 1, index], S.blocks[index + 1, index])
+    # the index is taken as a Python slice bound
+    assert np.array_equal(transport_scaling(S, True, 0.4).dense, transport_scaling(S, 1, 0.4).dense)
+    with pytest.raises(TypeError):
+        transport_scaling(S, 1.5, 0.4)
+
+
+def test_build_seidel_peak_memory_at_q729():
+    # the result is one 2q x 2q array (17 MB); filling a block array and
+    # copying it into the dense layout would hold two at once
+    f = make_field(3, 6)
+    f.chi_differences()
+    dense_bytes = 8 * (2 * f.q) ** 2
+    tracemalloc.start()
+    try:
+        build_seidel(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dense_bytes, f"peak {peak / 2**20:.1f} MB"
