@@ -113,8 +113,14 @@ def _metadata_lambda(meta: dict) -> Fraction:
 
 def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[str, bool, str]]:
     """Kind-appropriate checks as (name, ok, detail) rows."""
-    checks: list[tuple[str, bool, str]] = []
     kind = record.kind
+    # conference and planes records have order q = 2k - 1, the others 2q
+    if kind in ("conference", "planes"):
+        formula, expected = "2k-1", 2 * record.k - 1
+    else:
+        formula, expected = "2(2k-1)", 4 * record.k - 2
+    same = record.order == expected
+    checks = [("order", same, f"{record.order} {'=' if same else '!='} {formula} = {expected}")]
     if kind == "conference":
         omega = _metadata_omega(record.metadata)
         C = ConferenceMatrix(
@@ -158,6 +164,14 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(("seidel-square", resid <= tol, f"{resid:.3e}"))
         sym = float(np.abs(S.dense - S.dense.T).max())
         checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
+        blocks = S.blocks
+        diag = float(np.abs(np.einsum("iiab->iab", blocks)).max())
+        checks.append(("zero-diagonal-blocks", diag <= tol, f"{diag:.3e}"))
+        # B B^T = I for every off-diagonal block B
+        gram = np.einsum("ijab,ijcb->ijac", blocks, blocks)
+        off = ~np.eye(S.q, dtype=bool)
+        orth = float(np.abs(gram[off] - np.eye(2)).max(initial=0.0))
+        checks.append(("orthogonal-blocks", orth <= tol, f"{orth:.3e}"))
         return checks
     if kind == "gram":
         if record.order % 2 != 0:

@@ -42,7 +42,7 @@ from .errors import (
     NotUnimodular,
     WitnessMismatch,
 )
-from .gf import GaloisField
+from .gf import GaloisField, field_of_order
 
 UNIT_TOL = 1e-12
 
@@ -161,15 +161,33 @@ def verify_counts(C: ConferenceMatrix) -> bool:
 
     Together with Re(omega^2) = (2-k)/(k-1) this certifies
     C C* = (2k-2) I exactly: the counts are integers compared with ==.
+
+    When E is group-developed over the additive group of GF(q), checked
+    exactly as E == E[:, 0][sub] with sub the digit-difference index of the
+    factored order q, the count at (i, j) depends on a_i - a_j only, so the
+    counts of row 0 (one vector-matrix product each) cover every
+    off-diagonal entry.  Any other E takes the full products of gram_counts.
     """
-    counts = gram_counts(C)
     k = C.k
+    want = (k - 2, (k - 1) // 2, (k - 1) // 2)
+    row = _row_counts(C.exponents, C.q)
+    if row is not None:
+        return all((counts[1:] == w).all() for counts, w in zip(row, want))
+    counts = gram_counts(C)
     off = ~np.eye(C.q, dtype=bool)
-    return bool(
-        (counts.r[off] == k - 2).all()
-        and (counts.s[off] == (k - 1) // 2).all()
-        and (counts.t[off] == (k - 1) // 2).all()
-    )
+    return all((counts[off] == w).all() for counts, w in zip((counts.r, counts.s, counts.t), want))
+
+
+def _row_counts(E: np.ndarray | None, q: int) -> tuple[np.ndarray, ...] | None:
+    """Row 0 of (r, s, t) when E is group-developed over GF(q), else None."""
+    if E is None or E.shape != (q, q) or (field := field_of_order(q)) is None:
+        return None
+    if not np.array_equal(E, E[:, 0][field.digit_differences()]):
+        return None
+    pos = (E == 1).astype(np.float64)
+    neg = (E == -1).astype(np.float64)
+    # exact as in gram_counts: sums of at most q ones
+    return pos[0] @ pos + neg[0] @ neg, pos[0] @ neg, neg[0] @ pos
 
 
 def conference_residual(C: ConferenceMatrix) -> float:
@@ -225,6 +243,17 @@ class EquivalenceWitnesses:
     scalings: tuple[complex, ...]
 
 
+def _product_indices(field: GaloisField, g) -> np.ndarray:
+    """Index of a_i * g for every i: multiplication by g is GF(p)-linear on digit vectors.
+
+    Column d of its alpha x alpha matrix holds the digits of x^d * g.
+    """
+    p, alpha = field.p, field.alpha
+    columns = [field.mul(field.element(p**d), g) for d in range(alpha)]
+    images = field.digit_array() @ np.array(columns, dtype=np.int64) % p
+    return images @ p ** np.arange(alpha)
+
+
 def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
     """Construct and verify the equivalence witnesses over the given field."""
     q = field.q
@@ -234,7 +263,7 @@ def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
 
     E = field.chi_differences()
     g = field.first_nonsquare()
-    sigma = tuple(field.index(field.mul(a, g)) for a in field.elements)
+    sigma = tuple(_product_indices(field, g).tolist())
     # exact: C(1/omega0) permuted by sigma is C(omega0) iff E[sigma, sigma] = -E,
     # because omega0^2 != 1; this is chi(a g) = -chi(a) for the non-square g
     if not np.array_equal(E[np.ix_(sigma, sigma)], -E):

@@ -8,15 +8,27 @@ elements[0] is zero, elements[1] is one, and for prime fields element i is
 the residue i itself.
 
 The quadratic character chi maps zero to 0, nonzero squares to +1 and
-non-squares to -1; it is computed as x^((q-1)/2), which lands on the field
-element 1 or -1.  For q = 1 (mod 4) the character is even: chi(-x) = chi(x).
+non-squares to -1 (by Euler's criterion, the field element x^((q-1)/2)).
+The chi table marks the squares directly: for prime fields they are
+i^2 mod p, for extension fields the digit polynomials of all q elements are
+squared mod the modulus in one vectorised pass.  For q = 1 (mod 4) the
+character is even: chi(-x) = chi(x).
+
+`GaloisField.digit_differences()` is the index of a_i - a_j.  Addition only
+touches the base-p digits, so that index is the digitwise difference mod p
+read back in base p: the Kronecker sum of alpha copies of the p x p table
+(i - j) mod p, stored in the smallest unsigned dtype that holds q - 1.  A
+matrix M is group-developed over the additive group of GF(q) when
+M[i, j] = m(a_i - a_j), that is M == M[:, 0][digit_differences()]; the
+conference, Seidel and count checks test exactly that before they take
+their O(q^2) paths.  Row 0 of the index is the negation map: it holds the
+index of -a_j.
 
 `GaloisField.chi_differences()` is the exponent matrix E[i, j] =
-chi(a_i - a_j) that every construction reads.  Addition only touches the
-base-p digits, so the index of a_i - a_j is the digitwise difference mod p
-read back in base p, and E is one lookup into the chi table.  It is computed
-once per field and shared as a read-only array.  Its diagonal is chi(0) = 0;
-for q = 1 (mod 4) it is symmetric, for q = 3 (mod 4) antisymmetric.
+chi(a_i - a_j) that every construction reads: one lookup of the digit
+differences into the chi table.  Both arrays are computed once per field and
+shared read-only.  The diagonal of E is chi(0) = 0; for q = 1 (mod 4) it is
+symmetric, for q = 3 (mod 4) antisymmetric.
 """
 
 from __future__ import annotations
@@ -164,32 +176,58 @@ class GaloisField:
         """The int8 q x q matrix E[i, j] = chi(a_i - a_j), computed once and shared read-only."""
         return self._chi_differences
 
+    def digit_differences(self) -> np.ndarray:
+        """The q x q index of a_i - a_j, computed once and shared read-only.
+
+        The dtype is the smallest unsigned integer type that holds q - 1.
+        """
+        return self._digit_differences
+
+    @functools.cached_property
+    def _digit_differences(self) -> np.ndarray:
+        p = self.p
+        dtype = np.min_scalar_type(self.q - 1)
+        i = np.arange(p)
+        table = ((i[:, None] - i[None, :]) % p).astype(dtype)
+        index = table
+        for d in range(1, self.alpha):
+            # digit d is the more significant one: rows i_d p^d + i_rest, columns likewise
+            high = table * dtype.type(p**d)
+            m = index.shape[0]
+            index = np.add.outer(high, index).transpose(0, 2, 1, 3).reshape(m * p, m * p)
+        index.flags.writeable = False
+        return index
+
     @functools.cached_property
     def _chi_differences(self) -> np.ndarray:
-        digits = np.array(self.elements, dtype=np.int64)
-        diff = (digits[:, None, :] - digits[None, :, :]) % self.p
-        index = diff @ self.p ** np.arange(self.alpha, dtype=np.int64)
-        E = np.array(self._chi_table, dtype=np.int8)[index]
+        E = np.array(self._chi_table, dtype=np.int8)[self._digit_differences]
         E.flags.writeable = False
         return E
 
     @functools.cached_property
     def _chi_table(self) -> tuple[int, ...]:
-        e = (self.q - 1) // 2
-        minus_one = self.neg(self.one)
-        table = []
-        for x in self.elements:
-            if x == self.zero:
-                table.append(0)
-                continue
-            t = self.pow(x, e)
-            if t == self.one:
-                table.append(1)
-            elif t == minus_one:
-                table.append(-1)
-            else:  # impossible in a field
-                raise AssertionError(f"x^((q-1)/2) = {t!r} is not +-1")
-        return tuple(table)
+        p, alpha = self.p, self.alpha
+        table = np.full(self.q, -1, dtype=np.int64)
+        if alpha == 1:
+            squares = np.arange(p, dtype=np.int64) ** 2 % p
+        else:
+            # square every digit polynomial, then reduce mod the monic modulus
+            digits = self.digit_array()
+            prod = np.zeros((self.q, 2 * alpha - 1), dtype=np.int64)
+            for i in range(alpha):
+                prod[:, i : i + alpha] += digits[:, i : i + 1] * digits
+            prod %= p
+            for d in range(2 * alpha - 2, alpha - 1, -1):
+                prod[:, d - alpha : d] -= prod[:, d : d + 1] * np.array(self.modulus[:alpha])
+                prod[:, d - alpha : d] %= p
+            squares = prod[:, :alpha] @ p ** np.arange(alpha, dtype=np.int64)
+        table[squares] = 1
+        table[0] = 0
+        return tuple(table.tolist())
+
+    def digit_array(self) -> np.ndarray:
+        """The (q, alpha) array of base-p digits of every element, in canonical order."""
+        return np.arange(self.q)[:, None] // self.p ** np.arange(self.alpha) % self.p
 
     def first_nonsquare(self) -> Element:
         """First element in canonical order with chi = -1."""
@@ -203,3 +241,15 @@ class GaloisField:
 def make_field(p: int, alpha: int = 1) -> GaloisField:
     """Construct (and cache) GF(p**alpha); fields are immutable."""
     return GaloisField(p, alpha)
+
+
+def field_of_order(q: int) -> GaloisField | None:
+    """GF(q) when q is a power of an odd prime, else None.
+
+    The group-developed fast paths factor the order of their input here
+    rather than trust any metadata that came with it.
+    """
+    pa = factor_prime_power(int(q))
+    if pa is None or pa[0] == 2:
+        return None
+    return make_field(*pa)

@@ -40,9 +40,50 @@ def double(C: ConferenceMatrix) -> HadamardMatrix:
 
 
 def hadamard_residual(H: HadamardMatrix) -> float:
-    """Max of the unimodularity deviation and the max-abs entry of H H* - n2 I."""
+    """Max of the unimodularity deviation and the max-abs entry of H H* - n2 I.
+
+    When H is exactly the doubling of a symmetric C with zero diagonal
+    (checked entry by entry with ==), the blocks of H H* - 2q I follow from
+    one q x q product M = C C*: the diagonal blocks are 2 Re(M - (q-1) I)
+    and the off-diagonal blocks 2i Im M, since C~ C^T = conj(M).  That is
+    8 times fewer flops than H H*.  Any other H takes the dense product.
+    """
+    V = H.values
+    C = _doubled(V, H.n2)
+    if C is None:
+        return _dense_residual(H)
+    q = H.n2 // 2
+    # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere
+    unimod = float(np.abs(np.abs(V[:q, :q]) - 1.0).max())
+    M = C @ C.conj().T
+    real = 2.0 * float(np.abs(M.real - (q - 1) * np.eye(q)).max())
+    imag = 2.0 * float(np.abs(M.imag).max())
+    return max(unimod, real, imag)
+
+
+def _dense_residual(H: HadamardMatrix) -> float:
+    """The dense path of hadamard_residual: the full product H H*."""
     n2 = H.n2
     V = H.values
     unimod = float(np.abs(np.abs(V) - 1.0).max())
     gram = float(np.abs(V @ V.conj().T - n2 * np.eye(n2)).max())
     return max(unimod, gram)
+
+
+def _doubled(V: np.ndarray, n2: int) -> np.ndarray | None:
+    """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None."""
+    q, odd = divmod(n2, 2)
+    if odd or V.shape != (n2, n2):
+        return None
+    eye = np.eye(q)
+    C = V[:q, :q] - eye
+    Cc = C.conj()
+    # V[:q, :q] == C + I holds by construction when the diagonal of C is zero
+    form = (
+        not C.diagonal().any()
+        and np.array_equal(C, C.T)
+        and np.array_equal(V[:q, q:], Cc - eye)
+        and np.array_equal(V[q:, :q], C - eye)
+        and np.array_equal(V[q:, q:], -Cc - eye)
+    )
+    return C if form else None

@@ -8,6 +8,16 @@ X of row rank 2k - 1 therefore yields q = 2k - 1 planes in R^(2k-1),
 spanned by consecutive column pairs of X, any two of which meet at the same
 pair of angles: B = P_i^T P_j has B^T B = lambda I_2.
 
+For the canonical S the factor comes from the character transform of the
+seidel module: S is block group-developed over the additive group of GF(q),
+each 2 x 2 block g^(b) = sum_x g(x) cos(2 pi b.x / p) has eigenvalues
++-mu (g^(0) = diag(mu, -mu); for b != 0 the off-diagonal entry is
+gamma(b) sin(theta), gamma(b) = +-sqrt(q) a quadratic Gauss sum), and the
++mu eigenvector v_b of g^(b) = g^(-b) gives two real rows of X, the cos
+and the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).  An S
+without the group-developed form falls back to the dense route,
+extract_bases(build_gram(S)).
+
 Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
 basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
 B = P_i^T P_j, i < j, whose products B^T B are formed in one batched
@@ -33,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotInvolutory, RankMismatch
-from .seidel import SeidelMatrix, _blocks, seidel_square_residual
+from .seidel import SeidelMatrix, _blocks, _character_transform, seidel_square_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +98,38 @@ def extract_bases(gram: np.ndarray, r: int, lam: Fraction) -> PlaneTuple:
 
 
 def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
-    """Full extraction: 2k-1 equi-isoclinic planes in R^(2k-1)."""
+    """Full extraction: 2k-1 equi-isoclinic planes in R^(2k-1).
+
+    For a group-developed S (see seidel._character_transform) whose every
+    block g^(b) has one positive and one negative eigenvalue, the +mu
+    eigenspace of S is spanned by the real and imaginary parts of
+    psi_b(a_i) v_b, v_b the +mu unit eigenvector of g^(b) = g^(-b).  Pairing
+    b with -b gives the q rows of X directly, with no 2q x 2q eigh:
+
+        row 0:          sqrt(2/q) v_0[c]                      (b = 0)
+        rows 2t-1, 2t:  (2/sqrt(q)) cos(2 pi b.a_i / p) v_b[c],
+                        (2/sqrt(q)) sin(2 pi b.a_i / p) v_b[c]
+
+    at column 2i + c, for the t-th b of the transform.  Then
+    X^T X = 2 P_+ = I + S/mu.  Gauge: each v_b is signed so that its first
+    entry above 1e-12 in magnitude is positive.  Any other S takes
+    extract_bases(build_gram(S), ...), whose rows are the eigh eigenvectors.
+    """
     lam = Fraction(1, 2 * S.k - 2)
-    return extract_bases(build_gram(S), S.q, lam)
+    transform = _character_transform(S)
+    if transform is None or not ((transform.vals[:, 0] < 0) & (transform.vals[:, 1] > 0)).all():
+        return extract_bases(build_gram(S), S.q, lam)
+    q = S.q
+    v = transform.vecs[:, :, 1]  # eigh sorts ascending: column 1 belongs to +mu
+    lead = np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1])
+    v = v * np.copysign(1.0, lead)[:, None]
+    phase = np.empty((q, q))
+    phase[0] = math.sqrt(2.0 / q)
+    np.multiply(transform.cos[1:], 2.0 / math.sqrt(q), out=phase[1::2])
+    np.multiply(transform.sin[1:], 2.0 / math.sqrt(q), out=phase[2::2])
+    rows = np.concatenate([v[:1], np.repeat(v[1:], 2, axis=0)])  # v_0, then v_b for its cos and its sin row
+    basis = (phase[:, :, None] * rows[:, None, :]).reshape(q, 2 * q)
+    return PlaneTuple(r=q, n=q, lam=lam, basis=basis)
 
 
 def orthonormality_residual(pt: PlaneTuple) -> float:

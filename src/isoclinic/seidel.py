@@ -20,19 +20,45 @@ r_b s_a = s_a r_{-b} = s_{a+b}, hence r_{eta/2} s_a r_{-eta/2} = s_{a+eta}.
 Layout: block (i, j) of the dense array holds rows 2i, 2i+1 and columns 2j,
 2j+1.  Every block operation of the package reads and writes through the
 (q, q, 2, 2) view `_blocks` gives, which is also `SeidelMatrix.blocks`.
+
+Character transform.  S is block group-developed over the additive group
+(Z_p)^alpha of GF(q): S[i, j] = g(a_i - a_j) with g(x) = s_{theta chi(x)}
+and g(0) = 0.  For each b in (Z_p)^alpha the vectors psi_b(a_i) v, with
+psi_b(x) = exp(2 pi i b.x / p) the additive characters, satisfy
+S (psi_b (x) v) = psi_b (x) g^(b) v, so S splits into q blocks of order 2,
+
+    g^(b) = sum_x g(x) psi_b(-x) = sum_x g(x) cos(2 pi b.x / p),
+
+real because g is even with symmetric values.  Summing the reflections,
+with cos(theta) = 1/mu and mu = sqrt(2k - 2):
+
+    g^(0) = (q - 1) cos(theta) diag(1, -1) = diag(mu, -mu),
+    g^(b) = [[-cos theta, gamma(b) sin theta], [gamma(b) sin theta, cos theta]]
+            for b != 0,
+
+since sum_{x != 0} psi_b(x) = -1 and gamma(b) = sum_x chi(x) psi_b(x) is a
+quadratic Gauss sum, gamma(b) = +-sqrt(q).  Both eigenvalues of each
+g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.  `spectrum` and
+`planes.planes_from_seidel` read g from block column 0 (g(a_i) = S[i, 0])
+and check the form exactly (S.blocks == g[sub] for the digit-difference
+index sub of the factored order, g(-x) = g(x), g(x) symmetric); they then
+take g^(b) from a cos phase table, one batched 2 x 2 eigh, and nothing of
+order 2q.  An S that fails the check, such as normalize(S), permute_blocks
+or a record with one changed block, takes the dense path: the S^2 guard and
+projector traces here, build_gram and extract_bases in planes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .conference import ConferenceMatrix, _check_permutation, critical_angle
 from .errors import InvalidShift, NotInvolutory, NotSymmetrizable, NotUnimodular
-from .gf import Element, GaloisField
+from .gf import Element, GaloisField, field_of_order
 
 
 def plane_rotation(angle: float) -> np.ndarray:
@@ -126,12 +152,77 @@ def rotation_sum(field: GaloisField, theta: float, b: Element) -> np.ndarray:
     return total
 
 
-def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
-    """Eigenvalues +-sqrt(2k-2) with multiplicities from projector traces.
+class _Transform(NamedTuple):
+    """The 2 x 2 blocks g^(b) of a group-developed S, for b = 0 and one b of each pair {b, -b}.
 
-    S^2 = (2k-2) I forces the two-point spectrum; the multiplicities are the
-    traces n/2 +- tr(S)/(2 mu) of P = (I +- S/mu)/2, integers up to roundoff.
+    Row 0 of every array is b = 0.  cos and sin hold cos(2 pi b.a_i / p)
+    and sin(2 pi b.a_i / p), shape (m, q) with m = (q + 1) / 2; vals and
+    vecs are the eigh of the g^(b), shapes (m, 2) and (m, 2, 2).  g^(-b)
+    equals g^(b), so the m blocks carry all 2q eigenvalues of S.
     """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+
+
+def _character_transform(S: SeidelMatrix) -> _Transform | None:
+    """The block transform of S when S is group-developed over GF(S.q), else None.
+
+    Raises NotInvolutory when an eigenvalue of a g^(b) has
+    |lambda^2 - (2k-2)| > 1e-10.  That is the spectral norm of
+    S^2 - (2k-2) I, which bounds each of its entries, so the guard is no
+    looser than the dense S^2 guard.
+    """
+    q = S.q
+    if S.dense.shape != (2 * q, 2 * q) or (field := field_of_order(q)) is None:
+        return None
+    sub = field.digit_differences()
+    neg = sub[0]  # row 0 of the index is the negation map x -> -x
+    # entries[a, b, x] = g(a_x)[a, b] = S[2x + a, b]
+    entries = np.ascontiguousarray(S.blocks[:, 0].transpose(1, 2, 0))
+    # S[2i + a, 2j + b] = g(a_i - a_j)[a, b], compared in the layout (a, b, i, j)
+    developed = (
+        np.array_equal(entries[:, :, neg], entries)
+        and np.array_equal(entries[1, 0], entries[0, 1])
+        and np.array_equal(_blocks(S.dense).transpose(2, 3, 0, 1), np.take(entries, sub, axis=2))
+    )
+    if not developed:
+        return None
+    reps = np.flatnonzero(np.arange(q) <= neg)  # b = 0 first, then the lesser index of each pair
+    p = field.p
+    digits = field.digit_array()
+    dot = digits[reps] @ digits.T % p
+    angle = 2.0 * math.pi / p * np.arange(p)
+    cos, sin = np.cos(angle)[dot], np.sin(angle)[dot]
+    vals, vecs = np.linalg.eigh((cos @ entries.reshape(4, q).T).reshape(-1, 2, 2))
+    dev = float(np.abs(vals * vals - (2 * S.k - 2)).max())
+    if dev > 1e-10:
+        raise NotInvolutory(f"S^2 is not (2k-2) I within 1e-10: a transform block has |lambda^2 - mu^2| = {dev:.3e}")
+    return _Transform(cos, sin, vals, vecs)
+
+
+def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
+    """Eigenvalues +-sqrt(2k-2) with their multiplicities.
+
+    For a group-developed S the multiplicities are counted over the
+    eigenvalues of the blocks g^(b) (see _character_transform), each b != 0
+    standing for itself and -b.  Otherwise S^2 = (2k-2) I forces the
+    two-point spectrum and the multiplicities are the traces
+    n/2 +- tr(S)/(2 mu) of P = (I +- S/mu)/2, integers up to roundoff.
+    """
+    transform = _character_transform(S)
+    if transform is None:
+        return _trace_spectrum(S)
+    mu = math.sqrt(2 * S.k - 2)
+    positive = (transform.vals > 0).sum(axis=1)
+    plus = int(positive[0] + 2 * positive[1:].sum())
+    return [(mu, plus), (-mu, 2 * S.q - plus)]
+
+
+def _trace_spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
+    """The dense path of spectrum: the S^2 guard, then the projector traces."""
     if seidel_square_residual(S) > 1e-10:
         raise NotInvolutory("S^2 is not (2k-2) I within 1e-10")
     mu = math.sqrt(2 * S.k - 2)

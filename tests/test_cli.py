@@ -10,14 +10,26 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoclinic import ExportRecord, NotSymmetrizable, cli, parse, serialize
+from isoclinic import (
+    ExportRecord,
+    NotSymmetrizable,
+    build_gram,
+    build_seidel,
+    cli,
+    extract_bases,
+    make_field,
+    parse,
+    serialize,
+)
 from isoclinic.cli import EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_PARSE, EXIT_VERIFY, build_record, main
+from isoclinic.conference import critical_angle
 from isoclinic.export import KINDS
 
 OPEN_K = [11, 17, 23, 29, 33, 35, 39, 43, 47]
@@ -121,6 +133,19 @@ def test_verify_detects_corruption(tmp_path, capsys):
 
 def _malformed_record(case):
     q, k = 13, 7
+    if case == "forged-seidel":
+        # sqrt(2k-2) (I - 2 v v^T) is symmetric with S^2 = (2k-2) I, but its
+        # diagonal blocks are not zero and its blocks are not orthogonal
+        v = np.random.default_rng(2014).standard_normal(2 * q)
+        v /= np.linalg.norm(v)
+        forged = math.sqrt(2 * k - 2) * (np.eye(2 * q) - 2.0 * np.outer(v, v))
+        base = build_record("seidel", k)
+        return ExportRecord("seidel", 2 * q, k, base.theta, forged, None, base.metadata), [], EXIT_VERIFY
+    if case == "mislabeled-seidel":
+        # the q = 5 Seidel matrix under the label k = 7, whose order would be 26
+        base = build_record("seidel", 3)
+        mislabeled = ExportRecord("seidel", base.order, k, critical_angle(k), base.entries, None, base.metadata)
+        return mislabeled, [], EXIT_VERIFY
     base = build_record("conference", k)
     if case == "forged":
         # sqrt(q-1) U satisfies C C* = (q-1) I, but its diagonal is nonzero,
@@ -153,7 +178,7 @@ def _bad_metadata(case):
     return record, [], EXIT_PARSE
 
 
-MALFORMED = ["forged", "out-of-range-exponents", "mismatched-order"]
+MALFORMED = ["forged", "out-of-range-exponents", "mismatched-order", "forged-seidel", "mislabeled-seidel"]
 BAD_METADATA = ["omega-not-a-pair", "omega-zero", "lambda-missing", "metadata-not-an-object", "lambda-zero-denominator"]
 
 
@@ -181,6 +206,59 @@ def test_verify_forged_conference_names_failed_checks(tmp_path, capsys):
     assert "conference-residual    PASS" in stdout
     for name in ("zero-diagonal", "unimodular", "symmetry"):
         assert f"{name:<22} FAIL" in stdout, name
+
+
+def test_verify_forged_seidel_names_failed_checks(tmp_path, capsys):
+    record, _, _ = _malformed_record("forged-seidel")
+    out = tmp_path / "forged.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    for name, verdict in (
+        ("order", "PASS"),
+        ("seidel-square", "PASS"),
+        ("symmetry", "PASS"),
+        ("zero-diagonal-blocks", "FAIL"),
+        ("orthogonal-blocks", "FAIL"),
+    ):
+        assert f"{name:<22} {verdict}" in stdout, name
+
+
+def test_verify_order_row_names_the_expected_order(tmp_path, capsys):
+    record, _, _ = _malformed_record("mislabeled-seidel")
+    out = tmp_path / "s.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    assert f"{'order':<22} FAIL 10 != 2(2k-1) = 26" in stdout
+
+
+@pytest.mark.parametrize(
+    "kind,order", [("conference", 9), ("seidel", 18), ("gram", 18), ("planes", 9), ("hadamard", 18)]
+)
+def test_verify_order_row_passes_for_every_kind(tmp_path, capsys, kind, order):
+    out = tmp_path / f"{kind}.json"
+    out.write_text(serialize(build_record(kind, 5), "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_OK
+    formula = "2k-1" if kind in ("conference", "planes") else "2(2k-1)"
+    assert f"{'order':<22} PASS {order} = {formula} = {order}" in stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_accepts_planes_in_the_eigh_gauge(tmp_path, capsys, fmt):
+    # records written before the character-sum extraction carry the basis
+    # of the dense eigh of the Gram matrix; they are as valid as the new ones
+    record = build_record("planes", 7)
+    S = build_seidel(make_field(13))
+    old = extract_bases(build_gram(S), S.q, Fraction(1, 12)).basis
+    assert not np.array_equal(old, record.entries)
+    record.entries = old
+    out = tmp_path / f"p.{fmt}"
+    out.write_text(serialize(record, fmt))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_OK
+    assert "result PASS" in stdout
 
 
 def test_verify_exponents_disagreeing_with_values(tmp_path, capsys):

@@ -465,3 +465,63 @@ def test_no_order3_conference_sample():
         C = np.array([[0, a, b], [a, 0, c], [b, c, 0]])
         gram = C @ C.conj().T
         assert abs(gram[0, 1]) >= 0.999999
+
+
+FAST_PATH_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_witness_sigma_matches_multiplication_loop(p, alpha):
+    f = make_field(p, alpha)
+    g = f.first_nonsquare()
+    loop = tuple(f.index(f.mul(a, g)) for a in f.elements)
+    sigma = equivalence_witnesses(f).permutation
+    assert sigma == loop
+    assert all(type(i) is int for i in sigma)
+
+
+def _verdict_from_gram_counts(C):
+    counts = gram_counts(C)
+    k = C.k
+    off = ~np.eye(C.q, dtype=bool)
+    return bool(
+        (counts.r[off] == k - 2).all()
+        and (counts.s[off] == (k - 1) // 2).all()
+        and (counts.t[off] == (k - 1) // 2).all()
+    )
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_row_counts_verdict_matches_gram_counts(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    row = conference._row_counts(C.exponents, C.q)
+    assert row is not None  # the canonical E is group-developed
+    counts = gram_counts(C)
+    for got, full in zip(row, (counts.r, counts.s, counts.t)):
+        assert np.array_equal(got[1:], full[0, 1:])
+    assert verify_counts(C) is True and _verdict_from_gram_counts(C)
+    # -E, the exponents of C(1/omega0), is group-developed too
+    negated = replace(C, exponents=-C.exponents)
+    assert conference._row_counts(negated.exponents, C.q) is not None
+    assert verify_counts(negated) is _verdict_from_gram_counts(negated) is True
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_counts_fall_back_when_not_group_developed(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    flipped = replace(C, exponents=_flip_pair(C.exponents))
+    permuted = permute(C, np.random.default_rng(f.q).permutation(f.q))
+    for tampered, verdict in ((flipped, False), (permuted, True)):
+        assert conference._row_counts(tampered.exponents, tampered.q) is None
+        assert verify_counts(tampered) is verdict
+        assert _verdict_from_gram_counts(tampered) is verdict
+
+
+def test_row_counts_need_a_prime_power_order_and_a_matching_shape():
+    C = build_conference(make_field(5), critical_omega(3))
+    assert conference._row_counts(None, 5) is None
+    assert conference._row_counts(C.exponents, 6) is None
+    assert conference._row_counts(np.zeros((6, 6), dtype=np.int8), 6) is None  # 6 is no prime power
+    assert conference._row_counts(np.zeros((4, 4), dtype=np.int8), 4) is None  # 4 is even

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ import pytest
 from isoclinic import (
     RecordParseError,
     build_conference,
+    build_gram,
+    build_seidel,
     critical_omega,
+    extract_bases,
     make_field,
     parse,
     read_record,
@@ -163,7 +167,11 @@ def test_serialize_unknown_format():
 
 
 # SHA-256 of serialize(build_record(kind, k), fmt), unchanged since the
-# per-entry writer: exports are byte-identical across versions of the writer
+# per-entry writer: exports are byte-identical across versions of the writer.
+# The planes rows pin the record in the eigh gauge, the basis build_record
+# wrote before the character-sum extraction (_eigh_gauge_planes_record), so
+# the writer stays pinned on unchanged input; PLANES_DIGESTS pins the planes
+# records build_record writes now.
 PINNED_DIGESTS = """
 3 conference json defebaa8340f6bb44e7ab1e4a05c1fd87930e4269bd47c45c259dcf25789f22b
 3 conference text b36233608580c422ca79ce7b76766e5a96b194b8fc6abb289f3380c45ec68fe4
@@ -248,14 +256,51 @@ PINNED_DIGESTS = """
 """
 
 
+# SHA-256 of serialize(build_record("planes", k), fmt): the basis of the
+# character-sum extraction, rows b = 0, then cos and sin rows per pair {b, -b}
+PLANES_DIGESTS = """
+3 json 69c88d89f088daf217b7c73baf495bc6a4da669277c2f1b1de71311a88f027b0
+3 text 927cab33921345bf7375acfb915b1da0ac21ed97e99510e98ed56c90dbc1ad6b
+5 json 9ab5a506463542adea0ccc0855e6179746f689968562a23683b97e6ca03fc53d
+5 text bcec7f46e7172df99d0c16e7a45f431405fa7b34dc4cb93e367a86a08161380e
+7 json a181888feb8f74c1c3e148097f540280b762cdf6b136519bf4eaeb2826bd1350
+7 text 130fdfee3f5e8a36363732131cb910df9e4ae584eb50e67eb0df4289ae4abc9c
+13 json 79deb383678b169b9ebafa16f62c1ff4844649586b90914922b1830429d08e9a
+13 text ff5ff13ee26a39c3828ac50e6cc08f720fa27fe9f71f3f3c54acac9ce8266206
+31 json fffa535d358a43312eca45043b97c691b2a9ffec7e13e4d011b203c38c7a6738
+31 text b405f2d855a512e5d2738f6b270311cf4ffba5126226612b619ec6ce726b8a11
+41 json 70e55b51fd3df3785c7c142909a91dca6913bfdfdab7745471b340b6aa671ca4
+41 text a7a24d984c493e041713cb8bda96b0a1ff2191a0ce125906a70e40867b323918
+61 json e0fff36e10ceafee595c441b09403f5906d6c65ab74b617a1a2cb8182d2526d7
+61 text 654edc1aac39b16ed96fb5099994017d0a5fe11014dd1caccea756628b2edb5e
+63 json d000323d707888066f423432486087f5022fc8e3eb6adf3a4cf5364a9a1ee4eb
+63 text c5ec7108870eff26e0dc9072a5c566514218540eb914d19343b563789f089a18
+"""
+
+
 @functools.cache
 def _record(kind, k):
     return build_record(kind, k)
 
 
+@functools.cache
+def _eigh_gauge_planes_record(k):
+    record = build_record("planes", k)
+    S = build_seidel(make_field(record.metadata["p"], record.metadata["alpha"]))
+    record.entries = extract_bases(build_gram(S), S.q, Fraction(1, 2 * k - 2)).basis
+    return record
+
+
 @pytest.mark.parametrize("k,kind,fmt,digest", [line.split() for line in PINNED_DIGESTS.split("\n") if line])
 def test_export_digest_pinned(k, kind, fmt, digest):
-    text = serialize(_record(kind, int(k)), fmt)
+    record = _eigh_gauge_planes_record(int(k)) if kind == "planes" else _record(kind, int(k))
+    text = serialize(record, fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k,fmt,digest", [line.split() for line in PLANES_DIGESTS.split("\n") if line])
+def test_export_digest_pinned_planes(k, fmt, digest):
+    text = serialize(_record("planes", int(k)), fmt)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 

@@ -253,3 +253,55 @@ def test_field_accepts_only_odd_primes():
     for p in (4, 15, 25, 27, 7917, 5.0, True):
         with pytest.raises(InvalidPrime):
             GaloisField(p)
+
+
+def reference_chi_table(field):
+    """Euler's criterion element by element, x^((q-1)/2); an oracle for the square-marking table."""
+    e = (field.q - 1) // 2
+    table = []
+    for x in field.elements:
+        if x == field.zero:
+            table.append(0)
+        else:
+            table.append(1 if field.pow(x, e) == field.one else -1)
+    return tuple(table)
+
+
+@pytest.mark.parametrize(
+    "p,alpha", sorted({(f.p, f.alpha) for f in FIELDS} | {(7, 1), (7, 2), (3, 4), (5, 3), (3, 5), (11, 2), (7, 3)})
+)
+def test_chi_table_matches_euler_criterion(p, alpha):
+    f = make_field(p, alpha)
+    table = f._chi_table
+    assert type(table) is tuple and all(type(t) is int for t in table)
+    assert table == reference_chi_table(f)
+    assert tuple(f.chi(x) for x in f.elements) == table
+
+
+@pytest.mark.parametrize(
+    "p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3), (7, 1), (3, 3), (251, 1), (257, 1)]
+)
+def test_digit_differences_index_the_difference(p, alpha):
+    f = make_field(p, alpha)
+    sub = f.digit_differences()
+    assert sub.shape == (f.q, f.q)
+    assert sub.dtype == np.min_scalar_type(f.q - 1) and sub.dtype.itemsize < 8
+    if f.q <= 125:
+        expected = [[f.index(f.sub(a, b)) for b in f.elements] for a in f.elements]
+        assert np.array_equal(sub, np.array(expected))
+    else:
+        i = np.arange(f.q)
+        assert np.array_equal(sub, (i[:, None] - i[None, :]) % p)
+    # row 0 is negation
+    assert [f.element(int(j)) for j in sub[0]] == [f.neg(x) for x in f.elements]
+    assert np.array_equal(f.digit_array(), np.array(f.elements))
+
+
+def test_digit_differences_is_shared_and_read_only():
+    f = make_field(3, 4)
+    sub = f.digit_differences()
+    assert f.digit_differences() is sub
+    assert sub.dtype == np.uint8
+    with pytest.raises(ValueError):
+        sub[0, 1] = 0
+    assert make_field(257).digit_differences().dtype == np.uint16

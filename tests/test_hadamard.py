@@ -14,6 +14,7 @@ from isoclinic import (
     hadamard_residual,
     make_field,
 )
+from isoclinic import hadamard
 
 
 def test_double_q5_structure():
@@ -66,3 +67,51 @@ def test_residual_all_ones_order4():
 def test_residual_order2_hadamard_is_zero():
     H = HadamardMatrix(n2=2, values=np.array([[1, 1], [1, -1]], dtype=complex))
     assert hadamard_residual(H) == 0.0
+
+
+FAST_PATH_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
+
+
+def _doubling(p, alpha):
+    f = make_field(p, alpha)
+    return double(build_conference(f, critical_omega((f.q + 1) // 2)))
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_doubling_form_residual_matches_dense(p, alpha):
+    H = _doubling(p, alpha)
+    C = hadamard._doubled(H.values, H.n2)
+    assert C is not None
+    assert np.array_equal(C, H.values[H.n2 // 2 :, : H.n2 // 2] + np.eye(H.n2 // 2))
+    fast, dense = hadamard_residual(H), hadamard._dense_residual(H)
+    assert fast <= 1e-11
+    assert abs(fast - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_hadamard_residual_falls_back_off_the_doubling_form(p, alpha):
+    H = _doubling(p, alpha)
+    turned = H.values.copy()
+    turned[0, 0] *= np.exp(0.01j)  # still unimodular
+    T = HadamardMatrix(n2=H.n2, values=turned)
+    assert hadamard._doubled(T.values, T.n2) is None
+    assert hadamard_residual(T) == hadamard._dense_residual(T) > 1e-3
+
+
+def test_fourier_matrix_takes_the_dense_path():
+    n = 26
+    idx = np.arange(n)
+    F = HadamardMatrix(n2=n, values=np.exp(2j * np.pi * np.outer(idx, idx) / n))
+    assert hadamard._doubled(F.values, F.n2) is None
+    assert hadamard_residual(F) == hadamard._dense_residual(F) <= 1e-12
+
+
+def test_doubling_form_needs_a_zero_diagonal_and_a_symmetric_c():
+    H = _doubling(5, 1)
+    # a nonzero C[0, 0], then a C[0, 1] that differs from C[1, 0] and from the other three blocks
+    for i, j, value in ((0, 0, 1.0 + 1e-15), (0, 1, 0.5 + 0.5j)):
+        V = H.values.copy()
+        V[i, j] = value
+        assert hadamard._doubled(V, H.n2) is None
+    assert hadamard._doubled(H.values, H.n2 + 2) is None
+    assert hadamard._doubled(H.values[:9, :9], 9) is None

@@ -12,16 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
+    NotInvolutory,
     RankMismatch,
+    SeidelMatrix,
     build_gram,
     build_seidel,
     extract_bases,
     isoclinic_residual,
     ls_bound,
     make_field,
+    normalize,
     orthonormality_residual,
+    permute_blocks,
     planes_from_seidel,
 )
+from isoclinic import seidel
 
 
 def test_gram_structure_k3():
@@ -215,3 +220,47 @@ def test_ls_bound_floor_consistency(r, num, den):
     # tight at the floor exactly when the bound is an integer
     assert tight_at_floor == (bound == v)
     assert not ls_bound(r, lam, v + 1)[1]
+
+
+FAST_PATH_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
+
+
+def _gram_target(S):
+    return np.eye(2 * S.q) + S.dense / math.sqrt(2 * S.k - 2)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_character_planes_match_eigh_extraction(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    assert seidel._character_transform(S) is not None
+    lam = Fraction(1, 2 * S.k - 2)
+    fast = planes_from_seidel(S)
+    dense = extract_bases(build_gram(S), S.q, lam)
+    assert (fast.r, fast.n, fast.lam) == (dense.r, dense.n, dense.lam)
+    assert fast.basis.shape == dense.basis.shape and fast.basis.flags.c_contiguous
+    for pt in (fast, dense):
+        assert np.abs(pt.basis.T @ pt.basis - _gram_target(S)).max() <= 1e-14
+    assert orthonormality_residual(fast) <= 1e-14
+    assert isoclinic_residual(fast) <= 1e-14
+    # the gauge: row 0 is b = 0, whose +mu eigenvector of diag(mu, -mu) is (1, 0)
+    assert np.abs(fast.basis[0, 1::2]).max() <= 1e-15
+    assert np.abs(fast.basis[0, 0::2] - math.sqrt(2.0 / S.q)).max() <= 1e-15
+    assert np.array_equal(planes_from_seidel(S).basis, fast.basis)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_planes_fall_back_when_not_group_developed(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    lam = Fraction(1, 2 * S.k - 2)
+    sigma = np.random.default_rng(S.q).permutation(S.q)
+    for T in (normalize(S), permute_blocks(S, sigma)):
+        assert seidel._character_transform(T) is None
+        got = planes_from_seidel(T).basis
+        assert np.array_equal(got, extract_bases(build_gram(T), T.q, lam).basis)
+        assert np.abs(got.T @ got - _gram_target(T)).max() <= 1e-12
+    dense = S.dense.copy()
+    angle = math.atan2(dense[0, 3], dense[0, 2]) + 0.01
+    c, s = math.cos(angle), math.sin(angle)
+    dense[0:2, 2:4] = dense[2:4, 0:2] = [[c, s], [s, -c]]
+    with pytest.raises(NotInvolutory):
+        planes_from_seidel(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))

@@ -34,6 +34,7 @@ from isoclinic import (
     spectrum,
     transport_scaling,
 )
+from isoclinic import seidel
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -358,3 +359,58 @@ def test_build_seidel_peak_memory_at_q729():
     finally:
         tracemalloc.stop()
     assert peak < 2 * dense_bytes, f"peak {peak / 2**20:.1f} MB"
+
+
+FAST_PATH_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
+
+
+def rotate_block(S, phi=0.01):
+    """S with its (0, 1) block pair turned by phi; symmetric, zero diagonal blocks, no longer S^2 = mu^2 I."""
+    dense = S.dense.copy()
+    angle = math.atan2(dense[0, 3], dense[0, 2]) + phi
+    dense[0:2, 2:4] = plane_symmetry(angle)
+    dense[2:4, 0:2] = plane_symmetry(angle).T
+    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_spectrum_transform_matches_trace_path(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    transform = seidel._character_transform(S)
+    assert transform is not None
+    m = (S.q + 1) // 2
+    assert transform.vals.shape == (m, 2) and transform.cos.shape == (m, S.q)
+    mu = math.sqrt(2 * S.k - 2)
+    assert np.abs(np.abs(transform.vals) - mu).max() <= 1e-12
+    # g^(0) = diag(mu, -mu)
+    assert np.abs(transform.cos[0] @ S.blocks[:, 0].reshape(S.q, 4) - [mu, 0.0, 0.0, -mu]).max() <= 1e-12
+    assert spectrum(S) == seidel._trace_spectrum(S)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_spectrum_falls_back_when_not_group_developed(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    sigma = np.random.default_rng(S.q).permutation(S.q)
+    for T in (normalize(S), permute_blocks(S, sigma)):
+        assert seidel._character_transform(T) is None
+        assert spectrum(T) == seidel._trace_spectrum(T)
+    rotated = rotate_block(S)
+    assert seidel._character_transform(rotated) is None
+    with pytest.raises(NotInvolutory):
+        spectrum(rotated)
+
+
+def test_transform_guard_rejects_a_group_developed_non_involution():
+    # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
+    S = build_seidel(make_field(3, 2))
+    scaled = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=1.01 * S.dense)
+    with pytest.raises(NotInvolutory, match="transform block"):
+        seidel._character_transform(scaled)
+    with pytest.raises(NotInvolutory):
+        spectrum(scaled)
+
+
+def test_transform_needs_a_prime_power_order_and_a_matching_shape():
+    S = build_seidel(make_field(5))
+    assert seidel._character_transform(SeidelMatrix(q=6, k=3, theta=S.theta, dense=np.zeros((12, 12)))) is None
+    assert seidel._character_transform(SeidelMatrix(q=4, k=3, theta=S.theta, dense=S.dense)) is None
