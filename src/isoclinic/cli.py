@@ -33,9 +33,16 @@ from .conference import (
 from .errors import IsoclinicError, RecordParseError
 from .export import KINDS, ExportRecord, read_record, serialize
 from .gf import GaloisField, make_field
-from .hadamard import double, hadamard_residual
+from .hadamard import HadamardMatrix, _doubled, double, hadamard_residual
 from .orders import OrderInfo, classify_order
-from .planes import PlaneTuple, isoclinic_residual, ls_bound, orthonormality_residual, planes_from_seidel
+from .planes import (
+    PlaneTuple,
+    _isoclinic_deviation,
+    isoclinic_residual,
+    ls_bound,
+    orthonormality_residual,
+    planes_from_seidel,
+)
 from .seidel import SeidelMatrix, _blocks, build_seidel, seidel_square_residual, spectrum
 
 EXIT_OK = 0
@@ -185,6 +192,10 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         diag_blocks = np.einsum("iiab->iab", _blocks(A))
         diag = float(np.abs(diag_blocks - np.eye(2)).max())
         checks.append(("unit-diagonal-blocks", diag <= tol, f"{diag:.3e}"))
+        # A_ij^T A_ij = lambda I for i < j, at the lambda of the record's k
+        lam = Fraction(1, 2 * record.k - 2)
+        iso = _isoclinic_deviation(_blocks(A), lam)
+        checks.append(("isoclinic-blocks", iso <= tol, f"{iso:.3e} at lambda = {lam}"))
         return checks
     if kind == "planes":
         basis = record.entries.astype(np.float64)
@@ -209,11 +220,13 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
             checks.append(("count-bound-tight", bc.tight, f"v = {pt.n}, bound {bc.bound}"))
         return checks
     # hadamard
-    from .hadamard import HadamardMatrix
-
     H = HadamardMatrix(n2=record.order, values=record.entries.astype(np.complex128))
     resid = hadamard_residual(H)
     checks.append(("hadamard-residual", resid <= tol, f"{resid:.3e}"))
+    # the record claims to be the doubling of a conference matrix C, which is symmetric with zero diagonal
+    form = _doubled(H.values, H.n2) is not None
+    shape = "H = [[C+I, C~-I], [C-I, -C~-I]]"
+    checks.append(("doubling-form", form, shape if form else f"no symmetric C with zero diagonal gives {shape}"))
     return checks
 
 

@@ -127,11 +127,10 @@ def build_conference(field: GaloisField, omega: complex) -> ConferenceMatrix:
 
 
 def _values_from_exponents(exponents: np.ndarray, omega: complex) -> np.ndarray:
-    # omega**e off the diagonal; the sentinel 0 stands for the value zero
-    values = np.zeros(exponents.shape, dtype=np.complex128)
-    values[exponents == 1] = omega
-    values[exponents == -1] = 1.0 / omega
-    return values
+    # omega**e off the diagonal; the sentinel 0 stands for the value zero.
+    # Entries must lie in {-1, 0, 1}: the table is read at e + 1.
+    table = np.array([1.0 / omega, 0.0, omega], dtype=np.complex128)
+    return table[np.add(exponents, 1, dtype=np.intp)]  # an intp index gathers faster than int8
 
 
 def gram_counts(C: ConferenceMatrix) -> GramCounts:

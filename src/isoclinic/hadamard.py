@@ -32,11 +32,20 @@ def double(C: ConferenceMatrix) -> HadamardMatrix:
     resid = conference_residual(C)
     if resid > 1e-10:
         raise NotConference(f"conference residual {resid!r} exceeds 1e-10")
+    q = C.q
     V = C.values
-    Vc = V.conj()  # symmetric C: entrywise conjugate equals conjugate transpose
-    eye = np.eye(C.q)
-    H = np.block([[V + eye, Vc - eye], [V - eye, -Vc - eye]])
-    return HadamardMatrix(n2=2 * C.q, values=H)
+    H = np.empty((2 * q, 2 * q), dtype=np.complex128)
+    np.add(V, 0.0, out=H[:q, :q])  # not a copy: C + I adds 0 off the diagonal, so a -0.0 part reads +0.0
+    H[q:, :q] = V
+    np.conjugate(V, out=H[:q, q:])  # symmetric C: entrywise conjugate equals conjugate transpose
+    np.negative(H[:q, q:], out=H[q:, q:])
+    # diag[a, b, i] is H[a q + i, b q + i], the diagonal of block (a, b)
+    row, col = H.strides
+    diag = np.lib.stride_tricks.as_strided(H, shape=(2, 2, q), strides=(q * row, q * col, row + col))
+    diag[0, 0] += 1.0
+    diag[0, 1] -= 1.0
+    diag[1] -= 1.0
+    return HadamardMatrix(n2=2 * q, values=H)
 
 
 def hadamard_residual(H: HadamardMatrix) -> float:

@@ -20,8 +20,10 @@ extract_bases(build_gram(S)).
 
 Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
 basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
-B = P_i^T P_j, i < j, whose products B^T B are formed in one batched
-contraction.
+B = P_i^T P_j, i < j.  The isoclinic residual reads the four entries of
+every block as four strided q x q arrays b00, b01, b10, b11 of the Gram and
+forms the three distinct entries of every B^T B from them elementwise:
+b00^2 + b10^2, b01^2 + b11^2 and b00 b01 + b10 b11.
 
 That count is maximal for this angle parameter: the pairwise bound
 
@@ -141,10 +143,34 @@ def orthonormality_residual(pt: PlaneTuple) -> float:
 
 def isoclinic_residual(pt: PlaneTuple) -> float:
     """Max deviation of any B^T B from lambda I_2, B = P_i^T P_j, i < j."""
-    i, j = np.triu_indices(pt.n, 1)
-    b = _blocks(pt.basis.T @ pt.basis)[i, j]  # b[m] = P_i^T P_j for the m-th pair i < j
-    btb = np.einsum("mab,mac->mbc", b, b)
-    return float(np.abs(btb - float(pt.lam) * np.eye(2)).max(initial=0.0))
+    return _isoclinic_deviation(_blocks(pt.basis.T @ pt.basis), pt.lam)
+
+
+def _isoclinic_deviation(blocks: np.ndarray, lam: Fraction | float) -> float:
+    """Max-abs entry of B^T B - lam I_2 over the blocks B = blocks[i, j] above the diagonal.
+
+    blocks has shape (n, n, 2, 2).  B^T B is symmetric, so its three distinct
+    entries are formed from the four strided n x n entry arrays of blocks;
+    the blocks on and below the diagonal are computed too and then masked
+    out by np.triu.
+    """
+    b00, b01, b10, b11 = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
+    lam = float(lam)
+    tmp = np.multiply(b10, b10)
+    dev = np.multiply(b00, b00)
+    dev += tmp
+    dev -= lam
+    np.abs(dev, out=dev)  # |(B^T B)_00 - lam|
+    other = np.multiply(b01, b01)
+    other += np.multiply(b11, b11, out=tmp)
+    other -= lam
+    np.abs(other, out=other)  # |(B^T B)_11 - lam|
+    np.maximum(dev, other, out=dev)
+    np.multiply(b00, b01, out=other)
+    other += np.multiply(b10, b11, out=tmp)
+    np.abs(other, out=other)  # |(B^T B)_01| = |(B^T B)_10|
+    np.maximum(dev, other, out=dev)
+    return float(np.triu(dev, 1).max(initial=0.0))
 
 
 class BoundCheck(NamedTuple):

@@ -104,7 +104,10 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
         raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
     k = (q + 1) // 2
     theta = critical_angle(k)
-    dense = _reflection_blocks(theta * field.chi_differences())
+    # the angle theta * chi takes three values only: cos and sin of each, read at chi + 1
+    ang = theta * np.array([-1.0, 0.0, 1.0])
+    at = np.add(field.chi_differences(), 1, dtype=np.intp)  # an intp index gathers faster than int8
+    dense = _reflection_blocks(np.cos(ang)[at], np.sin(ang)[at])
     return SeidelMatrix(q=q, k=k, theta=theta, dense=dense)
 
 
@@ -114,10 +117,12 @@ def _blocks(dense: np.ndarray) -> np.ndarray:
     return dense.reshape(q, 2, q, 2).swapaxes(1, 2)
 
 
-def _reflection_blocks(ang: np.ndarray) -> np.ndarray:
-    """Dense 2q x 2q matrix with block s_ang[i, j] off the diagonal, zero on it."""
-    q = ang.shape[0]
-    c, s = np.cos(ang), np.sin(ang)
+def _reflection_blocks(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Dense 2q x 2q matrix with block [[c, s], [s, -c]][i, j] off the diagonal, zero on it.
+
+    c and s are the q x q cosines and sines of the block angles.
+    """
+    q = c.shape[0]
     dense = np.empty((2 * q, 2 * q))
     blocks = _blocks(dense)
     blocks[..., 0, 0] = c
@@ -281,7 +286,8 @@ def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
     dev = float(np.abs(np.abs(C.values[off]) - 1.0).max())
     if dev > 1e-8:
         raise NotUnimodular(f"off-diagonal entries deviate from |c| = 1 by {dev!r}")
-    dense = _reflection_blocks(np.angle(C.values))
+    ang = np.angle(C.values)
+    dense = _reflection_blocks(np.cos(ang), np.sin(ang))
     return SeidelMatrix(q=q, k=C.k, theta=critical_angle(C.k), dense=dense)
 
 

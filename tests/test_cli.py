@@ -146,7 +146,30 @@ def _malformed_record(case):
         base = build_record("seidel", 3)
         mislabeled = ExportRecord("seidel", base.order, k, critical_angle(k), base.entries, None, base.metadata)
         return mislabeled, [], EXIT_VERIFY
+    if case == "non-isoclinic-gram":
+        # planes 2t and 2t + 1 are both the coordinate plane {e_2t, e_2t+1} for
+        # t < 5, planes 10, 11, 12 the three coordinate planes of {e10, e11, e12}:
+        # A = X^T X is symmetric with A^2 = 2A and identity diagonal blocks, but
+        # planes 0 and 1 coincide, so their B^T B is I, not I / (2k - 2)
+        planes = [(2 * t, 2 * t + 1) for t in range(5) for _ in range(2)] + [(10, 11), (10, 12), (11, 12)]
+        X = np.zeros((q, 2 * q))
+        for i, (a, b) in enumerate(planes):
+            X[a, 2 * i] = X[b, 2 * i + 1] = 1.0
+        base = build_record("gram", k)
+        return ExportRecord("gram", 2 * q, k, base.theta, X.T @ X, None, base.metadata), [], EXIT_VERIFY
+    if case == "fourier-hadamard":
+        # the order-26 Fourier matrix is a complex Hadamard matrix, but not the
+        # doubling of a conference matrix of order 13
+        idx = np.arange(2 * q)
+        F = np.exp(2j * np.pi * np.outer(idx, idx) / (2 * q))
+        base = build_record("hadamard", k)
+        return ExportRecord("hadamard", 2 * q, k, base.theta, F, None, base.metadata), [], EXIT_VERIFY
     base = build_record("conference", k)
+    if case == "exponent-two":
+        # in the int8 range but outside {-1, 0, 1}: rejected before the exponent values are looked up
+        odd = base.exponents.copy()
+        odd[0, 1], odd[1, 0] = 2, -2
+        return ExportRecord("conference", q, k, base.theta, base.entries, odd, base.metadata), [], EXIT_PARSE
     if case == "forged":
         # sqrt(q-1) U satisfies C C* = (q-1) I, but its diagonal is nonzero,
         # its entries are not unimodular and it is not symmetric
@@ -178,7 +201,9 @@ def _bad_metadata(case):
     return record, [], EXIT_PARSE
 
 
-MALFORMED = ["forged", "out-of-range-exponents", "mismatched-order", "forged-seidel", "mislabeled-seidel"]
+FORGED = ["non-isoclinic-gram", "fourier-hadamard"]  # well-formed records that verify must refuse
+MALFORMED = ["forged", "out-of-range-exponents", "exponent-two", "mismatched-order", "forged-seidel"]
+MALFORMED += ["mislabeled-seidel", *FORGED]
 BAD_METADATA = ["omega-not-a-pair", "omega-zero", "lambda-missing", "metadata-not-an-object", "lambda-zero-denominator"]
 
 
@@ -222,6 +247,43 @@ def test_verify_forged_seidel_names_failed_checks(tmp_path, capsys):
         ("orthogonal-blocks", "FAIL"),
     ):
         assert f"{name:<22} {verdict}" in stdout, name
+
+
+@pytest.mark.parametrize(
+    "case,rows",
+    [
+        (
+            "non-isoclinic-gram",
+            [
+                ("order", "PASS"),
+                ("symmetry", "PASS"),
+                ("eigenvalues-0-2", "PASS"),
+                ("unit-diagonal-blocks", "PASS"),
+                ("isoclinic-blocks", "FAIL 9.167e-01 at lambda = 1/12"),
+            ],
+        ),
+        ("fourier-hadamard", [("order", "PASS"), ("hadamard-residual", "PASS"), ("doubling-form", "FAIL")]),
+    ],
+)
+def test_verify_forged_gram_and_hadamard_name_failed_checks(tmp_path, capsys, case, rows):
+    record, _, _ = _malformed_record(case)
+    out = tmp_path / f"{case}.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY
+    for name, verdict in rows:
+        assert f"{name:<22} {verdict}" in stdout, name
+
+
+@pytest.mark.parametrize("kind,row", [("gram", "isoclinic-blocks"), ("hadamard", "doubling-form")])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_generated_gram_and_hadamard_pass_the_new_rows(tmp_path, capsys, kind, row, fmt):
+    for k in (3, 7, 13):
+        out = tmp_path / f"{kind}{k}.{fmt}"
+        out.write_text(serialize(build_record(kind, k), fmt))
+        code, stdout, _ = run(capsys, ["verify", str(out)])
+        assert code == EXIT_OK
+        assert f"{row:<22} PASS" in stdout
 
 
 def test_verify_order_row_names_the_expected_order(tmp_path, capsys):
@@ -342,11 +404,14 @@ def test_verify_nonfinite_entry_fails_without_warnings(tmp_path, kind, value):
 
 
 @functools.cache
-def _fuzz_base(kind, k, fmt):
-    return serialize(build_record(kind, k), fmt).encode()
+def _fuzz_base(source, k, fmt):
+    # source is a kind, built at order k, or the name of a forged record at k = 7
+    record = _malformed_record(source)[0] if source in FORGED else build_record(source, k)
+    return serialize(record, fmt).encode()
 
 
 FUZZ_BASES = [(kind, k, fmt) for kind in KINDS for k in (3, 7) for fmt in ("json", "text")]
+FUZZ_BASES += [(case, 7, fmt) for case in FORGED for fmt in ("json", "text")]
 FUZZ_TOKENS = ["", "x", "nan", "-inf", "1e400", "-0.0", "99999999999999999999999", "1.5", "7", "-3",
                "null", "true", '"1"', "[]", "{}", "[1,", "]", "\u00e9"]  # fmt: skip
 FUZZ_VALUES = ["1.5", None, True, False, [], [1.0], [1.0, 2.0, 3.0], {}, 10**400, -0.0, math.nan, math.inf]
@@ -354,7 +419,7 @@ FUZZ_VALUES = ["1.5", None, True, False, [], [1.0], [1.0, 2.0, 3.0], {}, 10**400
 
 @st.composite
 def mutated_records(draw):
-    """A q = 5 or q = 13 record, serialized, with one mutation."""
+    """A q = 5 or q = 13 record, or a forged q = 13 record, serialized, with one mutation."""
     kind, k, fmt = draw(st.sampled_from(FUZZ_BASES))
     data = _fuzz_base(kind, k, fmt)
     how = draw(st.sampled_from(["truncate", "byte", "token", "type-swap", "shape"]))

@@ -525,3 +525,24 @@ def test_row_counts_need_a_prime_power_order_and_a_matching_shape():
     assert conference._row_counts(C.exponents, 6) is None
     assert conference._row_counts(np.zeros((6, 6), dtype=np.int8), 6) is None  # 6 is no prime power
     assert conference._row_counts(np.zeros((4, 4), dtype=np.int8), 4) is None  # 4 is even
+
+
+def reference_mask_values(exponents, omega):
+    """One masked assignment per exponent value; an oracle for the table lookup."""
+    values = np.zeros(exponents.shape, dtype=np.complex128)
+    values[exponents == 1] = omega
+    values[exponents == -1] = 1.0 / omega
+    return values
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_values_from_exponents_match_mask_reference_bytewise(p, alpha):
+    f = make_field(p, alpha)
+    k = (f.q + 1) // 2
+    E = f.chi_differences()
+    for omega in (critical_omega(k), -critical_omega(k), 1j, cmath.exp(0.9j), 1.0):
+        got = conference._values_from_exponents(E, omega)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == reference_mask_values(E, omega).tobytes()
+    C = build_conference(f, critical_omega(k))
+    assert C.values.tobytes() == reference_mask_values(E, critical_omega(k)).tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isoclinic import (
+    ConferenceMatrix,
     HadamardMatrix,
     NotConference,
     build_conference,
@@ -115,3 +116,28 @@ def test_doubling_form_needs_a_zero_diagonal_and_a_symmetric_c():
         assert hadamard._doubled(V, H.n2) is None
     assert hadamard._doubled(H.values, H.n2 + 2) is None
     assert hadamard._doubled(H.values[:9, :9], 9) is None
+
+
+def reference_block_double(V):
+    """np.block over four q x q sums with a dense identity; an oracle for the in-place doubling."""
+    eye = np.eye(V.shape[0])
+    Vc = V.conj()
+    return np.block([[V + eye, Vc - eye], [V - eye, -Vc - eye]])
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_double_matches_block_reference_bytewise(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    H = double(C).values
+    assert H.dtype == np.complex128 and H.flags.c_contiguous
+    assert H.tobytes() == reference_block_double(C.values).tobytes()
+
+
+def test_double_keeps_the_signs_of_zero_of_the_block_sums():
+    # [[0, 1], [1, 0]] is a conference matrix of order 2; its zero parts carry
+    # both signs, which C + I, C~ - I, C - I and -C~ - I each treat their own way
+    for zero in (0.0, -0.0):
+        V = np.array([[complex(zero, zero), complex(1.0, -0.0)], [complex(1.0, -0.0), complex(-0.0, zero)]])
+        C = ConferenceMatrix(q=2, k=2, omega=1.0, exponents=None, values=V)
+        assert double(C).values.tobytes() == reference_block_double(V).tobytes()

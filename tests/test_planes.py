@@ -26,7 +26,7 @@ from isoclinic import (
     permute_blocks,
     planes_from_seidel,
 )
-from isoclinic import seidel
+from isoclinic import planes, seidel
 
 
 def test_gram_structure_k3():
@@ -264,3 +264,38 @@ def test_planes_fall_back_when_not_group_developed(p, alpha):
     dense[0:2, 2:4] = dense[2:4, 0:2] = [[c, s], [s, -c]]
     with pytest.raises(NotInvolutory):
         planes_from_seidel(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
+
+
+def reference_gather_isoclinic_residual(pt):
+    """The pair gather and batched contraction; an oracle for the strided block-entry kernel."""
+    i, j = np.triu_indices(pt.n, 1)
+    b = seidel._blocks(pt.basis.T @ pt.basis)[i, j]  # b[m] = P_i^T P_j for the m-th pair i < j
+    btb = np.einsum("mab,mac->mbc", b, b)
+    return float(np.abs(btb - float(pt.lam) * np.eye(2)).max(initial=0.0))
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_isoclinic_residual_matches_gather_reference_exactly(p, alpha):
+    pt = planes_from_seidel(build_seidel(make_field(p, alpha)))
+    basis = pt.basis.copy()
+    basis[:, -2:] *= 1.01
+    for tup in (pt, replace(pt, basis=basis)):
+        assert isoclinic_residual(tup) == reference_gather_isoclinic_residual(tup)
+
+
+def test_isoclinic_deviation_reads_only_the_blocks_above_the_diagonal():
+    # every block is (5/8) I, so B^T B = (25/64) I exactly; the diagonal blocks are never read
+    n, lam = 5, Fraction(25, 64)
+    blocks = np.zeros((n, n, 2, 2))
+    blocks[...] = 0.625 * np.eye(2)
+    blocks[range(n), range(n)] = 7.0
+    assert planes._isoclinic_deviation(blocks, lam) == 0.0
+    # columns (5/8, 0) and (3/8, 1/2): both of squared norm 25/64, with scalar product 15/64
+    skew = np.array([[0.625, 0.375], [0.0, 0.5]])
+    blocks[3, 1] = skew
+    assert planes._isoclinic_deviation(blocks, lam) == 0.0
+    blocks[1, 3] = skew
+    assert planes._isoclinic_deviation(blocks, lam) == 15 / 64
+    blocks[0, 4] = 2.0 * np.eye(2)  # B^T B = 4 I: the diagonal entries deviate by 4 - 25/64
+    assert planes._isoclinic_deviation(blocks, lam) == 4.0 - 25 / 64
+    assert planes._isoclinic_deviation(np.zeros((1, 1, 2, 2)), lam) == 0.0

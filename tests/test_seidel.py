@@ -261,7 +261,7 @@ def test_permute_blocks_functorial():
 
 
 def reference_reflection_blocks(ang):
-    """Fill a (q, q, 2, 2) block array, then copy it into the interleaved dense layout."""
+    """Fill a (q, q, 2, 2) block array from q^2 cos and sin calls, then copy it into the interleaved dense layout."""
     q = ang.shape[0]
     c, s = np.cos(ang), np.sin(ang)
     blocks = np.empty((q, q, 2, 2))
@@ -298,7 +298,7 @@ def reference_permute_blocks(S, sigma):
     return b[np.ix_(np.asarray(sigma), pair, np.asarray(sigma), pair)].reshape(2 * q, 2 * q)
 
 
-BLOCK_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4)]
+BLOCK_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
 
 
 def bits(a):
