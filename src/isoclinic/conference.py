@@ -24,6 +24,12 @@ independent of i, j and omega.  The counts are products of the 0/1
 indicator matrices of the exponents: integer-valued sums of at most q - 2
 ones, far below 2^53, so the floating-point matrix products are exact and
 are compared with ==, with no tolerance.
+
+The construction is group-developed over the additive group of GF(q):
+C[i, j] = c(a_i - a_j).  Then so is C C*, and its row 0 holds every
+distinct entry, so `conference_residual` and `verify_counts` read row 0
+only, after checking the form exactly (_developed).  Any other C, such as
+scale_row_col(C, ...), a permuted C or a record, takes the full product.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ UNIT_TOL = 1e-12
 
 def _require_unit(u: complex, what: str = "scalar") -> complex:
     u = complex(u)
-    if abs(u.real * u.real + u.imag * u.imag - 1.0) > UNIT_TOL:
+    if not abs(u.real * u.real + u.imag * u.imag - 1.0) <= UNIT_TOL:  # also rejects nan
         raise NotUnimodular(f"{what} must be unimodular, got |u|^2 = {abs(u) ** 2!r}")
     return u
 
@@ -177,11 +183,20 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     return all((counts[off] == w).all() for counts, w in zip((counts.r, counts.s, counts.t), want))
 
 
+def _developed(M: np.ndarray | None, q: int) -> bool:
+    """True when the q x q array M is group-developed over GF(q): M[i, j] = m(a_i - a_j).
+
+    Checked exactly as M == M[:, 0][sub], sub the digit-difference index of
+    the field that q itself factors into; a nan entry never compares equal.
+    """
+    if M is None or M.shape != (q, q) or (field := field_of_order(q)) is None:
+        return False
+    return np.array_equal(M, M[:, 0][field.digit_differences()])
+
+
 def _row_counts(E: np.ndarray | None, q: int) -> tuple[np.ndarray, ...] | None:
     """Row 0 of (r, s, t) when E is group-developed over GF(q), else None."""
-    if E is None or E.shape != (q, q) or (field := field_of_order(q)) is None:
-        return None
-    if not np.array_equal(E, E[:, 0][field.digit_differences()]):
+    if not _developed(E, q):
         return None
     pos = (E == 1).astype(np.float64)
     neg = (E == -1).astype(np.float64)
@@ -190,10 +205,31 @@ def _row_counts(E: np.ndarray | None, q: int) -> tuple[np.ndarray, ...] | None:
 
 
 def conference_residual(C: ConferenceMatrix) -> float:
-    """Max-abs entry of C C* - (q-1) I."""
-    q = C.q
-    gram = C.values @ C.values.conj().T
-    return float(np.abs(gram - (q - 1) * np.eye(q)).max())
+    """Max-abs entry of C C* - (q-1) I.
+
+    When C is group-developed over GF(q) (see _developed), so is C C*:
+
+        (C C*)[i, j] = sum_x c(x) conj(c(x + a_j - a_i))
+
+    depends on a_j - a_i only, so row 0 holds every distinct entry, the
+    diagonal at (0, 0).  That row is one vector-matrix product, O(q^2).  Any
+    other C, such as scale_row_col(C, ...) or a record with one changed
+    entry, takes the full O(q^3) product.
+    """
+    return float(np.abs(_gram_deviation(C.values, C.q)).max())
+
+
+def _gram_deviation(V: np.ndarray, q: int) -> np.ndarray:
+    """C C* - (q-1) I for C = V, or only its conjugated row 0 when V is group-developed over GF(q).
+
+    The conjugate changes no |entry|, no real part and only the sign of
+    each imaginary part; it spares the q x q conjugate of V.
+    """
+    if _developed(V, q):
+        dev = V @ V[0].conj()  # conj of (C C*)[0, j] = sum_g C[0, g] conj(C[j, g])
+        dev[0] -= q - 1
+        return dev
+    return V @ V.conj().T - (q - 1) * np.eye(q)
 
 
 def scale_row_col(C: ConferenceMatrix, index: int, u: complex) -> ConferenceMatrix:
@@ -274,7 +310,7 @@ def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
     # scaling row and column i by u_i for every i at once; the diagonal
     # stays zero because it is zero before scaling
     scaled = u[:, None] * negated.values * u[None, :]
-    if np.abs(scaled - base.values).max() > 1e-12:
+    if not np.abs(scaled - base.values).max() <= 1e-12:  # also rejects nan
         raise WitnessMismatch("all-i scaling does not map C(-omega0) to C(omega0)")
 
     return EquivalenceWitnesses(permutation=sigma, scalings=scalings)

@@ -7,6 +7,10 @@ where C* is the conjugate transpose; for symmetric C this is plain
 entrywise conjugation, which is how it is computed here.  Complex Hadamard
 matrices of doubled order are of independent interest, e.g. in quantum
 information; this module only builds and verifies them.
+
+`hadamard_residual` reads H H* - 2q I from C C* when H has exactly this
+form, and from row 0 of C C* alone when C is also group-developed over
+GF(q), as the construction is; otherwise it forms the full product.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conference import ConferenceMatrix, conference_residual
+from .conference import ConferenceMatrix, _gram_deviation, conference_residual
 from .errors import NotConference
 
 
@@ -30,7 +34,7 @@ class HadamardMatrix:
 def double(C: ConferenceMatrix) -> HadamardMatrix:
     """Doubled Hadamard matrix; input must pass the conference residual gate."""
     resid = conference_residual(C)
-    if resid > 1e-10:
+    if not resid <= 1e-10:  # also rejects nan
         raise NotConference(f"conference residual {resid!r} exceeds 1e-10")
     q = C.q
     V = C.values
@@ -52,10 +56,14 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     """Max of the unimodularity deviation and the max-abs entry of H H* - n2 I.
 
     When H is exactly the doubling of a symmetric C with zero diagonal
-    (checked entry by entry with ==), the blocks of H H* - 2q I follow from
-    one q x q product M = C C*: the diagonal blocks are 2 Re(M - (q-1) I)
-    and the off-diagonal blocks 2i Im M, since C~ C^T = conj(M).  That is
-    8 times fewer flops than H H*.  Any other H takes the dense product.
+    (checked entry by entry with ==, see _doubled), the blocks of
+    H H* - 2q I follow from M = C C*: the diagonal blocks are
+    2 Re(M - (q-1) I) and the off-diagonal blocks 2i Im M, since
+    C~ C^T = conj(M).  When C is also group-developed over GF(q), so is M,
+    and its row 0 holds every distinct entry (see conference_residual): one
+    vector-matrix product, O(q^2).  A doubled C without that form, such as
+    the doubling of scale_row_col(C, ...), takes the full q x q product M,
+    8 times fewer flops than H H*; any other H takes the dense product H H*.
     """
     V = H.values
     C = _doubled(V, H.n2)
@@ -64,9 +72,9 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     q = H.n2 // 2
     # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere
     unimod = float(np.abs(np.abs(V[:q, :q]) - 1.0).max())
-    M = C @ C.conj().T
-    real = 2.0 * float(np.abs(M.real - (q - 1) * np.eye(q)).max())
-    imag = 2.0 * float(np.abs(M.imag).max())
+    dev = _gram_deviation(C, q)  # M - (q-1) I, or its row 0 conjugated, which changes no |Re| or |Im|
+    real = 2.0 * float(np.abs(dev.real).max())
+    imag = 2.0 * float(np.abs(dev.imag).max())
     return max(unimod, real, imag)
 
 
@@ -80,19 +88,31 @@ def _dense_residual(H: HadamardMatrix) -> float:
 
 
 def _doubled(V: np.ndarray, n2: int) -> np.ndarray | None:
-    """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None."""
+    """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None.
+
+    Compared block against block with ==, with no identity and no complex
+    temporary.  With V10 = C - I anchored by its diagonal of -1, the form is
+    V00 = V10 + 2I, V01 = conj(V10) and V11 = -conj(V00).  The last two
+    hold on the whole block, read through the .real and .imag views; the
+    first is a diagonal of 1 and exactly q mismatches with V10, all on the
+    diagonal.  The result is a copy of V10 with a zero diagonal.
+    """
     q, odd = divmod(n2, 2)
     if odd or V.shape != (n2, n2):
         return None
-    eye = np.eye(q)
-    C = V[:q, :q] - eye
-    Cc = C.conj()
-    # V[:q, :q] == C + I holds by construction when the diagonal of C is zero
+    V00, V01, V10, V11 = V[:q, :q], V[:q, q:], V[q:, :q], V[q:, q:]
     form = (
-        not C.diagonal().any()
-        and np.array_equal(C, C.T)
-        and np.array_equal(V[:q, q:], Cc - eye)
-        and np.array_equal(V[q:, :q], C - eye)
-        and np.array_equal(V[q:, q:], -Cc - eye)
+        (V10.diagonal() == -1.0).all()
+        and (V00.diagonal() == 1.0).all()
+        and np.count_nonzero(V00 != V10) == q
+        and (V01.real == V10.real).all()
+        and (V01.imag == -V10.imag).all()
+        and (V11.real == -V00.real).all()
+        and (V11.imag == V00.imag).all()
+        and (V10 == V10.T).all()
     )
-    return C if form else None
+    if not form:
+        return None
+    C = V10.copy()
+    np.fill_diagonal(C, 0.0)
+    return C

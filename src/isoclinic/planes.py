@@ -68,7 +68,7 @@ class PlaneTuple:
 
 def build_gram(S: SeidelMatrix) -> np.ndarray:
     """A = I + S / sqrt(2k-2); PSD with eigenvalues {0, 2}."""
-    if seidel_square_residual(S) > 1e-10:
+    if not seidel_square_residual(S) <= 1e-10:  # also rejects nan
         raise NotInvolutory("S^2 is not (2k-2) I within 1e-10")
     n = 2 * S.q
     return np.eye(n) + S.dense / math.sqrt(2 * S.k - 2)

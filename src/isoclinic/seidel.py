@@ -40,12 +40,15 @@ since sum_{x != 0} psi_b(x) = -1 and gamma(b) = sum_x chi(x) psi_b(x) is a
 quadratic Gauss sum, gamma(b) = +-sqrt(q).  Both eigenvalues of each
 g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.  `spectrum` and
 `planes.planes_from_seidel` read g from block column 0 (g(a_i) = S[i, 0])
-and check the form exactly (S.blocks == g[sub] for the digit-difference
-index sub of the factored order, g(-x) = g(x), g(x) symmetric); they then
-take g^(b) from a cos phase table, one batched 2 x 2 eigh, and nothing of
-order 2q.  An S that fails the check, such as normalize(S), permute_blocks
-or a record with one changed block, takes the dense path: the S^2 guard and
-projector traces here, build_gram and extract_bases in planes.
+and check the form exactly (_block_column: S.blocks == g[sub] for the
+digit-difference index sub of the factored order; then g(-x) = g(x) and
+g(x) symmetric); they then take g^(b) from a cos phase table, one batched
+2 x 2 eigh, and nothing of order 2q.  `seidel_square_residual` needs only
+the first check: S^2 is block group-developed too, so its block row 0 (a
+2 x 2q product) holds every distinct entry.  An S that fails the check,
+such as normalize(S), permute_blocks by a non-affine sigma or a record with
+one changed block, takes the dense path: the full S^2 and the projector
+traces here, build_gram and extract_bases in planes.
 """
 
 from __future__ import annotations
@@ -134,10 +137,41 @@ def _reflection_blocks(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def seidel_square_residual(S: SeidelMatrix) -> float:
-    """Max-abs entry of S^2 - (2k-2) I."""
-    n = 2 * S.q
-    sq = S.dense @ S.dense
-    return float(np.abs(sq - (2 * S.k - 2) * np.eye(n)).max())
+    """Max-abs entry of S^2 - (2k-2) I.
+
+    When S is block group-developed over GF(q) (see _block_column), so is
+    S^2: its block (i, j) is sum_x g(x) g(a_i - a_j - x), which depends on
+    a_i - a_j only.  Block row 0, the 2 x 2q product S[:2] S, then holds
+    every distinct entry, the diagonal at (0, 0) and (1, 1).  Any other S,
+    such as normalize(S), permute_blocks(S, sigma) for a sigma that is not
+    affine, or a record with one changed block, takes the full 2q x 2q
+    product.
+    """
+    mu2 = 2 * S.k - 2
+    if _block_column(S) is not None:
+        dev = S.dense[:2] @ S.dense
+        dev[[0, 1], [0, 1]] -= mu2
+        return float(np.abs(dev).max())
+    return float(np.abs(S.dense @ S.dense - mu2 * np.eye(2 * S.q)).max())
+
+
+def _block_column(S: SeidelMatrix) -> np.ndarray | None:
+    """g as entries[a, b, x] = g(a_x)[a, b] when S[i, j] = g(a_i - a_j) over GF(S.q), else None.
+
+    Block column 0 gives g (g(a_i) = S[i, 0]); the form is checked exactly
+    against it through the digit-difference index of the field that S.q
+    itself factors into.  A nan entry never compares equal.
+    """
+    q = S.q
+    if S.dense.shape != (2 * q, 2 * q) or (field := field_of_order(q)) is None:
+        return None
+    # entries[a, b, x] = g(a_x)[a, b] = S[2x + a, b]
+    entries = np.ascontiguousarray(S.blocks[:, 0].transpose(1, 2, 0))
+    # S[2i + a, 2j + b] = g(a_i - a_j)[a, b], compared in the layout (a, b, i, j)
+    developed = np.array_equal(
+        _blocks(S.dense).transpose(2, 3, 0, 1), np.take(entries, field.digit_differences(), axis=2)
+    )
+    return entries if developed else None
 
 
 def rotation_sum(field: GaloisField, theta: float, b: Element) -> np.ndarray:
@@ -180,20 +214,14 @@ def _character_transform(S: SeidelMatrix) -> _Transform | None:
     S^2 - (2k-2) I, which bounds each of its entries, so the guard is no
     looser than the dense S^2 guard.
     """
-    q = S.q
-    if S.dense.shape != (2 * q, 2 * q) or (field := field_of_order(q)) is None:
+    entries = _block_column(S)
+    if entries is None:
         return None
-    sub = field.digit_differences()
-    neg = sub[0]  # row 0 of the index is the negation map x -> -x
-    # entries[a, b, x] = g(a_x)[a, b] = S[2x + a, b]
-    entries = np.ascontiguousarray(S.blocks[:, 0].transpose(1, 2, 0))
-    # S[2i + a, 2j + b] = g(a_i - a_j)[a, b], compared in the layout (a, b, i, j)
-    developed = (
-        np.array_equal(entries[:, :, neg], entries)
-        and np.array_equal(entries[1, 0], entries[0, 1])
-        and np.array_equal(_blocks(S.dense).transpose(2, 3, 0, 1), np.take(entries, sub, axis=2))
-    )
-    if not developed:
+    q = S.q
+    field = field_of_order(q)
+    neg = field.digit_differences()[0]  # row 0 of the index is the negation map x -> -x
+    # the transform is real only for g even with symmetric values
+    if not (np.array_equal(entries[:, :, neg], entries) and np.array_equal(entries[1, 0], entries[0, 1])):
         return None
     reps = np.flatnonzero(np.arange(q) <= neg)  # b = 0 first, then the lesser index of each pair
     p = field.p
@@ -203,7 +231,7 @@ def _character_transform(S: SeidelMatrix) -> _Transform | None:
     cos, sin = np.cos(angle)[dot], np.sin(angle)[dot]
     vals, vecs = np.linalg.eigh((cos @ entries.reshape(4, q).T).reshape(-1, 2, 2))
     dev = float(np.abs(vals * vals - (2 * S.k - 2)).max())
-    if dev > 1e-10:
+    if not dev <= 1e-10:  # also rejects nan
         raise NotInvolutory(f"S^2 is not (2k-2) I within 1e-10: a transform block has |lambda^2 - mu^2| = {dev:.3e}")
     return _Transform(cos, sin, vals, vecs)
 
@@ -228,17 +256,17 @@ def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
 
 def _trace_spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
     """The dense path of spectrum: the S^2 guard, then the projector traces."""
-    if seidel_square_residual(S) > 1e-10:
+    if not seidel_square_residual(S) <= 1e-10:  # also rejects nan
         raise NotInvolutory("S^2 is not (2k-2) I within 1e-10")
     mu = math.sqrt(2 * S.k - 2)
     shift = float(np.trace(S.dense)) / (2.0 * mu)
     out: list[tuple[float, int]] = []
     for sign in (1.0, -1.0):
         tr = S.q + sign * shift
-        m = round(tr)
-        if abs(tr - m) > 1e-8:
+        m = np.rint(tr)  # round() would raise ValueError on nan
+        if not abs(tr - m) <= 1e-8:
             raise NotInvolutory(f"projector trace {tr!r} is not an integer up to 1e-8")
-        out.append((sign * mu, m))
+        out.append((sign * mu, int(m)))
     return out
 
 
@@ -284,7 +312,7 @@ def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
     q = C.q
     off = ~np.eye(q, dtype=bool)
     dev = float(np.abs(np.abs(C.values[off]) - 1.0).max())
-    if dev > 1e-8:
+    if not dev <= 1e-8:  # also rejects nan
         raise NotUnimodular(f"off-diagonal entries deviate from |c| = 1 by {dev!r}")
     ang = np.angle(C.values)
     dense = _reflection_blocks(np.cos(ang), np.sin(ang))

@@ -546,3 +546,100 @@ def test_values_from_exponents_match_mask_reference_bytewise(p, alpha):
         assert got.tobytes() == reference_mask_values(E, omega).tobytes()
     C = build_conference(f, critical_omega(k))
     assert C.values.tobytes() == reference_mask_values(E, critical_omega(k)).tobytes()
+
+
+def reference_conference_residual(C):
+    """The full product C C*; an oracle for the row-0 residual."""
+    return float(np.abs(C.values @ C.values.conj().T - (C.q - 1) * np.eye(C.q)).max())
+
+
+def scale_difference_class(f, V, factor=1.01):
+    """V with every entry at a_i - a_j in {x, -x}, x = a_1, scaled: still group-developed and symmetric."""
+    sub = f.digit_differences()
+    V = V.copy()
+    V[(sub == 1) | (sub == sub[0, 1])] *= factor
+    return V
+
+
+def forged_conference(q, k, seed=0):
+    """sqrt(q - 1) U for a random unitary U: C C* = (q - 1) I, but no structure at all."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+    return conference.ConferenceMatrix(q=q, k=k, omega=1.0, exponents=None, values=math.sqrt(q - 1) * U)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_row_residual_matches_full_product(p, alpha):
+    f = make_field(p, alpha)
+    k = (f.q + 1) // 2
+    for omega in (critical_omega(k), 1.0, cmath.exp(0.9j)):
+        C = build_conference(f, omega)
+        assert conference._developed(C.values, C.q)
+        fast, dense = conference_residual(C), reference_conference_residual(C)
+        assert abs(fast - dense) <= 1e-12 * max(1.0, dense)
+    assert conference_residual(build_conference(f, critical_omega(k))) <= 1e-11
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_row_residual_rejects_a_scaled_difference_class(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    bad = replace(C, exponents=None, values=scale_difference_class(f, C.values))
+    assert conference._developed(bad.values, bad.q)
+    fast, dense = conference_residual(bad), reference_conference_residual(bad)
+    assert fast > 1e-3 and dense > 1e-3
+    assert abs(fast - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
+    f = make_field(p, alpha)
+    k = (f.q + 1) // 2
+    C = build_conference(f, critical_omega(k))
+    scaled = scale_row_col(C, 3, 1j)
+    forged = forged_conference(f.q, k, seed=f.q)
+    bad = replace(scaled, values=scale_difference_class(f, scaled.values))
+    swapped = permute(C, [1, 0] + list(range(2, f.q)))  # not affine: it fixes a_2, ..., a_(q-1)
+    for T in (scaled, forged, bad, swapped):
+        assert not conference._developed(T.values, T.q)
+        assert conference_residual(T) == reference_conference_residual(T)
+    assert conference_residual(scaled) <= 1e-11 and conference_residual(forged) <= 1e-11
+    assert conference_residual(bad) > 1e-3
+
+
+def test_developed_needs_a_prime_power_order_and_a_matching_shape():
+    C = build_conference(make_field(5), critical_omega(3))
+    assert conference._developed(C.values, 5)
+    assert not conference._developed(None, 5)
+    assert not conference._developed(C.values, 6)
+    assert not conference._developed(np.zeros((6, 6)), 6)  # 6 is no prime power
+    assert not conference._developed(np.zeros((4, 4)), 4)  # 4 is even
+    nan = C.values.copy()
+    nan[:] = np.nan  # constant, but nan never compares equal
+    assert not conference._developed(nan, 5)
+
+
+def test_unit_gate_rejects_nan():
+    f = make_field(5)
+    for u in (complex(math.nan), complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf)):
+        with pytest.raises(NotUnimodular):
+            build_conference(f, u)
+        with pytest.raises(NotUnimodular):
+            scale_row_col(build_conference(f, critical_omega(3)), 0, u)
+
+
+def test_equivalence_witnesses_reject_a_nan_scaling(monkeypatch):
+    # a nan entry of the scaled C(-omega0) must fail the check, not slip past it
+    f = make_field(5)
+    minus_omega0 = -critical_omega(3)
+    real_build = conference.build_conference
+
+    def build(field, omega):
+        C = real_build(field, omega)
+        if omega == minus_omega0:
+            C.values[0, 1] = C.values[1, 0] = complex(math.nan, math.nan)
+        return C
+
+    monkeypatch.setattr(conference, "build_conference", build)
+    with pytest.raises(WitnessMismatch, match="all-i scaling"):
+        equivalence_witnesses(f)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,9 @@ from isoclinic import (
     double,
     hadamard_residual,
     make_field,
+    scale_row_col,
 )
-from isoclinic import hadamard
+from isoclinic import conference, hadamard
 
 
 def test_double_q5_structure():
@@ -81,12 +85,15 @@ def _doubling(p, alpha):
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
 def test_doubling_form_residual_matches_dense(p, alpha):
     H = _doubling(p, alpha)
+    q = H.n2 // 2
     C = hadamard._doubled(H.values, H.n2)
     assert C is not None
-    assert np.array_equal(C, H.values[H.n2 // 2 :, : H.n2 // 2] + np.eye(H.n2 // 2))
+    assert np.array_equal(C, H.values[q:, :q] + np.eye(q))
+    assert conference._developed(C, q)  # so the residual reads row 0 of C C* only
     fast, dense = hadamard_residual(H), hadamard._dense_residual(H)
     assert fast <= 1e-11
     assert abs(fast - dense) <= 1e-12
+    assert abs(fast - reference_form_residual(H)) <= 1e-12
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
@@ -141,3 +148,161 @@ def test_double_keeps_the_signs_of_zero_of_the_block_sums():
         V = np.array([[complex(zero, zero), complex(1.0, -0.0)], [complex(1.0, -0.0), complex(-0.0, zero)]])
         C = ConferenceMatrix(q=2, k=2, omega=1.0, exponents=None, values=V)
         assert double(C).values.tobytes() == reference_block_double(V).tobytes()
+
+
+def reference_doubled(V, n2):
+    """The form check with a dense identity and complex temporaries; an oracle for _doubled."""
+    q, odd = divmod(n2, 2)
+    if odd or V.shape != (n2, n2):
+        return None
+    eye = np.eye(q)
+    C = V[:q, :q] - eye
+    Cc = C.conj()
+    form = (
+        not C.diagonal().any()
+        and np.array_equal(C, C.T)
+        and np.array_equal(V[:q, q:], Cc - eye)
+        and np.array_equal(V[q:, :q], C - eye)
+        and np.array_equal(V[q:, q:], -Cc - eye)
+    )
+    return C if form else None
+
+
+def reference_form_residual(H):
+    """hadamard_residual through the full q x q product M = C C*; an oracle for the row-0 path."""
+    C = reference_doubled(H.values, H.n2)
+    if C is None:
+        return hadamard._dense_residual(H)
+    q = H.n2 // 2
+    unimod = float(np.abs(np.abs(H.values[:q, :q]) - 1.0).max())
+    M = C @ C.conj().T
+    real = 2.0 * float(np.abs(M.real - (q - 1) * np.eye(q)).max())
+    imag = 2.0 * float(np.abs(M.imag).max())
+    return max(unimod, real, imag)
+
+
+def scale_difference_class(f, V, factor=1.01):
+    """V with every entry at a_i - a_j in {x, -x}, x = a_1, scaled: still group-developed and symmetric."""
+    sub = f.digit_differences()
+    V = V.copy()
+    V[(sub == 1) | (sub == sub[0, 1])] *= factor
+    return V
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_row_residual_rejects_the_doubling_of_a_scaled_difference_class(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    H = HadamardMatrix(n2=2 * f.q, values=reference_block_double(scale_difference_class(f, C.values)))
+    assert conference._developed(hadamard._doubled(H.values, H.n2), f.q)
+    fast, form, dense = hadamard_residual(H), reference_form_residual(H), hadamard._dense_residual(H)
+    assert min(fast, form, dense) > 1e-3
+    assert abs(fast - form) <= 1e-12 and abs(fast - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
+    f = make_field(p, alpha)
+    q = f.q
+    C = build_conference(f, critical_omega((q + 1) // 2))
+    scaled = double(scale_row_col(C, 3, 1j))
+    assert not conference._developed(hadamard._doubled(scaled.values, scaled.n2), q)
+    assert hadamard_residual(scaled) == reference_form_residual(scaled) <= 1e-11
+    # sqrt(q - 1) U for a random unitary U is not symmetric, so its doubling takes H H*
+    rng = np.random.default_rng(q)
+    U, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+    forged = HadamardMatrix(n2=2 * q, values=reference_block_double(math.sqrt(q - 1) * U))
+    assert hadamard._doubled(forged.values, forged.n2) is None
+    assert hadamard_residual(forged) == hadamard._dense_residual(forged)
+
+
+def _fuzz_values(z):
+    """Replacements for the entry z: signed zeros, nan, its conjugate, a sign flip, 0, 1 and 1j."""
+    return (
+        complex(-0.0, z.imag),
+        complex(z.real, -0.0),
+        complex(-0.0, -0.0),
+        complex(math.nan, 0.0),
+        complex(z.real, math.nan),
+        z.conjugate(),
+        -z,
+        complex(-z.real, z.imag),
+        0.0,
+        1.0,
+        1j,
+    )
+
+
+def _same_verdict(V, n2):
+    new, old = hadamard._doubled(V, n2), reference_doubled(V, n2)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert np.array_equal(new, old)
+    return new is not None
+
+
+def _set_c(V, q, r, c, v):
+    """Write C[r, c] = v into all four blocks of the doubling V, as double would."""
+    d = float(r == c)
+    V[r, c] = v + d
+    V[q + r, c] = v - d
+    V[r, q + c] = np.conj(v) - d
+    V[q + r, q + c] = -np.conj(v) - d
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1)])
+def test_doubled_matches_the_eye_reference_under_fuzz(p, alpha):
+    H = _doubling(p, alpha).values
+    n2 = H.shape[0]
+    q = n2 // 2
+    rng = np.random.default_rng(n2)
+    accepted = 0
+    for _ in range(400):
+        i = int(rng.integers(n2))
+        # one in four lands on a block diagonal, where the form wants +-1
+        j = (i + q * int(rng.integers(2))) % n2 if rng.random() < 0.25 else int(rng.integers(n2))
+        values = _fuzz_values(complex(H[i, j]))
+        v = values[int(rng.integers(len(values)))]
+        a, b = i % q, j % q
+        V = H.copy()
+        mode = rng.integers(6)
+        if mode == 0:  # one entry of H
+            V[i, j] = v
+        elif mode == 1:  # a symmetric pair of H
+            V[i, j] = V[j, i] = v
+        elif mode == 2:  # C[a, b] = C[b, a] = v: the form holds unless v is nan or a = b and v != 0
+            _set_c(V, q, a, b, v)
+            _set_c(V, q, b, a, v)
+        elif mode == 3:  # C[a, b] = v alone: C is no longer symmetric unless a = b
+            _set_c(V, q, a, b, v)
+        elif mode == 4:  # C[a, b] = v as the blocks V00 and V11 show it, but not V10 and V01
+            d = float(a == b)
+            V[a, b] = v + d
+            V[q + a, q + b] = -np.conj(v) - d
+        else:  # C[a, b] = v as the blocks V10 and V01 show it, but not V00 and V11
+            d = float(a == b)
+            V[q + a, b] = v - d
+            V[a, q + b] = np.conj(v) - d
+        accepted += _same_verdict(V, n2)
+    assert 0 < accepted < 400
+    assert _same_verdict(H, n2)
+
+
+def test_doubled_matches_the_eye_reference_on_signed_zeros():
+    # the order-2 conference matrix [[0, 1], [1, 0]] with every sign of zero in its parts;
+    # off the diagonal, C is read from V10 = C - I, which keeps the signs of C
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0):
+            C = np.array([[complex(a, b), complex(1.0, b)], [complex(1.0, a), complex(b, a)]])
+            V = reference_block_double(C)
+            assert _same_verdict(V, 4)
+            np.fill_diagonal(C, 0.0)
+            assert hadamard._doubled(V, 4).tobytes() == C.tobytes()
+
+
+def test_double_rejects_a_nan_entry():
+    C = build_conference(make_field(5), critical_omega(3))
+    values = C.values.copy()
+    values[0, 1] = values[1, 0] = complex(math.nan, 0.0)
+    with pytest.raises(NotConference):
+        double(replace(C, exponents=None, values=values))

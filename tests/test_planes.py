@@ -299,3 +299,12 @@ def test_isoclinic_deviation_reads_only_the_blocks_above_the_diagonal():
     blocks[0, 4] = 2.0 * np.eye(2)  # B^T B = 4 I: the diagonal entries deviate by 4 - 25/64
     assert planes._isoclinic_deviation(blocks, lam) == 4.0 - 25 / 64
     assert planes._isoclinic_deviation(np.zeros((1, 1, 2, 2)), lam) == 0.0
+
+
+def test_build_gram_rejects_a_nan_entry():
+    S = build_seidel(make_field(5))
+    dense = S.dense.copy()
+    dense[0, 2] = dense[2, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotInvolutory):
+            build_gram(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,3 +415,108 @@ def test_transform_needs_a_prime_power_order_and_a_matching_shape():
     S = build_seidel(make_field(5))
     assert seidel._character_transform(SeidelMatrix(q=6, k=3, theta=S.theta, dense=np.zeros((12, 12)))) is None
     assert seidel._character_transform(SeidelMatrix(q=4, k=3, theta=S.theta, dense=S.dense)) is None
+
+
+def reference_square_residual(S):
+    """The full 2q x 2q product S^2; an oracle for the block-row residual."""
+    return float(np.abs(S.dense @ S.dense - (2 * S.k - 2) * np.eye(2 * S.q)).max())
+
+
+def turn_difference_class(f, S, phi=0.01):
+    """S with every block at a_i - a_j in {x, -x}, x = a_1, turned by phi: still block group-developed.
+
+    g(x) = g(-x) for q = 1 (mod 4), so the class shares one reflection s_a,
+    replaced by s_(a + phi).
+    """
+    sub = f.digit_differences()
+    dense = S.dense.copy()
+    blocks = seidel._blocks(dense)
+    angle = math.atan2(blocks[1, 0, 0, 1], blocks[1, 0, 0, 0]) + phi
+    blocks[(sub == 1) | (sub == sub[0, 1])] = plane_symmetry(angle)
+    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+
+
+def swap_one_and_two(q):
+    """The transposition of the indices 1 and 2; not affine, as an additive map that fixes 0, a_3, ..., a_(q-1) is the identity."""
+    return [0, 2, 1] + list(range(3, q))
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_block_row_square_residual_matches_full_product(p, alpha):
+    f = make_field(p, alpha)
+    S = build_seidel(f)
+    entries = seidel._block_column(S)
+    assert entries is not None and entries.shape == (2, 2, S.q)
+    assert np.array_equal(entries.transpose(2, 0, 1), S.blocks[:, 0])
+    fast, dense = seidel_square_residual(S), reference_square_residual(S)
+    assert fast <= 1e-11
+    assert abs(fast - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_block_row_square_residual_rejects_a_turned_difference_class(p, alpha):
+    f = make_field(p, alpha)
+    bad = turn_difference_class(f, build_seidel(f))
+    assert seidel._block_column(bad) is not None
+    fast, dense = seidel_square_residual(bad), reference_square_residual(bad)
+    assert fast > 1e-3 and dense > 1e-3
+    assert abs(fast - dense) <= 1e-12
+    with pytest.raises(NotInvolutory):
+        spectrum(bad)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_square_residual_is_the_full_product_off_the_developed_form(p, alpha):
+    f = make_field(p, alpha)
+    S = build_seidel(f)
+    for T in (normalize(S), permute_blocks(S, swap_one_and_two(S.q)), rotate_block(S)):
+        assert seidel._block_column(T) is None
+        assert seidel_square_residual(T) == reference_square_residual(T)
+    # an affine relabelling x -> g x + 1 keeps the form
+    sigma = [f.index(f.add(f.mul(a, f.first_nonsquare()), f.one)) for a in f.elements]
+    assert seidel._block_column(permute_blocks(S, sigma)) is not None
+
+
+def test_spectrum_rejects_a_nan_entry():
+    # the trace ignores an off-diagonal nan, so only the S^2 guard can catch it
+    S = build_seidel(make_field(5))
+    dense = S.dense.copy()
+    dense[0, 2] = dense[2, 0] = math.nan
+    S = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    assert seidel._block_column(S) is None
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotInvolutory, match="S\\^2"):
+            spectrum(S)
+
+
+def test_trace_guard_rejects_a_nan_or_fractional_trace(monkeypatch):
+    # past the S^2 guard, a trace that is nan or not an integer must raise NotInvolutory
+    S = build_seidel(make_field(5))
+    monkeypatch.setattr(seidel, "seidel_square_residual", lambda S: 0.0)
+    for value in (math.nan, 0.5):
+        dense = S.dense.copy()
+        dense[0, 0] = value
+        with pytest.raises(NotInvolutory, match="projector trace"):
+            seidel._trace_spectrum(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
+
+
+def test_transform_guard_rejects_a_nan_eigenvalue():
+    # infinite blocks on one difference class keep the form; eigh returns nan eigenvalues for them
+    f = make_field(5)
+    S = build_seidel(f)
+    sub = f.digit_differences()
+    dense = S.dense.copy()
+    seidel._blocks(dense)[(sub == 1) | (sub == sub[0, 1])] *= math.inf
+    inf = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    assert seidel._block_column(inf) is not None
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotInvolutory, match="transform block"):
+            spectrum(inf)
+
+
+def test_from_conference_rejects_a_nan_entry():
+    C = build_conference(make_field(5), critical_omega(3))
+    values = C.values.copy()
+    values[0, 1] = values[1, 0] = complex(math.nan, 0.0)
+    with pytest.raises(NotUnimodular):
+        from_conference(replace(C, exponents=None, values=values))
