@@ -33,7 +33,7 @@ from .conference import (
 from .errors import IsoclinicError, RecordParseError
 from .export import KINDS, ExportRecord, read_record, serialize
 from .gf import GaloisField, make_field
-from .hadamard import HadamardMatrix, _doubled, double, hadamard_residual
+from .hadamard import HadamardMatrix, double, hadamard_residual
 from .orders import OrderInfo, classify_order
 from .planes import (
     PlaneTuple,
@@ -223,8 +223,9 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     H = HadamardMatrix(n2=record.order, values=record.entries.astype(np.complex128))
     resid = hadamard_residual(H)
     checks.append(("hadamard-residual", resid <= tol, f"{resid:.3e}"))
-    # the record claims to be the doubling of a conference matrix C, which is symmetric with zero diagonal
-    form = _doubled(H.values, H.n2) is not None
+    # the record claims to be the doubling of a conference matrix C, which is symmetric with zero diagonal;
+    # the residual above has checked that form already and H keeps the verdict
+    form = H.doubling_of is not None
     shape = "H = [[C+I, C~-I], [C-I, -C~-I]]"
     checks.append(("doubling-form", form, shape if form else f"no symmetric C with zero diagonal gives {shape}"))
     return checks

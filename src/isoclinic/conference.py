@@ -30,6 +30,8 @@ C[i, j] = c(a_i - a_j).  Then so is C C*, and its row 0 holds every
 distinct entry, so `conference_residual` and `verify_counts` read row 0
 only, after checking the form exactly (_developed).  Any other C, such as
 scale_row_col(C, ...), a permuted C or a record, takes the full product.
+The residual is computed once per ConferenceMatrix and kept on it, so the
+gate of hadamard.double reads the value conference_residual computed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -89,6 +92,11 @@ class ConferenceMatrix:
     the diagonal (the value there is zero, not omega^0) and +-1 off the
     diagonal, meaning the value omega**e.  Row/column scaling destroys the
     layer, in which case `exponents` is None and only numeric checks apply.
+
+    The residual of C C* - (q-1) I is computed on first use and kept on the
+    object.  Do not change `values` in place after a check has read it:
+    build a new matrix instead (dataclasses.replace gives one with nothing
+    cached).
     """
 
     q: int
@@ -100,6 +108,11 @@ class ConferenceMatrix:
     @property
     def has_symbolic(self) -> bool:
         return self.exponents is not None
+
+    @cached_property
+    def gram_residual(self) -> float:
+        """Max-abs entry of C C* - (q-1) I (see conference_residual), computed once."""
+        return float(np.abs(_gram_deviation(self.values, self.q)).max())
 
 
 class ExponentCounts(NamedTuple):
@@ -214,9 +227,10 @@ def conference_residual(C: ConferenceMatrix) -> float:
     depends on a_j - a_i only, so row 0 holds every distinct entry, the
     diagonal at (0, 0).  That row is one vector-matrix product, O(q^2).  Any
     other C, such as scale_row_col(C, ...) or a record with one changed
-    entry, takes the full O(q^3) product.
+    entry, takes the full O(q^3) product.  Computed once per C and kept on
+    it (ConferenceMatrix.gram_residual).
     """
-    return float(np.abs(_gram_deviation(C.values, C.q)).max())
+    return C.gram_residual
 
 
 def _gram_deviation(V: np.ndarray, q: int) -> np.ndarray:

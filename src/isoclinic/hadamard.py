@@ -10,30 +10,49 @@ information; this module only builds and verifies them.
 
 `hadamard_residual` reads H H* - 2q I from C C* when H has exactly this
 form, and from row 0 of C C* alone when C is also group-developed over
-GF(q), as the construction is; otherwise it forms the full product.
+GF(q), as the construction is; otherwise it forms the full product.  The
+form check runs once per HadamardMatrix and is kept on it, so the residual
+and the doubling-form row of a verified record share it; the gate of
+`double` reads the residual its ConferenceMatrix already keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .conference import ConferenceMatrix, _gram_deviation, conference_residual
+from .conference import ConferenceMatrix, _gram_deviation
 from .errors import NotConference
 
 
 @dataclass(frozen=True, eq=False)
 class HadamardMatrix:
-    """Unimodular matrix of order n2 with H H* = n2 I."""
+    """Unimodular matrix of order n2 with H H* = n2 I.
+
+    The doubling-form check (_doubled) is computed on first use and kept on
+    the object.  Do not change `values` in place after a check has read
+    it: build a new matrix instead (dataclasses.replace gives one with
+    nothing cached).
+    """
 
     n2: int
     values: np.ndarray
 
+    @cached_property
+    def doubling_of(self) -> np.ndarray | None:
+        """_doubled(values, n2): the C that H is the doubling of, or None; computed once."""
+        return _doubled(self.values, self.n2)
+
 
 def double(C: ConferenceMatrix) -> HadamardMatrix:
-    """Doubled Hadamard matrix; input must pass the conference residual gate."""
-    resid = conference_residual(C)
+    """Doubled Hadamard matrix; input must pass the conference residual gate.
+
+    The gate reads C.gram_residual, so it repeats no product when
+    conference_residual(C) has run.
+    """
+    resid = C.gram_residual
     if not resid <= 1e-10:  # also rejects nan
         raise NotConference(f"conference residual {resid!r} exceeds 1e-10")
     q = C.q
@@ -66,7 +85,7 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     8 times fewer flops than H H*; any other H takes the dense product H H*.
     """
     V = H.values
-    C = _doubled(V, H.n2)
+    C = H.doubling_of
     if C is None:
         return _dense_residual(H)
     q = H.n2 // 2

@@ -16,7 +16,10 @@ gamma(b) sin(theta), gamma(b) = +-sqrt(q) a quadratic Gauss sum), and the
 +mu eigenvector v_b of g^(b) = g^(-b) gives two real rows of X, the cos
 and the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).  An S
 without the group-developed form falls back to the dense route,
-extract_bases(build_gram(S)).
+extract_bases(build_gram(S)).  Either route reads the form check, the
+transform or the S^2 residual that S keeps once computed (see
+seidel.SeidelMatrix), so extracting the planes of an S whose spectrum was
+taken repeats none of them.
 
 Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
 basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
@@ -45,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotInvolutory, RankMismatch
-from .seidel import SeidelMatrix, _blocks, _character_transform, seidel_square_residual
+from .seidel import SeidelMatrix, _blocks, seidel_square_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +121,7 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     extract_bases(build_gram(S), ...), whose rows are the eigh eigenvectors.
     """
     lam = Fraction(1, 2 * S.k - 2)
-    transform = _character_transform(S)
+    transform = S.transform
     if transform is None or not ((transform.vals[:, 0] < 0) & (transform.vals[:, 1] > 0)).all():
         return extract_bases(build_gram(S), S.q, lam)
     q = S.q

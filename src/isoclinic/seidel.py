@@ -49,12 +49,19 @@ the first check: S^2 is block group-developed too, so its block row 0 (a
 such as normalize(S), permute_blocks by a non-affine sigma or a record with
 one changed block, takes the dense path: the full S^2 and the projector
 traces here, build_gram and extract_bases in planes.
+
+Each of these verdicts is computed at most once per SeidelMatrix and kept
+on it (the cached properties block_column, transform and square_residual),
+so seidel_square_residual, spectrum, build_gram and planes_from_seidel on
+one S check its form once, run one batched eigh and form S^2 at most
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,6 +91,13 @@ class SeidelMatrix:
     symmetry; normalization replaces the first block row/column by identity
     blocks, which are rotations, so downstream code only assumes the blocks
     are orthogonal.
+
+    The form check, the character transform and the S^2 residual are
+    computed on first use and kept on the object, so every check of one S
+    reads the same verdict.  Do not change `dense` in place after a check
+    has read it: build a new matrix instead (dataclasses.replace gives one
+    with nothing cached).  An IsoclinicError raised on first use is not
+    kept; every later use raises it again.
     """
 
     q: int
@@ -98,6 +112,21 @@ class SeidelMatrix:
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[i, j]
+
+    @cached_property
+    def block_column(self) -> np.ndarray | None:
+        """_block_column(self), computed once."""
+        return _block_column(self)
+
+    @cached_property
+    def transform(self) -> _Transform | None:
+        """_character_transform(self), computed once; NotInvolutory is raised again on every use."""
+        return _character_transform(self)
+
+    @cached_property
+    def square_residual(self) -> float:
+        """_square_residual(self), computed once."""
+        return _square_residual(self)
 
 
 def build_seidel(field: GaloisField) -> SeidelMatrix:
@@ -137,6 +166,11 @@ def _reflection_blocks(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def seidel_square_residual(S: SeidelMatrix) -> float:
+    """Max-abs entry of S^2 - (2k-2) I, computed once per S (see _square_residual)."""
+    return S.square_residual
+
+
+def _square_residual(S: SeidelMatrix) -> float:
     """Max-abs entry of S^2 - (2k-2) I.
 
     When S is block group-developed over GF(q) (see _block_column), so is
@@ -148,7 +182,7 @@ def seidel_square_residual(S: SeidelMatrix) -> float:
     product.
     """
     mu2 = 2 * S.k - 2
-    if _block_column(S) is not None:
+    if S.block_column is not None:
         dev = S.dense[:2] @ S.dense
         dev[[0, 1], [0, 1]] -= mu2
         return float(np.abs(dev).max())
@@ -214,7 +248,7 @@ def _character_transform(S: SeidelMatrix) -> _Transform | None:
     S^2 - (2k-2) I, which bounds each of its entries, so the guard is no
     looser than the dense S^2 guard.
     """
-    entries = _block_column(S)
+    entries = S.block_column
     if entries is None:
         return None
     q = S.q
@@ -245,7 +279,7 @@ def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
     two-point spectrum and the multiplicities are the traces
     n/2 +- tr(S)/(2 mu) of P = (I +- S/mu)/2, integers up to roundoff.
     """
-    transform = _character_transform(S)
+    transform = S.transform
     if transform is None:
         return _trace_spectrum(S)
     mu = math.sqrt(2 * S.k - 2)

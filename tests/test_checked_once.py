@@ -1,0 +1,195 @@
+"""Each matrix object is checked once: form checks, the character transform and residuals are kept on it.
+
+Counters are monkeypatched over the module functions that do the work, so
+a second computation on the same object shows as a second call.  The other
+half of the rule is that a new object starts with nothing kept: a corrupted
+copy made with dataclasses.replace after a clean check still fails every
+check.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from isoclinic import (
+    NotConference,
+    NotInvolutory,
+    SeidelMatrix,
+    build_conference,
+    build_gram,
+    build_seidel,
+    cli,
+    conference_residual,
+    critical_omega,
+    double,
+    hadamard_residual,
+    make_field,
+    normalize,
+    planes_from_seidel,
+    plane_symmetry,
+    scale_row_col,
+    seidel_square_residual,
+    spectrum,
+)
+from isoclinic import conference, hadamard, seidel
+
+FIELDS = [(5, 1), (3, 2), (5, 3)]
+TOL = 1e-9
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name, wherever the package binds it, by a wrapper that appends its first argument to the returned list."""
+    fn = getattr(module, name)
+    seen: list = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return fn(*args, **kwargs)
+
+    package = [m for n, m in sys.modules.items() if n == "isoclinic" or n.startswith("isoclinic.")]
+    for mod in [module] + package:
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return seen
+
+
+def capture(monkeypatch, name: str) -> list:
+    """Record what cli.name returns, so the objects run_pipeline built can be inspected."""
+    fn = getattr(cli, name)
+    built: list = []
+
+    def recorded(*args):
+        built.append(fn(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, name, recorded)
+    return built
+
+
+def canonical(p, alpha):
+    f = make_field(p, alpha)
+    return f, build_conference(f, critical_omega((f.q + 1) // 2)), build_seidel(f)
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
+    columns = count_calls(monkeypatch, seidel, "_block_column")
+    transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    developed = count_calls(monkeypatch, conference, "_developed")
+    products = count_calls(monkeypatch, conference, "_gram_deviation")
+    doubled = count_calls(monkeypatch, hadamard, "_doubled")
+    built = [capture(monkeypatch, name) for name in ("build_conference", "build_seidel", "double")]
+    rows = cli.run_pipeline((p**alpha + 1) // 2, TOL)
+    (C,), (S,), (H,) = built
+    assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
+    assert columns == [S] and transforms == [S]
+    assert len(eighs) == 1
+    # row 0 of C C* once: the gate of double reads the residual the conference-residual stage kept
+    assert sum(M is C.values for M in developed) == 1
+    assert sum(V is C.values for V in products) == 1
+    assert doubled == [H.values]
+
+
+def test_square_residual_forms_the_full_product_once_on_the_dense_path(monkeypatch):
+    _, _, S = canonical(5, 2)
+    T = normalize(S)
+    mu = math.sqrt(2 * T.k - 2)
+    squares = count_calls(monkeypatch, seidel, "_square_residual")
+    columns = count_calls(monkeypatch, seidel, "_block_column")
+    residual = seidel_square_residual(T)
+    assert residual == float(np.abs(T.dense @ T.dense - (2 * T.k - 2) * np.eye(2 * T.q)).max()) <= TOL
+    assert spectrum(T) == [(mu, T.q), (-mu, T.q)]
+    assert planes_from_seidel(T).r == T.q
+    assert squares == [T] and columns == [T]
+
+
+def test_conference_residual_forms_the_full_product_once_on_the_dense_path(monkeypatch):
+    _, C, _ = canonical(5, 2)
+    scaled = scale_row_col(C, 3, 1j)
+    products = count_calls(monkeypatch, conference, "_gram_deviation")
+    assert conference_residual(scaled) <= TOL
+    H = double(scaled)
+    assert products == [scaled.values]
+    assert hadamard_residual(H) <= TOL
+
+
+def test_verify_checks_a_hadamard_record_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "hadamard.json"
+    assert cli.main(["generate", "--kind", "hadamard", "--k", "7", "--out", str(path)]) == cli.EXIT_OK
+    doubled = count_calls(monkeypatch, hadamard, "_doubled")
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+    assert "doubling-form          PASS" in capsys.readouterr().out
+    assert len(doubled) == 1
+
+
+def scale_difference_class(f, V, factor=1.01):
+    """V with every entry at a_i - a_j in {x, -x}, x = a_1, scaled: still group-developed and symmetric."""
+    sub = f.digit_differences()
+    V = V.copy()
+    V[(sub == 1) | (sub == sub[0, 1])] *= factor
+    return V
+
+
+def rotated_dense(S, phi=0.01):
+    """S.dense with its (0, 1) block pair turned by phi; no longer S^2 = mu^2 I."""
+    dense = S.dense.copy()
+    angle = math.atan2(dense[0, 3], dense[0, 2]) + phi
+    dense[0:2, 2:4] = plane_symmetry(angle)
+    dense[2:4, 0:2] = plane_symmetry(angle).T
+    return dense
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_a_corrupted_copy_of_a_checked_conference_matrix_fails(p, alpha):
+    f, C, _ = canonical(p, alpha)
+    assert conference_residual(C) <= TOL
+    double(C)
+    bad = replace(C, exponents=None, values=scale_difference_class(f, C.values))
+    assert conference_residual(bad) > 1e-3
+    with pytest.raises(NotConference):
+        double(bad)
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_a_corrupted_copy_of_a_checked_seidel_matrix_fails(p, alpha):
+    _, _, S = canonical(p, alpha)
+    assert seidel_square_residual(S) <= TOL
+    assert all(m == S.q for _, m in spectrum(S))
+    planes_from_seidel(S)
+    build_gram(S)
+    bad = replace(S, dense=rotated_dense(S))
+    assert seidel_square_residual(bad) > 1e-3
+    for check in (spectrum, planes_from_seidel, build_gram):
+        with pytest.raises(NotInvolutory):
+            check(bad)
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_a_corrupted_copy_of_a_checked_hadamard_matrix_fails(p, alpha):
+    _, C, _ = canonical(p, alpha)
+    H = double(C)
+    assert hadamard_residual(H) <= TOL and H.doubling_of is not None
+    turned = H.values.copy()
+    turned[0, 0] *= np.exp(0.01j)  # still unimodular
+    bad = replace(H, values=turned)
+    assert hadamard_residual(bad) > 1e-3
+    assert bad.doubling_of is None
+
+
+def test_a_transform_that_raises_raises_again(monkeypatch):
+    # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
+    _, _, S = canonical(3, 2)
+    scaled = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=1.01 * S.dense)
+    transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    for _ in range(2):
+        with pytest.raises(NotInvolutory, match="transform block"):
+            spectrum(scaled)
+    with pytest.raises(NotInvolutory, match="transform block"):
+        planes_from_seidel(scaled)
+    assert transforms == [scaled] * 3
