@@ -30,13 +30,13 @@ C[i, j] = c(a_i - a_j).  Then so is C C*, and its row 0 holds every
 distinct entry, so `conference_residual` and `verify_counts` read row 0
 only, after checking the form exactly (_developed).  Any other C, such as
 scale_row_col(C, ...), a permuted C or a record, takes the full product.
-The residual is computed once per ConferenceMatrix and kept on it, so the
-gate of hadamard.double reads the value conference_residual computed.
+That deviation is computed once per ConferenceMatrix and kept on it: the
+gate of hadamard.double and hadamard_residual(double(C)) read it too.  The
+equivalence witnesses are integer identities on E and build no C(omega).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,9 +110,14 @@ class ConferenceMatrix:
         return self.exponents is not None
 
     @cached_property
+    def gram_deviation(self) -> np.ndarray:
+        """_gram_deviation(values, q): C C* - (q-1) I, or its row 0 conjugated; computed once."""
+        return _gram_deviation(self.values, self.q)
+
+    @cached_property
     def gram_residual(self) -> float:
         """Max-abs entry of C C* - (q-1) I (see conference_residual), computed once."""
-        return float(np.abs(_gram_deviation(self.values, self.q)).max())
+        return float(np.abs(self.gram_deviation).max())
 
 
 class ExponentCounts(NamedTuple):
@@ -304,27 +309,21 @@ def _product_indices(field: GaloisField, g) -> np.ndarray:
 
 
 def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
-    """Construct and verify the equivalence witnesses over the given field."""
+    """Construct and verify the equivalence witnesses over the given field, as exact identities on E."""
     q = field.q
-    k = (q + 1) // 2
-    omega0 = critical_omega(k)
-    base = build_conference(field, omega0)
-
+    if q % 4 != 1:
+        raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
     E = field.chi_differences()
-    g = field.first_nonsquare()
-    sigma = tuple(_product_indices(field, g).tolist())
-    # exact: C(1/omega0) permuted by sigma is C(omega0) iff E[sigma, sigma] = -E,
-    # because omega0^2 != 1; this is chi(a g) = -chi(a) for the non-square g
-    if not np.array_equal(E[np.ix_(sigma, sigma)], -E):
-        raise WitnessMismatch("non-square permutation does not map C(1/omega0) to C(omega0)")
-
-    scalings = (1j,) * q
-    u = np.array(scalings)
-    negated = build_conference(field, -omega0)
-    # scaling row and column i by u_i for every i at once; the diagonal
-    # stays zero because it is zero before scaling
-    scaled = u[:, None] * negated.values * u[None, :]
-    if not np.abs(scaled - base.values).max() <= 1e-12:  # also rejects nan
+    # exact: scaling row and column i of C(-omega0) by i gives i i (-omega0)^e = omega0^e
+    # at every odd e, and keeps the zero diagonal, so it maps C(-omega0) to C(omega0)
+    # iff E is +-1 everywhere off the diagonal and 0 on it; checked first, as the
+    # permutation identity below reads E in that form
+    if E.diagonal().any() or np.count_nonzero(np.abs(E) == 1) != q * q - q:
         raise WitnessMismatch("all-i scaling does not map C(-omega0) to C(omega0)")
 
-    return EquivalenceWitnesses(permutation=sigma, scalings=scalings)
+    idx = _product_indices(field, field.first_nonsquare())
+    # exact: C(1/omega0) permuted by sigma is C(omega0) iff E[sigma, sigma] = -E,
+    # because omega0^2 != 1; this is chi(a g) = -chi(a) for the non-square g
+    if not np.array_equal(E.take(idx, 0).take(idx, 1), -E):
+        raise WitnessMismatch("non-square permutation does not map C(1/omega0) to C(omega0)")
+    return EquivalenceWitnesses(permutation=tuple(idx.tolist()), scalings=(1j,) * q)

@@ -9,10 +9,10 @@ the residue i itself.
 
 The quadratic character chi maps zero to 0, nonzero squares to +1 and
 non-squares to -1 (by Euler's criterion, the field element x^((q-1)/2)).
-The chi table marks the squares directly: for prime fields they are
-i^2 mod p, for extension fields the digit polynomials of all q elements are
-squared mod the modulus in one vectorised pass.  For q = 1 (mod 4) the
-character is even: chi(-x) = chi(x).
+The chi table marks the squares directly: the digit polynomials of all q
+elements (for prime fields the residues i) are squared mod the modulus in
+one vectorised pass.  For q = 1 (mod 4) the character is even:
+chi(-x) = chi(x).
 
 `GaloisField.digit_differences()` is the index of a_i - a_j.  Addition only
 touches the base-p digits, so that index is the digitwise difference mod p
@@ -108,9 +108,9 @@ class GaloisField:
             self.modulus: tuple[int, ...] = (0, 1)
         else:
             self.modulus = next(c for c in _monic_polys(alpha, p) if _is_irreducible(c, p))
-        self.elements: tuple[Element, ...] = tuple(
-            _base_p_digits(i, p, alpha) for i in range(self.q)
-        )
+        self._digits = np.arange(self.q)[:, None] // p ** np.arange(alpha) % p
+        self._digits.flags.writeable = False
+        self.elements: tuple[Element, ...] = tuple(map(tuple, self._digits.tolist()))
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero: Element = self.elements[0]
         self.one: Element = self.elements[1]
@@ -208,33 +208,28 @@ class GaloisField:
     def _chi_table(self) -> tuple[int, ...]:
         p, alpha = self.p, self.alpha
         table = np.full(self.q, -1, dtype=np.int64)
-        if alpha == 1:
-            squares = np.arange(p, dtype=np.int64) ** 2 % p
-        else:
-            # square every digit polynomial, then reduce mod the monic modulus
-            digits = self.digit_array()
-            prod = np.zeros((self.q, 2 * alpha - 1), dtype=np.int64)
-            for i in range(alpha):
-                prod[:, i : i + alpha] += digits[:, i : i + 1] * digits
-            prod %= p
-            for d in range(2 * alpha - 2, alpha - 1, -1):
-                prod[:, d - alpha : d] -= prod[:, d : d + 1] * np.array(self.modulus[:alpha])
-                prod[:, d - alpha : d] %= p
-            squares = prod[:, :alpha] @ p ** np.arange(alpha, dtype=np.int64)
+        # square every digit polynomial, then reduce mod the monic modulus (for
+        # alpha = 1 the digits are the residues and there is nothing to reduce)
+        digits = self.digit_array()
+        prod = np.zeros((self.q, 2 * alpha - 1), dtype=np.int64)
+        for i in range(alpha):
+            prod[:, i : i + alpha] += digits[:, i : i + 1] * digits
+        prod %= p
+        for d in range(2 * alpha - 2, alpha - 1, -1):
+            prod[:, d - alpha : d] -= prod[:, d : d + 1] * np.array(self.modulus[:alpha])
+            prod[:, d - alpha : d] %= p
+        squares = prod[:, :alpha] @ p ** np.arange(alpha, dtype=np.int64)
         table[squares] = 1
         table[0] = 0
         return tuple(table.tolist())
 
     def digit_array(self) -> np.ndarray:
-        """The (q, alpha) array of base-p digits of every element, in canonical order."""
-        return np.arange(self.q)[:, None] // self.p ** np.arange(self.alpha) % self.p
+        """The (q, alpha) array of base-p digits of every element, in canonical order; computed once, read-only."""
+        return self._digits
 
     def first_nonsquare(self) -> Element:
         """First element in canonical order with chi = -1."""
-        for x in self.elements:
-            if self.chi(x) == -1:
-                return x
-        raise AssertionError("no non-square found; field of size 1?")
+        return self.elements[self._chi_table.index(-1)]
 
 
 @functools.lru_cache(maxsize=None)

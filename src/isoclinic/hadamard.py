@@ -12,8 +12,11 @@ information; this module only builds and verifies them.
 form, and from row 0 of C C* alone when C is also group-developed over
 GF(q), as the construction is; otherwise it forms the full product.  The
 form check runs once per HadamardMatrix and is kept on it, so the residual
-and the doubling-form row of a verified record share it; the gate of
-`double` reads the residual its ConferenceMatrix already keeps.
+and the doubling-form row of a verified record share it.  The gate of
+`double` reads the residual its ConferenceMatrix keeps, and `double` records
+that C on H as a hint (`source`): when H is exactly its doubling (==), the
+residual reads the deviation C keeps, with no copy of C and no second
+product.  Any other H, such as a record, has its C copied out of H.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ class HadamardMatrix:
 
     n2: int
     values: np.ndarray
+    source: ConferenceMatrix | None = None  # the C that double() built H from, a hint checked with ==
 
     @cached_property
     def doubling_of(self) -> np.ndarray | None:
-        """_doubled(values, n2): the C that H is the doubling of, or None; computed once."""
-        return _doubled(self.values, self.n2)
+        """_doubled(values, n2, source.values): the C that H is the doubling of, or None; computed once."""
+        return _doubled(self.values, self.n2, None if self.source is None else self.source.values)
 
 
 def double(C: ConferenceMatrix) -> HadamardMatrix:
@@ -68,7 +72,7 @@ def double(C: ConferenceMatrix) -> HadamardMatrix:
     diag[0, 0] += 1.0
     diag[0, 1] -= 1.0
     diag[1] -= 1.0
-    return HadamardMatrix(n2=2 * q, values=H)
+    return HadamardMatrix(n2=2 * q, values=H, source=C)
 
 
 def hadamard_residual(H: HadamardMatrix) -> float:
@@ -78,11 +82,11 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     (checked entry by entry with ==, see _doubled), the blocks of
     H H* - 2q I follow from M = C C*: the diagonal blocks are
     2 Re(M - (q-1) I) and the off-diagonal blocks 2i Im M, since
-    C~ C^T = conj(M).  When C is also group-developed over GF(q), so is M,
-    and its row 0 holds every distinct entry (see conference_residual): one
-    vector-matrix product, O(q^2).  A doubled C without that form, such as
-    the doubling of scale_row_col(C, ...), takes the full q x q product M,
-    8 times fewer flops than H H*; any other H takes the dense product H H*.
+    C~ C^T = conj(M).  M - (q-1) I is read as ConferenceMatrix.gram_deviation
+    reads it: its row 0 when C is group-developed over GF(q) (see
+    conference_residual), else the full q x q M, 8 times fewer flops than
+    H H*.  When C is the values of H's source, that is the array the source
+    keeps, not formed again.  Any other H takes the dense product H H*.
     """
     V = H.values
     C = H.doubling_of
@@ -91,7 +95,8 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     q = H.n2 // 2
     # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere
     unimod = float(np.abs(np.abs(V[:q, :q]) - 1.0).max())
-    dev = _gram_deviation(C, q)  # M - (q-1) I, or its row 0 conjugated, which changes no |Re| or |Im|
+    # M - (q-1) I, or its row 0 conjugated, which changes no |Re| or |Im|
+    dev = H.source.gram_deviation if H.source is not None and C is H.source.values else _gram_deviation(C, q)
     real = 2.0 * float(np.abs(dev.real).max())
     imag = 2.0 * float(np.abs(dev.imag).max())
     return max(unimod, real, imag)
@@ -106,7 +111,7 @@ def _dense_residual(H: HadamardMatrix) -> float:
     return max(unimod, gram)
 
 
-def _doubled(V: np.ndarray, n2: int) -> np.ndarray | None:
+def _doubled(V: np.ndarray, n2: int, source: np.ndarray | None = None) -> np.ndarray | None:
     """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None.
 
     Compared block against block with ==, with no identity and no complex
@@ -114,7 +119,8 @@ def _doubled(V: np.ndarray, n2: int) -> np.ndarray | None:
     V00 = V10 + 2I, V01 = conj(V10) and V11 = -conj(V00).  The last two
     hold on the whole block, read through the .real and .imag views; the
     first is a diagonal of 1 and exactly q mismatches with V10, all on the
-    diagonal.  The result is a copy of V10 with a zero diagonal.
+    diagonal.  The result is a copy of V10 with a zero diagonal, or `source`
+    itself when that is equal to it (==, so a signed zero may differ).
     """
     q, odd = divmod(n2, 2)
     if odd or V.shape != (n2, n2):
@@ -132,6 +138,9 @@ def _doubled(V: np.ndarray, n2: int) -> np.ndarray | None:
     )
     if not form:
         return None
+    if source is not None and source.shape == (q, q) and not source.diagonal().any():
+        if np.count_nonzero(V10 != source) == q:  # on the diagonal of -1 only
+            return source
     C = V10.copy()
     np.fill_diagonal(C, 0.0)
     return C

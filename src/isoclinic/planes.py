@@ -140,7 +140,7 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
 def orthonormality_residual(pt: PlaneTuple) -> float:
     """Max deviation of any plane's P^T P from I_2."""
     planes = pt.basis.reshape(pt.r, pt.n, 2)
-    blocks = np.einsum("xia,xib->iab", planes, planes, optimize=True)
+    blocks = planes.transpose(1, 2, 0) @ planes.transpose(1, 0, 2)  # P_i^T P_i for every plane i
     return float(np.abs(blocks - np.eye(2)).max(initial=0.0))
 
 

@@ -84,16 +84,20 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     developed = count_calls(monkeypatch, conference, "_developed")
     products = count_calls(monkeypatch, conference, "_gram_deviation")
     doubled = count_calls(monkeypatch, hadamard, "_doubled")
+    conferences = count_calls(monkeypatch, conference, "build_conference")
     built = [capture(monkeypatch, name) for name in ("build_conference", "build_seidel", "double")]
     rows = cli.run_pipeline((p**alpha + 1) // 2, TOL)
     (C,), (S,), (H,) = built
     assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
     assert columns == [S] and transforms == [S]
     assert len(eighs) == 1
-    # row 0 of C C* once: the gate of double reads the residual the conference-residual stage kept
-    assert sum(M is C.values for M in developed) == 1
-    assert sum(V is C.values for V in products) == 1
-    assert doubled == [H.values]
+    # one C: the witnesses read E, and the hadamard stage reads the C that H was doubled from
+    assert len(conferences) == 1 and H.source is C
+    # the form of E for the counts, then row 0 of C C* once: the gate of double and
+    # hadamard_residual read the deviation the conference-residual stage kept
+    assert len(developed) == 2 and developed[0] is C.exponents and developed[1] is C.values
+    assert len(products) == 1 and products[0] is C.values
+    assert len(doubled) <= 1 and H.doubling_of is C.values
 
 
 def test_square_residual_forms_the_full_product_once_on_the_dense_path(monkeypatch):
@@ -178,8 +182,37 @@ def test_a_corrupted_copy_of_a_checked_hadamard_matrix_fails(p, alpha):
     turned = H.values.copy()
     turned[0, 0] *= np.exp(0.01j)  # still unimodular
     bad = replace(H, values=turned)
+    assert bad.source is C  # a stale hint: the form check, not the source, decides
     assert hadamard_residual(bad) > 1e-3
     assert bad.doubling_of is None
+
+
+def sourceless(H):
+    return hadamard.HadamardMatrix(n2=H.n2, values=H.values)
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_the_source_path_gives_the_sourceless_residual_bit_for_bit(p, alpha):
+    _, C, _ = canonical(p, alpha)
+    for c in (C, scale_row_col(C, 3, 1j)):  # the row-0 path and the full product
+        H = double(c)
+        assert H.source is c and H.doubling_of is c.values
+        bare = sourceless(H)
+        assert hadamard_residual(H).hex() == hadamard_residual(bare).hex()
+        assert bare.doubling_of is not c.values and np.array_equal(bare.doubling_of, c.values)
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_a_stale_source_with_a_valid_form_is_not_read(monkeypatch, p, alpha):
+    # H is the exact doubling of another C than its source: the C copied out of H is read
+    _, C, _ = canonical(p, alpha)
+    other = double(scale_row_col(C, 3, 1j))
+    stale = replace(double(C), values=other.values)
+    assert stale.source is C
+    assert np.array_equal(stale.doubling_of, other.doubling_of) and stale.doubling_of is not C.values
+    products = count_calls(monkeypatch, conference, "_gram_deviation")
+    assert hadamard_residual(stale).hex() == hadamard_residual(sourceless(other)).hex()
+    assert len(products) == 2 and all(V is not C.values for V in products)
 
 
 def test_a_transform_that_raises_raises_again(monkeypatch):

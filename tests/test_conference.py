@@ -426,22 +426,33 @@ def test_equivalence_witnesses():
         assert np.abs(scaled.values - base.values).max() <= 1e-12
 
 
-def test_equivalence_witnesses_apply_the_scaling(monkeypatch):
-    # the scaling check must compare the scaled C(-omega0) with C(omega0),
-    # so a wrong C(-omega0) is caught
-    f = make_field(5)
-    minus_omega0 = -critical_omega(3)
-    real_build = conference.build_conference
+def with_exponents(monkeypatch, E):
+    """A fresh GF(5) whose chi_differences() returns E."""
+    f = GaloisField(5)
+    monkeypatch.setattr(f, "chi_differences", lambda: E)
+    return f
 
-    def build(field, omega):
-        C = real_build(field, omega)
-        if omega == minus_omega0:
-            C.values[0, 1] *= 1j
-        return C
 
-    monkeypatch.setattr(conference, "build_conference", build)
+@pytest.mark.parametrize("e", [0, 2, -2])
+def test_equivalence_witnesses_reject_an_even_exponent_off_the_diagonal(monkeypatch, e):
+    # i i (-omega0)^e = omega0^e only for odd e: the scaling identity needs E = +-1 off the diagonal
+    E = make_field(5).chi_differences().copy()
+    E[0, 1] = E[1, 0] = e
     with pytest.raises(WitnessMismatch, match="all-i scaling"):
-        equivalence_witnesses(f)
+        equivalence_witnesses(with_exponents(monkeypatch, E))
+
+
+@pytest.mark.parametrize("e", [1, -1])
+def test_equivalence_witnesses_reject_a_nonzero_diagonal(monkeypatch, e):
+    E = make_field(5).chi_differences().copy()
+    E[2, 2] = e
+    # with a zero pair off the diagonal, E still holds q^2 - q entries of +-1
+    swapped = E.copy()
+    swapped[3, 3] = e
+    swapped[0, 1] = swapped[1, 0] = 0
+    for bad in (E, swapped):
+        with pytest.raises(WitnessMismatch, match="all-i scaling"):
+            equivalence_witnesses(with_exponents(monkeypatch, bad))
 
 
 def test_equivalence_witnesses_check_the_permutation(monkeypatch):
@@ -478,6 +489,34 @@ def test_witness_sigma_matches_multiplication_loop(p, alpha):
     sigma = equivalence_witnesses(f).permutation
     assert sigma == loop
     assert all(type(i) is int for i in sigma)
+
+
+def float_scaling_holds(f):
+    """The floating-point scaling check: all-i scaling of C(-omega0) equals C(omega0) within 1e-12."""
+    omega0 = critical_omega((f.q + 1) // 2)
+    base, negated = build_conference(f, omega0), build_conference(f, -omega0)
+    scaled = 1j * negated.values * 1j  # row and column i each scaled by i; the diagonal stays zero
+    return bool(np.abs(scaled - base.values).max() <= 1e-12)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_scaling_identity_agrees_with_the_float_check(p, alpha):
+    f = make_field(p, alpha)
+    assert float_scaling_holds(f)
+    assert equivalence_witnesses(f).scalings == (1j,) * f.q
+
+
+@pytest.mark.parametrize("p,alpha", [(7, 1), (3, 3)] + FAST_PATH_FIELDS)
+def test_equivalence_witnesses_build_no_conference_matrix(monkeypatch, p, alpha):
+    built = []
+    monkeypatch.setattr(conference, "build_conference", lambda *args: built.append(args))
+    f = make_field(p, alpha)
+    if f.q % 4 == 3:
+        with pytest.raises(NotSymmetrizable):
+            equivalence_witnesses(f)
+    else:
+        equivalence_witnesses(f)
+    assert built == []
 
 
 def _verdict_from_gram_counts(C):
@@ -626,20 +665,3 @@ def test_unit_gate_rejects_nan():
             build_conference(f, u)
         with pytest.raises(NotUnimodular):
             scale_row_col(build_conference(f, critical_omega(3)), 0, u)
-
-
-def test_equivalence_witnesses_reject_a_nan_scaling(monkeypatch):
-    # a nan entry of the scaled C(-omega0) must fail the check, not slip past it
-    f = make_field(5)
-    minus_omega0 = -critical_omega(3)
-    real_build = conference.build_conference
-
-    def build(field, omega):
-        C = real_build(field, omega)
-        if omega == minus_omega0:
-            C.values[0, 1] = C.values[1, 0] = complex(math.nan, math.nan)
-        return C
-
-    monkeypatch.setattr(conference, "build_conference", build)
-    with pytest.raises(WitnessMismatch, match="all-i scaling"):
-        equivalence_witnesses(f)

@@ -305,3 +305,12 @@ def test_digit_differences_is_shared_and_read_only():
     with pytest.raises(ValueError):
         sub[0, 1] = 0
     assert make_field(257).digit_differences().dtype == np.uint16
+
+
+def test_digit_array_is_shared_and_read_only():
+    f = make_field(5, 3)
+    digits = f.digit_array()
+    assert f.digit_array() is digits
+    assert digits.shape == (125, 3) and np.array_equal(digits, np.array(f.elements))
+    with pytest.raises(ValueError):
+        digits[0, 0] = 1

@@ -306,3 +306,20 @@ def test_double_rejects_a_nan_entry():
     values[0, 1] = values[1, 0] = complex(math.nan, 0.0)
     with pytest.raises(NotConference):
         double(replace(C, exponents=None, values=values))
+
+
+def test_doubled_returns_the_source_only_when_it_equals_the_copy():
+    C = build_conference(make_field(5), critical_omega(3)).values
+    H = double(ConferenceMatrix(q=5, k=3, omega=critical_omega(3), exponents=None, values=C))
+    copy = hadamard._doubled(H.values, 10)
+    assert hadamard._doubled(H.values, 10, C) is C
+    tiny = C.copy()
+    tiny[1, 1] = 1e-17  # -1 + 1e-17 rounds to -1, so V10 cannot show it; the source is not the copy
+    other = C.copy()
+    other[0, 1] = other[1, 0] = -other[0, 1]
+    for source in (tiny, other, C[:4, :4], C.T.copy()[:, ::-1]):
+        got = hadamard._doubled(H.values, 10, source)
+        assert got is not source and got.tobytes() == copy.tobytes()
+    bad = H.values.copy()
+    bad[5, 1] *= 1j
+    assert hadamard._doubled(bad, 10, C) is None

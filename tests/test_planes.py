@@ -266,6 +266,25 @@ def test_planes_fall_back_when_not_group_developed(p, alpha):
         planes_from_seidel(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
 
 
+def reference_einsum_orthonormality_residual(pt):
+    """The diagonal blocks P_i^T P_i from one einsum; an oracle for the batched product."""
+    planes = pt.basis.reshape(pt.r, pt.n, 2)
+    blocks = np.einsum("xia,xib->iab", planes, planes, optimize=True)
+    return float(np.abs(blocks - np.eye(2)).max(initial=0.0))
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS + [(11, 2)])
+def test_orthonormality_residual_matches_einsum_reference_exactly(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    pt = planes_from_seidel(S)
+    dense = extract_bases(build_gram(S), S.q, pt.lam)
+    basis = pt.basis.copy()
+    basis[:, -2:] *= 1.01
+    for tup in (pt, dense, replace(pt, basis=basis)):
+        assert orthonormality_residual(tup) == reference_einsum_orthonormality_residual(tup)
+    assert orthonormality_residual(replace(pt, basis=basis)) > 1e-3
+
+
 def reference_gather_isoclinic_residual(pt):
     """The pair gather and batched contraction; an oracle for the strided block-entry kernel."""
     i, j = np.triu_indices(pt.n, 1)
