@@ -28,11 +28,12 @@ are compared with ==, with no tolerance.
 The construction is group-developed over the additive group of GF(q):
 C[i, j] = c(a_i - a_j).  Then so is C C*, and its row 0 holds every
 distinct entry, so `conference_residual` and `verify_counts` read row 0
-only, after checking the form exactly (_developed).  Any other C, such as
-scale_row_col(C, ...), a permuted C or a record, takes the full product.
-That deviation is computed once per ConferenceMatrix and kept on it: the
-gate of hadamard.double and hadamard_residual(double(C)) read it too.  The
-equivalence witnesses are integer identities on E and build no C(omega).
+only, after checking the form exactly (gf.developed_column).  Any other C,
+such as scale_row_col(C, ...), a permuted C or a record, takes the full
+product.  That deviation is computed once per ConferenceMatrix and kept on
+it: the gate of hadamard.double and hadamard_residual(double(C)) read it
+too.  The equivalence witnesses are integer identities on E and build no
+C(omega).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     NotUnimodular,
     WitnessMismatch,
 )
-from .gf import GaloisField, field_of_order
+from .gf import GaloisField, developed_column
 
 UNIT_TOL = 1e-12
 
@@ -61,6 +62,12 @@ def _require_unit(u: complex, what: str = "scalar") -> complex:
     if not abs(u.real * u.real + u.imag * u.imag - 1.0) <= UNIT_TOL:  # also rejects nan
         raise NotUnimodular(f"{what} must be unimodular, got |u|^2 = {abs(u) ** 2!r}")
     return u
+
+
+def _require_symmetrizable(q: int) -> None:
+    """Refuse q = 3 (mod 4): chi(-1) = -1 makes chi odd, so no matrix of the construction is symmetric."""
+    if q % 4 != 1:
+        raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
 
 
 def critical_angle(k: int) -> float:
@@ -141,8 +148,7 @@ class GramCounts:
 def build_conference(field: GaloisField, omega: complex) -> ConferenceMatrix:
     """C(omega) over the given field; requires q = 1 (mod 4) for symmetry."""
     q = field.q
-    if q % 4 != 1:
-        raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
+    _require_symmetrizable(q)
     omega = _require_unit(omega, "omega")
     k = (q + 1) // 2
     exponents = field.chi_differences().copy()  # the field's array is shared and read-only
@@ -201,20 +207,9 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     return all((counts[off] == w).all() for counts, w in zip((counts.r, counts.s, counts.t), want))
 
 
-def _developed(M: np.ndarray | None, q: int) -> bool:
-    """True when the q x q array M is group-developed over GF(q): M[i, j] = m(a_i - a_j).
-
-    Checked exactly as M == M[:, 0][sub], sub the digit-difference index of
-    the field that q itself factors into; a nan entry never compares equal.
-    """
-    if M is None or M.shape != (q, q) or (field := field_of_order(q)) is None:
-        return False
-    return np.array_equal(M, M[:, 0][field.digit_differences()])
-
-
 def _row_counts(E: np.ndarray | None, q: int) -> tuple[np.ndarray, ...] | None:
-    """Row 0 of (r, s, t) when E is group-developed over GF(q), else None."""
-    if not _developed(E, q):
+    """Row 0 of (r, s, t) when E is q x q and group-developed over GF(q), else None."""
+    if E is None or E.shape != (q, q) or developed_column(E) is None:
         return None
     pos = (E == 1).astype(np.float64)
     neg = (E == -1).astype(np.float64)
@@ -225,7 +220,7 @@ def _row_counts(E: np.ndarray | None, q: int) -> tuple[np.ndarray, ...] | None:
 def conference_residual(C: ConferenceMatrix) -> float:
     """Max-abs entry of C C* - (q-1) I.
 
-    When C is group-developed over GF(q) (see _developed), so is C C*:
+    When C is group-developed over GF(q) (see gf.developed_column), so is C C*:
 
         (C C*)[i, j] = sum_x c(x) conj(c(x + a_j - a_i))
 
@@ -244,7 +239,7 @@ def _gram_deviation(V: np.ndarray, q: int) -> np.ndarray:
     The conjugate changes no |entry|, no real part and only the sign of
     each imaginary part; it spares the q x q conjugate of V.
     """
-    if _developed(V, q):
+    if V.shape == (q, q) and developed_column(V) is not None:
         dev = V @ V[0].conj()  # conj of (C C*)[0, j] = sum_g C[0, g] conj(C[j, g])
         dev[0] -= q - 1
         return dev
@@ -311,8 +306,7 @@ def _product_indices(field: GaloisField, g) -> np.ndarray:
 def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
     """Construct and verify the equivalence witnesses over the given field, as exact identities on E."""
     q = field.q
-    if q % 4 != 1:
-        raise NotSymmetrizable(f"q = {q} is {q % 4} mod 4; chi(-1) = -1 breaks symmetry")
+    _require_symmetrizable(q)
     E = field.chi_differences()
     # exact: scaling row and column i of C(-omega0) by i gives i i (-omega0)^e = omega0^e
     # at every odd e, and keeps the zero diagonal, so it maps C(-omega0) to C(omega0)

@@ -16,10 +16,12 @@ gamma(b) sin(theta), gamma(b) = +-sqrt(q) a quadratic Gauss sum), and the
 +mu eigenvector v_b of g^(b) = g^(-b) gives two real rows of X, the cos
 and the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).  An S
 without the group-developed form falls back to the dense route,
-extract_bases(build_gram(S)).  Either route reads the form check, the
-transform or the S^2 residual that S keeps once computed (see
-seidel.SeidelMatrix), so extracting the planes of an S whose spectrum was
-taken repeats none of them.
+extract_bases(build_gram(S)).  Either route first asks S^2 = (2k-2) I of
+S through the one guard of the seidel module (_require_involutory, S^2
+residual at most 1e-10), and reads the form check, the transform and the
+S^2 residual that S keeps once computed (see seidel.SeidelMatrix), so
+extracting the planes of an S whose spectrum was taken repeats none of
+them.
 
 Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
 basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
@@ -47,8 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotInvolutory, RankMismatch
-from .seidel import SeidelMatrix, _blocks, seidel_square_residual
+from .errors import RankMismatch
+from .seidel import SeidelMatrix, _blocks, _require_involutory
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +73,7 @@ class PlaneTuple:
 
 def build_gram(S: SeidelMatrix) -> np.ndarray:
     """A = I + S / sqrt(2k-2); PSD with eigenvalues {0, 2}."""
-    if not seidel_square_residual(S) <= 1e-10:  # also rejects nan
-        raise NotInvolutory("S^2 is not (2k-2) I within 1e-10")
+    _require_involutory(S)
     n = 2 * S.q
     return np.eye(n) + S.dense / math.sqrt(2 * S.k - 2)
 
@@ -119,7 +120,9 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     X^T X = 2 P_+ = I + S/mu.  Gauge: each v_b is signed so that its first
     entry above 1e-12 in magnitude is positive.  Any other S takes
     extract_bases(build_gram(S), ...), whose rows are the eigh eigenvectors.
+    Either way S must pass seidel._require_involutory.
     """
+    _require_involutory(S)
     lam = Fraction(1, 2 * S.k - 2)
     transform = S.transform
     if transform is None or not ((transform.vals[:, 0] < 0) & (transform.vals[:, 1] > 0)).all():
@@ -184,9 +187,9 @@ class BoundCheck(NamedTuple):
 def ls_bound(r: int, lam: Fraction | int, v: int) -> BoundCheck:
     """Pairwise-parameter bound v <= r (1 - lam) / (2 - r lam), decided exactly.
 
-    lam must be an exact rational.  tight means v equals the floor of the
-    bound and attains it with equality in exact arithmetic; a vacuous bound
-    (r lam >= 2) is never tight.
+    lam must be an exact rational.  tight means v equals the bound, an
+    exact equality of rationals; a vacuous bound (r lam >= 2) is never
+    tight.
     """
     if r < 4:
         raise ValueError(f"ambient dimension r must be >= 4, got {r}")
@@ -197,5 +200,4 @@ def ls_bound(r: int, lam: Fraction | int, v: int) -> BoundCheck:
     if denom <= 0:
         return BoundCheck(math.inf, False)
     bound = Fraction(r) * (1 - lam) / denom
-    tight = v == math.floor(bound) and v * denom == r * (1 - lam)
-    return BoundCheck(bound, tight)
+    return BoundCheck(bound, bound == v)

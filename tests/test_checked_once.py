@@ -36,7 +36,7 @@ from isoclinic import (
     seidel_square_residual,
     spectrum,
 )
-from isoclinic import conference, hadamard, seidel
+from isoclinic import conference, gf, hadamard, seidel
 
 FIELDS = [(5, 1), (3, 2), (5, 3)]
 TOL = 1e-9
@@ -78,10 +78,9 @@ def canonical(p, alpha):
 
 @pytest.mark.parametrize("p,alpha", FIELDS)
 def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
-    columns = count_calls(monkeypatch, seidel, "_block_column")
     transforms = count_calls(monkeypatch, seidel, "_character_transform")
     eighs = count_calls(monkeypatch, np.linalg, "eigh")
-    developed = count_calls(monkeypatch, conference, "_developed")
+    developed = count_calls(monkeypatch, gf, "developed_column")
     products = count_calls(monkeypatch, conference, "_gram_deviation")
     doubled = count_calls(monkeypatch, hadamard, "_doubled")
     conferences = count_calls(monkeypatch, conference, "build_conference")
@@ -89,13 +88,15 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     rows = cli.run_pipeline((p**alpha + 1) // 2, TOL)
     (C,), (S,), (H,) = built
     assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
-    assert columns == [S] and transforms == [S]
+    assert transforms == [S]
     assert len(eighs) == 1
     # one C: the witnesses read E, and the hadamard stage reads the C that H was doubled from
     assert len(conferences) == 1 and H.source is C
     # the form of E for the counts, then row 0 of C C* once: the gate of double and
-    # hadamard_residual read the deviation the conference-residual stage kept
-    assert len(developed) == 2 and developed[0] is C.exponents and developed[1] is C.values
+    # hadamard_residual read the deviation the conference-residual stage kept; then the
+    # (a, b, i, j) block view of S, once for seidel-square, spectrum and the planes
+    assert len(developed) == 3 and developed[0] is C.exponents and developed[1] is C.values
+    assert developed[2].shape == (2, 2, S.q, S.q) and np.shares_memory(developed[2], S.dense)
     assert len(products) == 1 and products[0] is C.values
     assert len(doubled) <= 1 and H.doubling_of is C.values
 
@@ -105,12 +106,12 @@ def test_square_residual_forms_the_full_product_once_on_the_dense_path(monkeypat
     T = normalize(S)
     mu = math.sqrt(2 * T.k - 2)
     squares = count_calls(monkeypatch, seidel, "_square_residual")
-    columns = count_calls(monkeypatch, seidel, "_block_column")
+    columns = count_calls(monkeypatch, gf, "developed_column")
     residual = seidel_square_residual(T)
     assert residual == float(np.abs(T.dense @ T.dense - (2 * T.k - 2) * np.eye(2 * T.q)).max()) <= TOL
     assert spectrum(T) == [(mu, T.q), (-mu, T.q)]
     assert planes_from_seidel(T).r == T.q
-    assert squares == [T] and columns == [T]
+    assert squares == [T] and len(columns) == 1 and np.shares_memory(columns[0], T.dense)
 
 
 def test_conference_residual_forms_the_full_product_once_on_the_dense_path(monkeypatch):
@@ -215,14 +216,16 @@ def test_a_stale_source_with_a_valid_form_is_not_read(monkeypatch, p, alpha):
     assert len(products) == 2 and all(V is not C.values for V in products)
 
 
-def test_a_transform_that_raises_raises_again(monkeypatch):
+def test_the_involution_guard_raises_on_every_use(monkeypatch):
     # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
     _, _, S = canonical(3, 2)
     scaled = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=1.01 * S.dense)
     transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    squares = count_calls(monkeypatch, seidel, "_square_residual")
     for _ in range(2):
-        with pytest.raises(NotInvolutory, match="transform block"):
+        with pytest.raises(NotInvolutory, match="S\\^2"):
             spectrum(scaled)
-    with pytest.raises(NotInvolutory, match="transform block"):
+    with pytest.raises(NotInvolutory, match="S\\^2"):
         planes_from_seidel(scaled)
-    assert transforms == [scaled] * 3
+    # the guard reads the residual scaled keeps, and raises before any transform
+    assert squares == [scaled] and transforms == []

@@ -32,6 +32,7 @@ from isoclinic import (
     verify_counts,
 )
 from isoclinic import conference
+from isoclinic.gf import developed_column
 
 J = cmath.exp(2j * cmath.pi / 3)
 
@@ -613,7 +614,7 @@ def test_row_residual_matches_full_product(p, alpha):
     k = (f.q + 1) // 2
     for omega in (critical_omega(k), 1.0, cmath.exp(0.9j)):
         C = build_conference(f, omega)
-        assert conference._developed(C.values, C.q)
+        assert developed_column(C.values) is not None
         fast, dense = conference_residual(C), reference_conference_residual(C)
         assert abs(fast - dense) <= 1e-12 * max(1.0, dense)
     assert conference_residual(build_conference(f, critical_omega(k))) <= 1e-11
@@ -624,7 +625,7 @@ def test_row_residual_rejects_a_scaled_difference_class(p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
     bad = replace(C, exponents=None, values=scale_difference_class(f, C.values))
-    assert conference._developed(bad.values, bad.q)
+    assert developed_column(bad.values) is not None
     fast, dense = conference_residual(bad), reference_conference_residual(bad)
     assert fast > 1e-3 and dense > 1e-3
     assert abs(fast - dense) <= 1e-12
@@ -640,22 +641,10 @@ def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
     bad = replace(scaled, values=scale_difference_class(f, scaled.values))
     swapped = permute(C, [1, 0] + list(range(2, f.q)))  # not affine: it fixes a_2, ..., a_(q-1)
     for T in (scaled, forged, bad, swapped):
-        assert not conference._developed(T.values, T.q)
+        assert developed_column(T.values) is None
         assert conference_residual(T) == reference_conference_residual(T)
     assert conference_residual(scaled) <= 1e-11 and conference_residual(forged) <= 1e-11
     assert conference_residual(bad) > 1e-3
-
-
-def test_developed_needs_a_prime_power_order_and_a_matching_shape():
-    C = build_conference(make_field(5), critical_omega(3))
-    assert conference._developed(C.values, 5)
-    assert not conference._developed(None, 5)
-    assert not conference._developed(C.values, 6)
-    assert not conference._developed(np.zeros((6, 6)), 6)  # 6 is no prime power
-    assert not conference._developed(np.zeros((4, 4)), 4)  # 4 is even
-    nan = C.values.copy()
-    nan[:] = np.nan  # constant, but nan never compares equal
-    assert not conference._developed(nan, 5)
 
 
 def test_unit_gate_rejects_nan():

@@ -18,9 +18,11 @@ from isoclinic import (
     InvalidExponent,
     InvalidPrime,
     build_conference,
+    build_seidel,
     critical_omega,
     make_field,
 )
+from isoclinic.gf import developed_column
 
 FIELDS = [make_field(5), make_field(13), make_field(3, 2), make_field(5, 2), make_field(3, 3)]
 
@@ -314,3 +316,28 @@ def test_digit_array_is_shared_and_read_only():
     assert digits.shape == (125, 3) and np.array_equal(digits, np.array(f.elements))
     with pytest.raises(ValueError):
         digits[0, 0] = 1
+
+
+def test_developed_column_needs_a_prime_power_order_and_a_matching_shape():
+    C = build_conference(make_field(5), critical_omega(3))
+    column = developed_column(C.values)
+    assert column is not None and np.array_equal(column, C.values[:, 0])
+    assert developed_column(np.zeros((6, 6))) is None  # 6 is no prime power
+    assert developed_column(np.zeros((4, 4))) is None  # 4 is even
+    assert developed_column(np.zeros((5, 4))) is None  # the trailing shape is not square
+    assert developed_column(np.zeros(5)) is None
+    nan = C.values.copy()
+    nan[:] = np.nan  # constant, but nan never compares equal
+    assert developed_column(nan) is None
+    nan = C.values.copy()
+    nan[1, 2] = np.nan
+    assert developed_column(nan) is None
+    # the (a, b, i, j) block view of a Seidel matrix: four q x q slices, each group-developed
+    S = build_seidel(make_field(3, 2))
+    view = S.blocks.transpose(2, 3, 0, 1)
+    column = developed_column(view)
+    assert column is not None and column.shape == (2, 2, 9)
+    assert np.array_equal(column.transpose(2, 0, 1), S.blocks[:, 0])
+    broken = view.copy()
+    broken[1, 0, 3, 4] += 1.0  # one entry of one slice
+    assert developed_column(broken) is None

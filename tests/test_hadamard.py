@@ -19,7 +19,8 @@ from isoclinic import (
     make_field,
     scale_row_col,
 )
-from isoclinic import conference, hadamard
+from isoclinic import hadamard
+from isoclinic.gf import developed_column
 
 
 def test_double_q5_structure():
@@ -89,7 +90,7 @@ def test_doubling_form_residual_matches_dense(p, alpha):
     C = hadamard._doubled(H.values, H.n2)
     assert C is not None
     assert np.array_equal(C, H.values[q:, :q] + np.eye(q))
-    assert conference._developed(C, q)  # so the residual reads row 0 of C C* only
+    assert developed_column(C) is not None  # so the residual reads row 0 of C C* only
     fast, dense = hadamard_residual(H), hadamard._dense_residual(H)
     assert fast <= 1e-11
     assert abs(fast - dense) <= 1e-12
@@ -194,7 +195,7 @@ def test_row_residual_rejects_the_doubling_of_a_scaled_difference_class(p, alpha
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
     H = HadamardMatrix(n2=2 * f.q, values=reference_block_double(scale_difference_class(f, C.values)))
-    assert conference._developed(hadamard._doubled(H.values, H.n2), f.q)
+    assert developed_column(hadamard._doubled(H.values, H.n2)) is not None
     fast, form, dense = hadamard_residual(H), reference_form_residual(H), hadamard._dense_residual(H)
     assert min(fast, form, dense) > 1e-3
     assert abs(fast - form) <= 1e-12 and abs(fast - dense) <= 1e-12
@@ -206,7 +207,7 @@ def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
     q = f.q
     C = build_conference(f, critical_omega((q + 1) // 2))
     scaled = double(scale_row_col(C, 3, 1j))
-    assert not conference._developed(hadamard._doubled(scaled.values, scaled.n2), q)
+    assert developed_column(hadamard._doubled(scaled.values, scaled.n2)) is None
     assert hadamard_residual(scaled) == reference_form_residual(scaled) <= 1e-11
     # sqrt(q - 1) U for a random unitary U is not symmetric, so its doubling takes H H*
     rng = np.random.default_rng(q)

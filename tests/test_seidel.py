@@ -19,6 +19,7 @@ from isoclinic import (
     NotUnimodular,
     SeidelMatrix,
     build_conference,
+    build_gram,
     build_seidel,
     critical_angle,
     critical_omega,
@@ -29,6 +30,7 @@ from isoclinic import (
     permute_blocks,
     plane_rotation,
     plane_symmetry,
+    planes_from_seidel,
     rotation_sum,
     scale_row_col,
     seidel_square_residual,
@@ -401,14 +403,28 @@ def test_spectrum_falls_back_when_not_group_developed(p, alpha):
         spectrum(rotated)
 
 
-def test_transform_guard_rejects_a_group_developed_non_involution():
+def test_involution_guard_rejects_a_group_developed_non_involution():
     # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
     S = build_seidel(make_field(3, 2))
     scaled = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=1.01 * S.dense)
-    with pytest.raises(NotInvolutory, match="transform block"):
-        seidel._character_transform(scaled)
-    with pytest.raises(NotInvolutory):
-        spectrum(scaled)
+    for check in (spectrum, planes_from_seidel, build_gram):
+        with pytest.raises(NotInvolutory, match="S\\^2"):
+            check(scaled)
+    # the transform only computes the blocks; the verdict is the guard's
+    transform = seidel._character_transform(scaled)
+    assert transform is not None
+    assert np.abs(np.abs(transform.vals) - 1.01 * math.sqrt(2 * S.k - 2)).max() <= 1e-12
+
+
+def test_spectrum_and_planes_accept_a_valid_matrix_at_q_1889():
+    # the transform blocks of this S read |lambda^2 - mu^2| above 1e-10, the roundoff of their
+    # q-term sums, while its S^2 residual is about 5e-13: only the S^2 residual is gated
+    S = build_seidel(make_field(1889))
+    mu = math.sqrt(2 * S.k - 2)
+    assert seidel_square_residual(S) <= 1e-11
+    assert spectrum(S) == [(mu, S.q), (-mu, S.q)] == seidel._trace_spectrum(S)
+    pt = planes_from_seidel(S)
+    assert (pt.r, pt.n) == (S.q, S.q)
 
 
 def test_transform_needs_a_prime_power_order_and_a_matching_shape():
@@ -445,7 +461,7 @@ def swap_one_and_two(q):
 def test_block_row_square_residual_matches_full_product(p, alpha):
     f = make_field(p, alpha)
     S = build_seidel(f)
-    entries = seidel._block_column(S)
+    entries = S.block_column
     assert entries is not None and entries.shape == (2, 2, S.q)
     assert np.array_equal(entries.transpose(2, 0, 1), S.blocks[:, 0])
     fast, dense = seidel_square_residual(S), reference_square_residual(S)
@@ -457,7 +473,7 @@ def test_block_row_square_residual_matches_full_product(p, alpha):
 def test_block_row_square_residual_rejects_a_turned_difference_class(p, alpha):
     f = make_field(p, alpha)
     bad = turn_difference_class(f, build_seidel(f))
-    assert seidel._block_column(bad) is not None
+    assert bad.block_column is not None
     fast, dense = seidel_square_residual(bad), reference_square_residual(bad)
     assert fast > 1e-3 and dense > 1e-3
     assert abs(fast - dense) <= 1e-12
@@ -470,11 +486,11 @@ def test_square_residual_is_the_full_product_off_the_developed_form(p, alpha):
     f = make_field(p, alpha)
     S = build_seidel(f)
     for T in (normalize(S), permute_blocks(S, swap_one_and_two(S.q)), rotate_block(S)):
-        assert seidel._block_column(T) is None
+        assert T.block_column is None
         assert seidel_square_residual(T) == reference_square_residual(T)
     # an affine relabelling x -> g x + 1 keeps the form
     sigma = [f.index(f.add(f.mul(a, f.first_nonsquare()), f.one)) for a in f.elements]
-    assert seidel._block_column(permute_blocks(S, sigma)) is not None
+    assert permute_blocks(S, sigma).block_column is not None
 
 
 def test_spectrum_rejects_a_nan_entry():
@@ -483,7 +499,7 @@ def test_spectrum_rejects_a_nan_entry():
     dense = S.dense.copy()
     dense[0, 2] = dense[2, 0] = math.nan
     S = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
-    assert seidel._block_column(S) is None
+    assert S.block_column is None
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotInvolutory, match="S\\^2"):
             spectrum(S)
@@ -500,17 +516,17 @@ def test_trace_guard_rejects_a_nan_or_fractional_trace(monkeypatch):
             seidel._trace_spectrum(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
 
 
-def test_transform_guard_rejects_a_nan_eigenvalue():
-    # infinite blocks on one difference class keep the form; eigh returns nan eigenvalues for them
+def test_involution_guard_rejects_infinite_blocks():
+    # infinite blocks on one difference class keep the form, and make the S^2 residual nan
     f = make_field(5)
     S = build_seidel(f)
     sub = f.digit_differences()
     dense = S.dense.copy()
     seidel._blocks(dense)[(sub == 1) | (sub == sub[0, 1])] *= math.inf
     inf = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
-    assert seidel._block_column(inf) is not None
+    assert inf.block_column is not None
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NotInvolutory, match="transform block"):
+        with pytest.raises(NotInvolutory, match="S\\^2"):
             spectrum(inf)
 
 
