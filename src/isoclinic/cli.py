@@ -130,13 +130,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     checks = [("order", same, f"{record.order} {'=' if same else '!='} {formula} = {expected}")]
     if kind == "conference":
         omega = _metadata_omega(record.metadata)
-        C = ConferenceMatrix(
-            q=record.order,
-            k=record.k,
-            omega=omega,
-            exponents=record.exponents,
-            values=record.entries.astype(np.complex128),
-        )
+        C = ConferenceMatrix(k=record.k, exponents=record.exponents, values=record.entries.astype(np.complex128))
         resid = conference_residual(C)
         checks.append(("conference-residual", resid <= tol, f"{resid:.3e}"))
         values = C.values
@@ -161,12 +155,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     if kind == "seidel":
         if record.order % 2 != 0:
             raise RecordParseError("seidel record order must be even")
-        S = SeidelMatrix(
-            q=record.order // 2,
-            k=record.k,
-            theta=record.theta,
-            dense=record.entries.astype(np.float64),
-        )
+        S = SeidelMatrix(k=record.k, dense=record.entries.astype(np.float64))
         resid = seidel_square_residual(S)
         checks.append(("seidel-square", resid <= tol, f"{resid:.3e}"))
         sym = float(np.abs(S.dense - S.dense.T).max())
@@ -198,13 +187,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(("isoclinic-blocks", iso <= tol, f"{iso:.3e} at lambda = {lam}"))
         return checks
     if kind == "planes":
-        basis = record.entries.astype(np.float64)
-        pt = PlaneTuple(
-            r=record.order,
-            n=basis.shape[1] // 2,
-            lam=_metadata_lambda(record.metadata),
-            basis=basis,
-        )
+        pt = PlaneTuple(lam=_metadata_lambda(record.metadata), basis=record.entries.astype(np.float64))
         orth = orthonormality_residual(pt)
         checks.append(("orthonormal-pairs", orth <= tol, f"{orth:.3e}"))
         iso = isoclinic_residual(pt)
@@ -220,7 +203,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
             checks.append(("count-bound-tight", bc.tight, f"v = {pt.n}, bound {bc.bound}"))
         return checks
     # hadamard
-    H = HadamardMatrix(n2=record.order, values=record.entries.astype(np.complex128))
+    H = HadamardMatrix(values=record.entries.astype(np.complex128))
     resid = hadamard_residual(H)
     checks.append(("hadamard-residual", resid <= tol, f"{resid:.3e}"))
     # the record claims to be the doubling of a conference matrix C, which is symmetric with zero diagonal;

@@ -100,17 +100,30 @@ class ConferenceMatrix:
     diagonal, meaning the value omega**e.  Row/column scaling destroys the
     layer, in which case `exponents` is None and only numeric checks apply.
 
+    The order q is read from the shape of `values`, which must be square,
+    with `exponents` of the same shape (else InvalidOrder).  k is an input:
+    a record's header states it, and its checks hold the array against it.
+
     The residual of C C* - (q-1) I is computed on first use and kept on the
     object.  Do not change `values` in place after a check has read it:
     build a new matrix instead (dataclasses.replace gives one with nothing
     cached).
     """
 
-    q: int
     k: int
-    omega: complex
     exponents: np.ndarray | None
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise InvalidOrder(f"conference values must be square, got shape {shape}")
+        if self.exponents is not None and self.exponents.shape != shape:
+            raise InvalidOrder(f"exponents have shape {self.exponents.shape}, values {shape}")
+
+    @property
+    def q(self) -> int:
+        return self.values.shape[0]
 
     @property
     def has_symbolic(self) -> bool:
@@ -118,8 +131,8 @@ class ConferenceMatrix:
 
     @cached_property
     def gram_deviation(self) -> np.ndarray:
-        """_gram_deviation(values, q): C C* - (q-1) I, or its row 0 conjugated; computed once."""
-        return _gram_deviation(self.values, self.q)
+        """_gram_deviation(values): C C* - (q-1) I, or its row 0 conjugated; computed once."""
+        return _gram_deviation(self.values)
 
     @cached_property
     def gram_residual(self) -> float:
@@ -153,7 +166,7 @@ def build_conference(field: GaloisField, omega: complex) -> ConferenceMatrix:
     k = (q + 1) // 2
     exponents = field.chi_differences().copy()  # the field's array is shared and read-only
     values = _values_from_exponents(exponents, omega)
-    return ConferenceMatrix(q=q, k=k, omega=omega, exponents=exponents, values=values)
+    return ConferenceMatrix(k=k, exponents=exponents, values=values)
 
 
 def _values_from_exponents(exponents: np.ndarray, omega: complex) -> np.ndarray:
@@ -199,7 +212,7 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     """
     k = C.k
     want = (k - 2, (k - 1) // 2, (k - 1) // 2)
-    row = _row_counts(C.exponents, C.q)
+    row = _row_counts(C.exponents)
     if row is not None:
         return all((counts[1:] == w).all() for counts, w in zip(row, want))
     counts = gram_counts(C)
@@ -207,9 +220,9 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     return all((counts[off] == w).all() for counts, w in zip((counts.r, counts.s, counts.t), want))
 
 
-def _row_counts(E: np.ndarray | None, q: int) -> tuple[np.ndarray, ...] | None:
-    """Row 0 of (r, s, t) when E is q x q and group-developed over GF(q), else None."""
-    if E is None or E.shape != (q, q) or developed_column(E) is None:
+def _row_counts(E: np.ndarray | None) -> tuple[np.ndarray, ...] | None:
+    """Row 0 of (r, s, t) when E is group-developed over GF(q), q its order, else None."""
+    if E is None or developed_column(E) is None:
         return None
     pos = (E == 1).astype(np.float64)
     neg = (E == -1).astype(np.float64)
@@ -233,13 +246,14 @@ def conference_residual(C: ConferenceMatrix) -> float:
     return C.gram_residual
 
 
-def _gram_deviation(V: np.ndarray, q: int) -> np.ndarray:
-    """C C* - (q-1) I for C = V, or only its conjugated row 0 when V is group-developed over GF(q).
+def _gram_deviation(V: np.ndarray) -> np.ndarray:
+    """C C* - (q-1) I for the q x q C = V, or only its conjugated row 0 when V is group-developed over GF(q).
 
     The conjugate changes no |entry|, no real part and only the sign of
     each imaginary part; it spares the q x q conjugate of V.
     """
-    if V.shape == (q, q) and developed_column(V) is not None:
+    q = V.shape[0]
+    if developed_column(V) is not None:
         dev = V @ V[0].conj()  # conj of (C C*)[0, j] = sum_g C[0, g] conj(C[j, g])
         dev[0] -= q - 1
         return dev
@@ -259,7 +273,7 @@ def scale_row_col(C: ConferenceMatrix, index: int, u: complex) -> ConferenceMatr
     values[index, :] *= u
     values[:, index] *= u
     values[index, index] = 0.0
-    return ConferenceMatrix(q=C.q, k=C.k, omega=C.omega, exponents=None, values=values)
+    return ConferenceMatrix(k=C.k, exponents=None, values=values)
 
 
 def _check_permutation(sigma: Sequence[int], n: int) -> np.ndarray:
@@ -276,7 +290,7 @@ def permute(C: ConferenceMatrix, sigma: Sequence[int]) -> ConferenceMatrix:
     idx = _check_permutation(sigma, C.q)
     values = C.values[np.ix_(idx, idx)]
     exponents = None if C.exponents is None else C.exponents[np.ix_(idx, idx)]
-    return ConferenceMatrix(q=C.q, k=C.k, omega=C.omega, exponents=exponents, values=values)
+    return ConferenceMatrix(k=C.k, exponents=exponents, values=values)
 
 
 @dataclass(frozen=True)

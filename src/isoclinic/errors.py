@@ -18,7 +18,7 @@ class DivisionByZero(IsoclinicError, ZeroDivisionError):
 
 
 class InvalidOrder(IsoclinicError):
-    """Construction parameter k lies outside its valid range."""
+    """Construction parameter k lies outside its valid range, or an array's shape implies no valid order."""
 
 
 class NotSymmetrizable(IsoclinicError):

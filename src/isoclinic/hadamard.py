@@ -27,12 +27,15 @@ from functools import cached_property
 import numpy as np
 
 from .conference import ConferenceMatrix, _gram_deviation
-from .errors import NotConference
+from .errors import InvalidOrder, NotConference
 
 
 @dataclass(frozen=True, eq=False)
 class HadamardMatrix:
     """Unimodular matrix of order n2 with H H* = n2 I.
+
+    The order n2 is read from the shape of `values`, which must be square
+    (else InvalidOrder); it may be odd, and then H is no doubling.
 
     The doubling-form check (_doubled) is computed on first use and kept on
     the object.  Do not change `values` in place after a check has read
@@ -40,14 +43,22 @@ class HadamardMatrix:
     nothing cached).
     """
 
-    n2: int
     values: np.ndarray
     source: ConferenceMatrix | None = None  # the C that double() built H from, a hint checked with ==
 
+    def __post_init__(self) -> None:
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise InvalidOrder(f"a Hadamard matrix must be square, got shape {shape}")
+
+    @property
+    def n2(self) -> int:
+        return self.values.shape[0]
+
     @cached_property
     def doubling_of(self) -> np.ndarray | None:
-        """_doubled(values, n2, source.values): the C that H is the doubling of, or None; computed once."""
-        return _doubled(self.values, self.n2, None if self.source is None else self.source.values)
+        """_doubled(values, source.values): the C that H is the doubling of, or None; computed once."""
+        return _doubled(self.values, None if self.source is None else self.source.values)
 
 
 def double(C: ConferenceMatrix) -> HadamardMatrix:
@@ -72,7 +83,7 @@ def double(C: ConferenceMatrix) -> HadamardMatrix:
     diag[0, 0] += 1.0
     diag[0, 1] -= 1.0
     diag[1] -= 1.0
-    return HadamardMatrix(n2=2 * q, values=H, source=C)
+    return HadamardMatrix(values=H, source=C)
 
 
 def hadamard_residual(H: HadamardMatrix) -> float:
@@ -96,7 +107,7 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere
     unimod = float(np.abs(np.abs(V[:q, :q]) - 1.0).max())
     # M - (q-1) I, or its row 0 conjugated, which changes no |Re| or |Im|
-    dev = H.source.gram_deviation if H.source is not None and C is H.source.values else _gram_deviation(C, q)
+    dev = H.source.gram_deviation if H.source is not None and C is H.source.values else _gram_deviation(C)
     real = 2.0 * float(np.abs(dev.real).max())
     imag = 2.0 * float(np.abs(dev.imag).max())
     return max(unimod, real, imag)
@@ -111,7 +122,7 @@ def _dense_residual(H: HadamardMatrix) -> float:
     return max(unimod, gram)
 
 
-def _doubled(V: np.ndarray, n2: int, source: np.ndarray | None = None) -> np.ndarray | None:
+def _doubled(V: np.ndarray, source: np.ndarray | None = None) -> np.ndarray | None:
     """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None.
 
     Compared block against block with ==, with no identity and no complex
@@ -122,8 +133,8 @@ def _doubled(V: np.ndarray, n2: int, source: np.ndarray | None = None) -> np.nda
     diagonal.  The result is a copy of V10 with a zero diagonal, or `source`
     itself when that is equal to it (==, so a signed zero may differ).
     """
-    q, odd = divmod(n2, 2)
-    if odd or V.shape != (n2, n2):
+    q, odd = divmod(V.shape[0], 2)
+    if odd:
         return None
     V00, V01, V10, V11 = V[:q, :q], V[:q, q:], V[q:, :q], V[q:, q:]
     form = (

@@ -20,8 +20,8 @@ extract_bases(build_gram(S)).  Either route first asks S^2 = (2k-2) I of
 S through the one guard of the seidel module (_require_involutory, S^2
 residual at most 1e-10), and reads the form check, the transform and the
 S^2 residual that S keeps once computed (see seidel.SeidelMatrix), so
-extracting the planes of an S whose spectrum was taken repeats none of
-them.
+extracting the planes of an S whose S^2 residual or spectrum was taken
+repeats none of that work.
 
 Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
 basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankMismatch
+from .errors import InvalidOrder, RankMismatch
 from .seidel import SeidelMatrix, _blocks, _require_involutory
 
 
@@ -58,14 +58,27 @@ class PlaneTuple:
     """n planes in R^r at common isoclinism parameter lambda.
 
     basis has shape (r, 2n); columns 2i, 2i+1 are an orthonormal basis of
-    plane i.  lambda is kept as an exact rational so tightness of the count
-    bound can be decided without floating point.
+    plane i.  r and n are read from that shape, which must be 2-D with an
+    even number of columns (else InvalidOrder).  lambda is kept as an exact
+    rational so tightness of the count bound can be decided without
+    floating point.
     """
 
-    r: int
-    n: int
     lam: Fraction
     basis: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.basis.shape
+        if len(shape) != 2 or shape[1] % 2:
+            raise InvalidOrder(f"a plane basis must be 2-D with an even number of columns, got shape {shape}")
+
+    @property
+    def r(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.basis.shape[1] // 2
 
     def plane(self, i: int) -> np.ndarray:
         return self.basis[:, 2 * i : 2 * i + 2]
@@ -100,7 +113,7 @@ def extract_bases(gram: np.ndarray, r: int, lam: Fraction) -> PlaneTuple:
     # the number of leading entries of magnitude <= 1e-12 is the index of the first larger one
     first = np.logical_and.accumulate(np.abs(basis) <= 1e-12, axis=1).sum(axis=1)
     basis *= np.copysign(np.sqrt(vals[keep]), basis[np.arange(r), first])[:, None]
-    return PlaneTuple(r=r, n=m // 2, lam=Fraction(lam), basis=basis)
+    return PlaneTuple(lam=Fraction(lam), basis=basis)
 
 
 def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
@@ -137,7 +150,7 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     np.multiply(transform.sin[1:], 2.0 / math.sqrt(q), out=phase[2::2])
     rows = np.concatenate([v[:1], np.repeat(v[1:], 2, axis=0)])  # v_0, then v_b for its cos and its sin row
     basis = (phase[:, :, None] * rows[:, None, :]).reshape(q, 2 * q)
-    return PlaneTuple(r=q, n=q, lam=lam, basis=basis)
+    return PlaneTuple(lam=lam, basis=basis)
 
 
 def orthonormality_residual(pt: PlaneTuple) -> float:

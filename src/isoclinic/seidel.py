@@ -38,17 +38,18 @@ with cos(theta) = 1/mu and mu = sqrt(2k - 2):
 
 since sum_{x != 0} psi_b(x) = -1 and gamma(b) = sum_x chi(x) psi_b(x) is a
 quadratic Gauss sum, gamma(b) = +-sqrt(q).  Both eigenvalues of each
-g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.  `spectrum` and
-`planes.planes_from_seidel` read g from block column 0 (g(a_i) = S[i, 0])
-and check the form exactly (SeidelMatrix.block_column: gf.developed_column
+g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.
+`planes.planes_from_seidel` reads g from block column 0 (g(a_i) = S[i, 0])
+and checks the form exactly (SeidelMatrix.block_column: gf.developed_column
 on the (a, b, i, j) block view; then g(-x) = g(x) and g(x) symmetric);
-they then take g^(b) from a cos phase table, one batched 2 x 2 eigh, and
+it then takes g^(b) from a cos phase table, one batched 2 x 2 eigh, and
 nothing of order 2q.  `seidel_square_residual` needs only the first check:
 S^2 is block group-developed too, so its block row 0 (a 2 x 2q product)
 holds every distinct entry.  An S that fails the check, such as
 normalize(S), permute_blocks by a non-affine sigma or a record with one
-changed block, takes the dense path: the full S^2 and the projector traces
-here, build_gram and extract_bases in planes.
+changed block, takes the dense path: the full S^2 here, build_gram and
+extract_bases in planes.  `spectrum` has one path on every S: the
+projector traces, O(q).
 
 One involution guard.  spectrum, planes_from_seidel and build_gram need
 S^2 = (2k-2) I only, and each asks it of S in one place,
@@ -57,18 +58,18 @@ at most 1e-10, on every path.  That suffices for the spectral claim.  S is
 symmetric of order 2q, so ||S^2 - mu^2 I||_2 <= 2q 1e-10, and every
 eigenvalue lambda of S has |lambda^2 - mu^2| <= 2q 1e-10, far below
 mu^2 = q - 1.  So lambda lies near +mu or near -mu, and the multiplicities
-read from the signs of the eigenvalues (of the g^(b), or through the
-projector traces) are exact.  The roundoff of the computed g^(b), q-term
-sums, moves their eigenvalues by 0.01 to 0.15 q^2 eps in lambda^2
-(measured for q = 121 to 2209), which changes no sign either; it is not
-gated, as it measures the sums and not S.  The S^2 residual itself has
+read from the signs of the eigenvalues (through the projector traces, or
+of the g^(b) in planes_from_seidel) are exact.  The roundoff of the
+computed g^(b), q-term sums, moves their eigenvalues by 0.01 to
+0.15 q^2 eps in lambda^2 (measured for q = 121 to 2209), which changes no
+sign either; it is not gated, as it measures the sums and not S.  The S^2 residual itself has
 stayed at or below 1.8e-12 for every order measured up to q = 3125.
 
 Each of these values is computed at most once per SeidelMatrix and kept
 on it (the cached properties block_column, transform and square_residual),
 so seidel_square_residual, spectrum, build_gram and planes_from_seidel on
-one S check its form once, run one batched eigh and form S^2 at most
-once; none of the three raises, so the guard, which reads the kept
+one S check its form once, run at most one batched eigh and form S^2 at
+most once; none of the three raises, so the guard, which reads the kept
 residual, decides each use alone.
 """
 
@@ -82,7 +83,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .conference import ConferenceMatrix, _check_permutation, _require_symmetrizable, critical_angle
-from .errors import InvalidShift, NotInvolutory, NotUnimodular
+from .errors import InvalidOrder, InvalidShift, NotInvolutory, NotUnimodular
 from .gf import Element, GaloisField, developed_column, field_of_order
 
 
@@ -107,6 +108,10 @@ class SeidelMatrix:
     blocks, which are rotations, so downstream code only assumes the blocks
     are orthogonal.
 
+    The order q is read from the shape of `dense`, which must be square of
+    even order (else InvalidOrder).  k is an input: a record's header
+    states it, and its checks hold the array against it.
+
     The form check, the character transform and the S^2 residual are
     computed on first use and kept on the object, so every check of one S
     reads the same verdict.  Do not change `dense` in place after a check
@@ -116,10 +121,17 @@ class SeidelMatrix:
     _require_involutory, once per use.
     """
 
-    q: int
     k: int
-    theta: float
     dense: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.dense.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2:
+            raise InvalidOrder(f"a Seidel matrix must be square of even order, got shape {shape}")
+
+    @property
+    def q(self) -> int:
+        return self.dense.shape[0] // 2
 
     @property
     def blocks(self) -> np.ndarray:
@@ -137,8 +149,6 @@ class SeidelMatrix:
         on the (a, b, i, j) block view, which returns its column j = 0:
         g(a_x) = S[x, 0].
         """
-        if self.dense.shape != (2 * self.q, 2 * self.q):
-            return None
         return developed_column(self.blocks.transpose(2, 3, 0, 1))
 
     @cached_property
@@ -162,7 +172,7 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
     ang = theta * np.array([-1.0, 0.0, 1.0])
     at = np.add(field.chi_differences(), 1, dtype=np.intp)  # an intp index gathers faster than int8
     dense = _reflection_blocks(np.cos(ang)[at], np.sin(ang)[at])
-    return SeidelMatrix(q=q, k=k, theta=theta, dense=dense)
+    return SeidelMatrix(k=k, dense=dense)
 
 
 def _blocks(dense: np.ndarray) -> np.ndarray:
@@ -279,25 +289,12 @@ def _character_transform(S: SeidelMatrix) -> _Transform | None:
 def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
     """Eigenvalues +-sqrt(2k-2) with their multiplicities.
 
-    S must pass _require_involutory, whichever path is taken.  For a
-    group-developed S the multiplicities are counted over the signs of the
-    eigenvalues of the blocks g^(b) (see _character_transform), each b != 0
-    standing for itself and -b.  Otherwise S^2 = (2k-2) I forces the
-    two-point spectrum and the multiplicities are the traces
-    n/2 +- tr(S)/(2 mu) of P = (I +- S/mu)/2, integers up to roundoff.
+    S must pass _require_involutory.  Then S^2 = (2k-2) I forces the
+    two-point spectrum, and the multiplicities are the traces
+    q +- tr(S)/(2 mu) of P = (I +- S/mu)/2, integers up to roundoff: the
+    trace is the sum of the eigenvalues, O(q) to read on any S.
     """
     _require_involutory(S)
-    transform = S.transform
-    if transform is None:
-        return _trace_spectrum(S)
-    mu = math.sqrt(2 * S.k - 2)
-    positive = (transform.vals > 0).sum(axis=1)
-    plus = int(positive[0] + 2 * positive[1:].sum())
-    return [(mu, plus), (-mu, 2 * S.q - plus)]
-
-
-def _trace_spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:
-    """The dense path of spectrum: the projector traces of an S that passed _require_involutory."""
     mu = math.sqrt(2 * S.k - 2)
     shift = float(np.trace(S.dense)) / (2.0 * mu)
     out: list[tuple[float, int]] = []
@@ -321,7 +318,7 @@ def normalize(S: SeidelMatrix) -> SeidelMatrix:
     dense = np.empty((2 * S.q, 2 * S.q))
     # block indices last, so that einsum's inner loop runs along a block row rather than inside a 2 x 2 block
     np.einsum("iab,bcij,jdc->adij", R, S.blocks.transpose(2, 3, 0, 1), R, out=_blocks(dense).transpose(2, 3, 0, 1))
-    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    return SeidelMatrix(k=S.k, dense=dense)
 
 
 def transport_scaling(S: SeidelMatrix, index: int, eta: float) -> SeidelMatrix:
@@ -340,7 +337,7 @@ def transport_scaling(S: SeidelMatrix, index: int, eta: float) -> SeidelMatrix:
     at = slice(index, index + 1)  # a slice: a float index raises TypeError, and True selects block 1 only
     blocks[at] = r @ blocks[at]
     blocks[:, at] = blocks[:, at] @ r.T
-    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    return SeidelMatrix(k=S.k, dense=dense)
 
 
 def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
@@ -349,14 +346,13 @@ def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
     For the canonical C(omega0) this coincides with build_seidel up to
     floating-point roundoff in the angle extraction.
     """
-    q = C.q
-    off = ~np.eye(q, dtype=bool)
+    off = ~np.eye(C.q, dtype=bool)
     dev = float(np.abs(np.abs(C.values[off]) - 1.0).max())
     if not dev <= 1e-8:  # also rejects nan
         raise NotUnimodular(f"off-diagonal entries deviate from |c| = 1 by {dev!r}")
     ang = np.angle(C.values)
     dense = _reflection_blocks(np.cos(ang), np.sin(ang))
-    return SeidelMatrix(q=q, k=C.k, theta=critical_angle(C.k), dense=dense)
+    return SeidelMatrix(k=C.k, dense=dense)
 
 
 def permute_blocks(S: SeidelMatrix, sigma: Sequence[int]) -> SeidelMatrix:
@@ -365,4 +361,4 @@ def permute_blocks(S: SeidelMatrix, sigma: Sequence[int]) -> SeidelMatrix:
     # the indices broadcast to shape (q, 2, q, 2), so the result is already laid out as dense
     i, a, j, b = np.ix_(idx, np.arange(2), idx, np.arange(2))
     dense = S.blocks[i, j, a, b].reshape(2 * S.q, 2 * S.q)
-    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    return SeidelMatrix(k=S.k, dense=dense)

@@ -189,7 +189,7 @@ def test_a_corrupted_copy_of_a_checked_hadamard_matrix_fails(p, alpha):
 
 
 def sourceless(H):
-    return hadamard.HadamardMatrix(n2=H.n2, values=H.values)
+    return hadamard.HadamardMatrix(values=H.values)
 
 
 @pytest.mark.parametrize("p,alpha", FIELDS)
@@ -219,7 +219,7 @@ def test_a_stale_source_with_a_valid_form_is_not_read(monkeypatch, p, alpha):
 def test_the_involution_guard_raises_on_every_use(monkeypatch):
     # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
     _, _, S = canonical(3, 2)
-    scaled = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=1.01 * S.dense)
+    scaled = SeidelMatrix(k=S.k, dense=1.01 * S.dense)
     transforms = count_calls(monkeypatch, seidel, "_character_transform")
     squares = count_calls(monkeypatch, seidel, "_square_residual")
     for _ in range(2):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from isoclinic import (
+    ConferenceMatrix,
     GaloisField,
     InvalidOrder,
     InvalidPermutation,
@@ -243,7 +244,7 @@ def test_counts_detect_flipped_exponent():
     values = C.values.copy()
     values[0, 1] = 1.0 / values[0, 1]
     values[1, 0] = 1.0 / values[1, 0]
-    tampered = ConferenceMatrix(q=5, k=3, omega=C.omega, exponents=e, values=values)
+    tampered = ConferenceMatrix(k=3, exponents=e, values=values)
     assert not verify_counts(tampered)
     assert brute_counts(e, 0, 2) != (1, 1, 1)
 
@@ -402,7 +403,7 @@ def test_order9_display_matches_up_to_permutation():
     sigma = _find_block_permutation(C.exponents, target)
     assert sigma is not None
     assert np.array_equal(C.exponents[np.ix_(sigma, sigma)], target)
-    w = C.omega
+    w = critical_omega(5)
     expected_values = np.where(target == 1, w, np.where(target == -1, 1 / w, 0))
     assert np.abs(permute(C, sigma).values - expected_values).max() <= 1e-12
 
@@ -535,7 +536,7 @@ def _verdict_from_gram_counts(C):
 def test_row_counts_verdict_matches_gram_counts(p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
-    row = conference._row_counts(C.exponents, C.q)
+    row = conference._row_counts(C.exponents)
     assert row is not None  # the canonical E is group-developed
     counts = gram_counts(C)
     for got, full in zip(row, (counts.r, counts.s, counts.t)):
@@ -543,7 +544,7 @@ def test_row_counts_verdict_matches_gram_counts(p, alpha):
     assert verify_counts(C) is True and _verdict_from_gram_counts(C)
     # -E, the exponents of C(1/omega0), is group-developed too
     negated = replace(C, exponents=-C.exponents)
-    assert conference._row_counts(negated.exponents, C.q) is not None
+    assert conference._row_counts(negated.exponents) is not None
     assert verify_counts(negated) is _verdict_from_gram_counts(negated) is True
 
 
@@ -554,17 +555,16 @@ def test_counts_fall_back_when_not_group_developed(p, alpha):
     flipped = replace(C, exponents=_flip_pair(C.exponents))
     permuted = permute(C, np.random.default_rng(f.q).permutation(f.q))
     for tampered, verdict in ((flipped, False), (permuted, True)):
-        assert conference._row_counts(tampered.exponents, tampered.q) is None
+        assert conference._row_counts(tampered.exponents) is None
         assert verify_counts(tampered) is verdict
         assert _verdict_from_gram_counts(tampered) is verdict
 
 
 def test_row_counts_need_a_prime_power_order_and_a_matching_shape():
     C = build_conference(make_field(5), critical_omega(3))
-    assert conference._row_counts(None, 5) is None
-    assert conference._row_counts(C.exponents, 6) is None
-    assert conference._row_counts(np.zeros((6, 6), dtype=np.int8), 6) is None  # 6 is no prime power
-    assert conference._row_counts(np.zeros((4, 4), dtype=np.int8), 4) is None  # 4 is even
+    assert conference._row_counts(None) is None
+    assert conference._row_counts(np.zeros((6, 6), dtype=np.int8)) is None  # 6 is no prime power
+    assert conference._row_counts(np.zeros((4, 4), dtype=np.int8)) is None  # 4 is even
 
 
 def reference_mask_values(exponents, omega):
@@ -605,7 +605,7 @@ def forged_conference(q, k, seed=0):
     """sqrt(q - 1) U for a random unitary U: C C* = (q - 1) I, but no structure at all."""
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
-    return conference.ConferenceMatrix(q=q, k=k, omega=1.0, exponents=None, values=math.sqrt(q - 1) * U)
+    return conference.ConferenceMatrix(k=k, exponents=None, values=math.sqrt(q - 1) * U)
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
@@ -654,3 +654,23 @@ def test_unit_gate_rejects_nan():
             build_conference(f, u)
         with pytest.raises(NotUnimodular):
             scale_row_col(build_conference(f, critical_omega(3)), 0, u)
+
+
+def test_a_conference_matrix_reads_its_order_from_its_array():
+    # the order q = 6 comes with the 6 x 6 array, so the residual reads 6 x 6 products
+    C = build_conference(make_field(5), critical_omega(3))
+    other = replace(C, exponents=None, values=np.zeros((6, 6), dtype=complex))
+    assert other.q == 6 and conference_residual(other) == 5.0
+    with pytest.raises(TypeError):
+        ConferenceMatrix(q=6, k=3, exponents=None, values=C.values)  # an order that could disagree is no field
+
+
+def test_a_conference_matrix_must_be_square_with_exponents_of_its_shape():
+    C = build_conference(make_field(5), critical_omega(3))
+    for values in (C.values[:, :4], C.values[0], C.values[None]):
+        with pytest.raises(InvalidOrder):
+            ConferenceMatrix(k=3, exponents=None, values=values)
+    with pytest.raises(InvalidOrder):
+        ConferenceMatrix(k=3, exponents=C.exponents[:4, :4], values=C.values)
+    with pytest.raises(InvalidOrder):
+        replace(C, values=C.values[:4, :4])  # the exponents keep their 5 x 5 shape

@@ -11,6 +11,7 @@ import pytest
 from isoclinic import (
     ConferenceMatrix,
     HadamardMatrix,
+    InvalidOrder,
     NotConference,
     build_conference,
     critical_omega,
@@ -66,12 +67,12 @@ def test_entrywise_conjugate_equals_conjugate_transpose():
 
 def test_residual_all_ones_order4():
     # J J* = 4 J; the max-abs deviation from 4 I sits off-diagonal and is 4
-    H = HadamardMatrix(n2=4, values=np.ones((4, 4), dtype=complex))
+    H = HadamardMatrix(values=np.ones((4, 4), dtype=complex))
     assert hadamard_residual(H) == 4.0
 
 
 def test_residual_order2_hadamard_is_zero():
-    H = HadamardMatrix(n2=2, values=np.array([[1, 1], [1, -1]], dtype=complex))
+    H = HadamardMatrix(values=np.array([[1, 1], [1, -1]], dtype=complex))
     assert hadamard_residual(H) == 0.0
 
 
@@ -87,7 +88,7 @@ def _doubling(p, alpha):
 def test_doubling_form_residual_matches_dense(p, alpha):
     H = _doubling(p, alpha)
     q = H.n2 // 2
-    C = hadamard._doubled(H.values, H.n2)
+    C = hadamard._doubled(H.values)
     assert C is not None
     assert np.array_equal(C, H.values[q:, :q] + np.eye(q))
     assert developed_column(C) is not None  # so the residual reads row 0 of C C* only
@@ -102,16 +103,16 @@ def test_hadamard_residual_falls_back_off_the_doubling_form(p, alpha):
     H = _doubling(p, alpha)
     turned = H.values.copy()
     turned[0, 0] *= np.exp(0.01j)  # still unimodular
-    T = HadamardMatrix(n2=H.n2, values=turned)
-    assert hadamard._doubled(T.values, T.n2) is None
+    T = HadamardMatrix(values=turned)
+    assert hadamard._doubled(T.values) is None
     assert hadamard_residual(T) == hadamard._dense_residual(T) > 1e-3
 
 
 def test_fourier_matrix_takes_the_dense_path():
     n = 26
     idx = np.arange(n)
-    F = HadamardMatrix(n2=n, values=np.exp(2j * np.pi * np.outer(idx, idx) / n))
-    assert hadamard._doubled(F.values, F.n2) is None
+    F = HadamardMatrix(values=np.exp(2j * np.pi * np.outer(idx, idx) / n))
+    assert hadamard._doubled(F.values) is None
     assert hadamard_residual(F) == hadamard._dense_residual(F) <= 1e-12
 
 
@@ -121,9 +122,8 @@ def test_doubling_form_needs_a_zero_diagonal_and_a_symmetric_c():
     for i, j, value in ((0, 0, 1.0 + 1e-15), (0, 1, 0.5 + 0.5j)):
         V = H.values.copy()
         V[i, j] = value
-        assert hadamard._doubled(V, H.n2) is None
-    assert hadamard._doubled(H.values, H.n2 + 2) is None
-    assert hadamard._doubled(H.values[:9, :9], 9) is None
+        assert hadamard._doubled(V) is None
+    assert hadamard._doubled(H.values[:9, :9]) is None
 
 
 def reference_block_double(V):
@@ -147,7 +147,7 @@ def test_double_keeps_the_signs_of_zero_of_the_block_sums():
     # both signs, which C + I, C~ - I, C - I and -C~ - I each treat their own way
     for zero in (0.0, -0.0):
         V = np.array([[complex(zero, zero), complex(1.0, -0.0)], [complex(1.0, -0.0), complex(-0.0, zero)]])
-        C = ConferenceMatrix(q=2, k=2, omega=1.0, exponents=None, values=V)
+        C = ConferenceMatrix(k=2, exponents=None, values=V)
         assert double(C).values.tobytes() == reference_block_double(V).tobytes()
 
 
@@ -194,8 +194,8 @@ def scale_difference_class(f, V, factor=1.01):
 def test_row_residual_rejects_the_doubling_of_a_scaled_difference_class(p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
-    H = HadamardMatrix(n2=2 * f.q, values=reference_block_double(scale_difference_class(f, C.values)))
-    assert developed_column(hadamard._doubled(H.values, H.n2)) is not None
+    H = HadamardMatrix(values=reference_block_double(scale_difference_class(f, C.values)))
+    assert developed_column(hadamard._doubled(H.values)) is not None
     fast, form, dense = hadamard_residual(H), reference_form_residual(H), hadamard._dense_residual(H)
     assert min(fast, form, dense) > 1e-3
     assert abs(fast - form) <= 1e-12 and abs(fast - dense) <= 1e-12
@@ -207,13 +207,13 @@ def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
     q = f.q
     C = build_conference(f, critical_omega((q + 1) // 2))
     scaled = double(scale_row_col(C, 3, 1j))
-    assert developed_column(hadamard._doubled(scaled.values, scaled.n2)) is None
+    assert developed_column(hadamard._doubled(scaled.values)) is None
     assert hadamard_residual(scaled) == reference_form_residual(scaled) <= 1e-11
     # sqrt(q - 1) U for a random unitary U is not symmetric, so its doubling takes H H*
     rng = np.random.default_rng(q)
     U, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
-    forged = HadamardMatrix(n2=2 * q, values=reference_block_double(math.sqrt(q - 1) * U))
-    assert hadamard._doubled(forged.values, forged.n2) is None
+    forged = HadamardMatrix(values=reference_block_double(math.sqrt(q - 1) * U))
+    assert hadamard._doubled(forged.values) is None
     assert hadamard_residual(forged) == hadamard._dense_residual(forged)
 
 
@@ -235,7 +235,7 @@ def _fuzz_values(z):
 
 
 def _same_verdict(V, n2):
-    new, old = hadamard._doubled(V, n2), reference_doubled(V, n2)
+    new, old = hadamard._doubled(V), reference_doubled(V, n2)
     assert (new is None) == (old is None)
     if new is not None:
         assert np.array_equal(new, old)
@@ -298,7 +298,7 @@ def test_doubled_matches_the_eye_reference_on_signed_zeros():
             V = reference_block_double(C)
             assert _same_verdict(V, 4)
             np.fill_diagonal(C, 0.0)
-            assert hadamard._doubled(V, 4).tobytes() == C.tobytes()
+            assert hadamard._doubled(V).tobytes() == C.tobytes()
 
 
 def test_double_rejects_a_nan_entry():
@@ -311,16 +311,37 @@ def test_double_rejects_a_nan_entry():
 
 def test_doubled_returns_the_source_only_when_it_equals_the_copy():
     C = build_conference(make_field(5), critical_omega(3)).values
-    H = double(ConferenceMatrix(q=5, k=3, omega=critical_omega(3), exponents=None, values=C))
-    copy = hadamard._doubled(H.values, 10)
-    assert hadamard._doubled(H.values, 10, C) is C
+    H = double(ConferenceMatrix(k=3, exponents=None, values=C))
+    copy = hadamard._doubled(H.values)
+    assert hadamard._doubled(H.values, C) is C
     tiny = C.copy()
     tiny[1, 1] = 1e-17  # -1 + 1e-17 rounds to -1, so V10 cannot show it; the source is not the copy
     other = C.copy()
     other[0, 1] = other[1, 0] = -other[0, 1]
     for source in (tiny, other, C[:4, :4], C.T.copy()[:, ::-1]):
-        got = hadamard._doubled(H.values, 10, source)
+        got = hadamard._doubled(H.values, source)
         assert got is not source and got.tobytes() == copy.tobytes()
     bad = H.values.copy()
     bad[5, 1] *= 1j
-    assert hadamard._doubled(bad, 10, C) is None
+    assert hadamard._doubled(bad, C) is None
+
+
+def test_a_hadamard_matrix_reads_its_order_from_its_array():
+    # n2 = 12 comes with the 12 x 12 array: no doubling form, so the dense product of order 12
+    H = _doubling(5, 1)
+    other = replace(H, values=np.ones((12, 12), dtype=complex))
+    assert other.n2 == 12 and other.doubling_of is None
+    assert hadamard_residual(other) == 12.0  # every entry of J J* is 12
+    odd = HadamardMatrix(values=np.ones((3, 3), dtype=complex))  # an odd order is allowed, and is no doubling
+    assert odd.n2 == 3 and odd.doubling_of is None
+    with pytest.raises(TypeError):
+        HadamardMatrix(n2=12, values=H.values)  # an order that could disagree with the array is no field
+
+
+def test_a_hadamard_matrix_must_be_square():
+    H = _doubling(5, 1)
+    for values in (H.values[:, :9], H.values[0], H.values[None]):
+        with pytest.raises(InvalidOrder):
+            HadamardMatrix(values=values)
+    with pytest.raises(InvalidOrder):
+        replace(H, values=H.values[:, :8])

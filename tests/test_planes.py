@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
+    InvalidOrder,
     NotInvolutory,
     RankMismatch,
     SeidelMatrix,
@@ -23,6 +24,7 @@ from isoclinic import (
     make_field,
     normalize,
     orthonormality_residual,
+    PlaneTuple,
     permute_blocks,
     planes_from_seidel,
 )
@@ -263,7 +265,7 @@ def test_planes_fall_back_when_not_group_developed(p, alpha):
     c, s = math.cos(angle), math.sin(angle)
     dense[0:2, 2:4] = dense[2:4, 0:2] = [[c, s], [s, -c]]
     with pytest.raises(NotInvolutory):
-        planes_from_seidel(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
+        planes_from_seidel(SeidelMatrix(k=S.k, dense=dense))
 
 
 def reference_einsum_orthonormality_residual(pt):
@@ -326,4 +328,24 @@ def test_build_gram_rejects_a_nan_entry():
     dense[0, 2] = dense[2, 0] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotInvolutory):
-            build_gram(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
+            build_gram(SeidelMatrix(k=S.k, dense=dense))
+
+
+def test_a_plane_tuple_reads_r_and_n_from_its_basis():
+    # n = 6 planes in R^5 come with the 5 x 12 basis, so the residuals read 6 planes
+    pt = planes_from_seidel(build_seidel(make_field(5)))
+    other = replace(pt, basis=np.zeros((5, 12)))
+    assert (other.r, other.n) == (5, 6)
+    assert orthonormality_residual(other) == 1.0
+    assert isoclinic_residual(other) == float(pt.lam)
+    with pytest.raises(TypeError):
+        PlaneTuple(r=5, n=6, lam=pt.lam, basis=pt.basis)  # counts that could disagree with the basis are no fields
+
+
+def test_a_plane_basis_must_be_2d_with_an_even_number_of_columns():
+    pt = planes_from_seidel(build_seidel(make_field(5)))
+    for basis in (pt.basis[:, :9], pt.basis[0], pt.basis[None]):
+        with pytest.raises(InvalidOrder):
+            PlaneTuple(lam=pt.lam, basis=basis)
+    with pytest.raises(InvalidOrder):
+        replace(pt, basis=pt.basis[:, :7])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
+    InvalidOrder,
     InvalidShift,
     NotInvolutory,
     NotSymmetrizable,
@@ -66,13 +67,13 @@ def test_opposite_rotations_sum_to_scalar():
 def test_build_seidel_k3_structure():
     S = build_seidel(make_field(5))
     assert S.dense.shape == (10, 10)
-    assert abs(S.theta - math.pi / 3) < 1e-15
+    assert abs(critical_angle(S.k) - math.pi / 3) < 1e-15
     assert np.array_equal(S.dense, S.dense.T)
     assert S.q == 5 and S.k == 3
     for i in range(5):
         assert np.array_equal(S.block(i, i), np.zeros((2, 2)))
     # chi(0 - 1) = chi(4) = +1, so block (0, 1) is the reflection at +theta
-    assert np.abs(S.block(0, 1) - plane_symmetry(S.theta)).max() == 0.0
+    assert np.abs(S.block(0, 1) - plane_symmetry(critical_angle(S.k))).max() == 0.0
     assert np.trace(S.dense) == 0.0
 
 
@@ -122,10 +123,10 @@ def test_square_identity(p, alpha):
 def test_square_detects_perturbation():
     S = build_seidel(make_field(5))
     dense = S.dense.copy()
-    wrong = plane_symmetry(-S.theta)
+    wrong = plane_symmetry(-critical_angle(S.k))
     dense[0:2, 2:4] = wrong
     dense[2:4, 0:2] = wrong
-    bad = SeidelMatrix(q=5, k=3, theta=S.theta, dense=dense)
+    bad = SeidelMatrix(k=3, dense=dense)
     assert seidel_square_residual(bad) >= 0.1
 
 
@@ -180,7 +181,7 @@ def test_spectrum_rejects_non_involutory():
     dense[0, 2] += 0.5
     dense[2, 0] += 0.5
     with pytest.raises(NotInvolutory):
-        spectrum(SeidelMatrix(q=5, k=3, theta=S.theta, dense=dense))
+        spectrum(SeidelMatrix(k=3, dense=dense))
 
 
 def test_normalize_first_block_row_and_column():
@@ -244,7 +245,7 @@ def test_from_conference_rejects_non_unimodular():
     C = build_conference(make_field(5), critical_omega(3))
     values = C.values.copy()
     values[0, 1] *= 2.0
-    bad = ConferenceMatrix(q=5, k=3, omega=C.omega, exponents=None, values=values)
+    bad = ConferenceMatrix(k=3, exponents=None, values=values)
     with pytest.raises(NotUnimodular):
         from_conference(bad)
 
@@ -312,7 +313,7 @@ def bits(a):
 def test_block_fill_matches_copy_reference_bitwise(p, alpha):
     f = make_field(p, alpha)
     S = build_seidel(f)
-    assert np.array_equal(bits(S.dense), bits(reference_reflection_blocks(S.theta * f.chi_differences())))
+    assert np.array_equal(bits(S.dense), bits(reference_reflection_blocks(critical_angle(S.k) * f.chi_differences())))
     C = scale_row_col(build_conference(f, critical_omega(S.k)), 1, cmath.exp(0.9j))
     ang = np.angle(C.values)
     assert np.array_equal(bits(from_conference(C).dense), bits(reference_reflection_blocks(ang)))
@@ -373,7 +374,7 @@ def rotate_block(S, phi=0.01):
     angle = math.atan2(dense[0, 3], dense[0, 2]) + phi
     dense[0:2, 2:4] = plane_symmetry(angle)
     dense[2:4, 0:2] = plane_symmetry(angle).T
-    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    return SeidelMatrix(k=S.k, dense=dense)
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
@@ -387,16 +388,17 @@ def test_spectrum_transform_matches_trace_path(p, alpha):
     assert np.abs(np.abs(transform.vals) - mu).max() <= 1e-12
     # g^(0) = diag(mu, -mu)
     assert np.abs(transform.cos[0] @ S.blocks[:, 0].reshape(S.q, 4) - [mu, 0.0, 0.0, -mu]).max() <= 1e-12
-    assert spectrum(S) == seidel._trace_spectrum(S)
+    assert spectrum(S) == [(mu, S.q), (-mu, S.q)]
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
 def test_spectrum_falls_back_when_not_group_developed(p, alpha):
     S = build_seidel(make_field(p, alpha))
     sigma = np.random.default_rng(S.q).permutation(S.q)
+    mu = math.sqrt(2 * S.k - 2)
     for T in (normalize(S), permute_blocks(S, sigma)):
         assert seidel._character_transform(T) is None
-        assert spectrum(T) == seidel._trace_spectrum(T)
+        assert spectrum(T) == [(mu, S.q), (-mu, S.q)]
     rotated = rotate_block(S)
     assert seidel._character_transform(rotated) is None
     with pytest.raises(NotInvolutory):
@@ -406,7 +408,7 @@ def test_spectrum_falls_back_when_not_group_developed(p, alpha):
 def test_involution_guard_rejects_a_group_developed_non_involution():
     # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
     S = build_seidel(make_field(3, 2))
-    scaled = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=1.01 * S.dense)
+    scaled = SeidelMatrix(k=S.k, dense=1.01 * S.dense)
     for check in (spectrum, planes_from_seidel, build_gram):
         with pytest.raises(NotInvolutory, match="S\\^2"):
             check(scaled)
@@ -422,15 +424,13 @@ def test_spectrum_and_planes_accept_a_valid_matrix_at_q_1889():
     S = build_seidel(make_field(1889))
     mu = math.sqrt(2 * S.k - 2)
     assert seidel_square_residual(S) <= 1e-11
-    assert spectrum(S) == [(mu, S.q), (-mu, S.q)] == seidel._trace_spectrum(S)
+    assert spectrum(S) == [(mu, S.q), (-mu, S.q)]
     pt = planes_from_seidel(S)
     assert (pt.r, pt.n) == (S.q, S.q)
 
 
 def test_transform_needs_a_prime_power_order_and_a_matching_shape():
-    S = build_seidel(make_field(5))
-    assert seidel._character_transform(SeidelMatrix(q=6, k=3, theta=S.theta, dense=np.zeros((12, 12)))) is None
-    assert seidel._character_transform(SeidelMatrix(q=4, k=3, theta=S.theta, dense=S.dense)) is None
+    assert seidel._character_transform(SeidelMatrix(k=3, dense=np.zeros((12, 12)))) is None
 
 
 def reference_square_residual(S):
@@ -449,7 +449,7 @@ def turn_difference_class(f, S, phi=0.01):
     blocks = seidel._blocks(dense)
     angle = math.atan2(blocks[1, 0, 0, 1], blocks[1, 0, 0, 0]) + phi
     blocks[(sub == 1) | (sub == sub[0, 1])] = plane_symmetry(angle)
-    return SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    return SeidelMatrix(k=S.k, dense=dense)
 
 
 def swap_one_and_two(q):
@@ -498,7 +498,7 @@ def test_spectrum_rejects_a_nan_entry():
     S = build_seidel(make_field(5))
     dense = S.dense.copy()
     dense[0, 2] = dense[2, 0] = math.nan
-    S = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    S = SeidelMatrix(k=S.k, dense=dense)
     assert S.block_column is None
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotInvolutory, match="S\\^2"):
@@ -513,7 +513,7 @@ def test_trace_guard_rejects_a_nan_or_fractional_trace(monkeypatch):
         dense = S.dense.copy()
         dense[0, 0] = value
         with pytest.raises(NotInvolutory, match="projector trace"):
-            seidel._trace_spectrum(SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense))
+            spectrum(SeidelMatrix(k=S.k, dense=dense))
 
 
 def test_involution_guard_rejects_infinite_blocks():
@@ -523,7 +523,7 @@ def test_involution_guard_rejects_infinite_blocks():
     sub = f.digit_differences()
     dense = S.dense.copy()
     seidel._blocks(dense)[(sub == 1) | (sub == sub[0, 1])] *= math.inf
-    inf = SeidelMatrix(q=S.q, k=S.k, theta=S.theta, dense=dense)
+    inf = SeidelMatrix(k=S.k, dense=dense)
     assert inf.block_column is not None
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotInvolutory, match="S\\^2"):
@@ -536,3 +536,23 @@ def test_from_conference_rejects_a_nan_entry():
     values[0, 1] = values[1, 0] = complex(math.nan, 0.0)
     with pytest.raises(NotUnimodular):
         from_conference(replace(C, exponents=None, values=values))
+
+
+def test_a_seidel_matrix_reads_its_order_from_its_array():
+    # the order q = 6 comes with the 12 x 12 array, so the S^2 check reads 12 x 12 products
+    S = build_seidel(make_field(5))
+    other = replace(S, dense=np.zeros((12, 12)))
+    assert other.q == 6 and seidel_square_residual(other) == 4.0
+    with pytest.raises(NotInvolutory):
+        spectrum(other)
+    with pytest.raises(TypeError):
+        SeidelMatrix(q=6, k=3, dense=S.dense)  # an order that could disagree with the array is no field
+
+
+def test_a_seidel_matrix_must_be_square_of_even_order():
+    S = build_seidel(make_field(5))
+    for dense in (S.dense[:9, :9], S.dense[:, :8], S.dense[0], S.dense[None]):
+        with pytest.raises(InvalidOrder):
+            SeidelMatrix(k=3, dense=dense)
+    with pytest.raises(InvalidOrder):
+        replace(S, dense=S.dense[:9, :9])
