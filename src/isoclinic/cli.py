@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 inadmissible parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -353,6 +354,7 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args returns a fresh Namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoclinic",

@@ -10,6 +10,9 @@ entry exactly and repeated exports are byte-identical.
 Two formats are supported: `json` (a single JSON document) and `text`
 (key/value header lines followed by whitespace-separated rows, with the
 metadata dict as one embedded JSON line).  Both round-trip losslessly.
+A record holds few distinct floats, so the writer renders and the parser
+converts each distinct number once; a text record's parse error names its
+first bad token in file order.
 """
 
 from __future__ import annotations
@@ -269,9 +272,22 @@ def _json_entries(value: Any, is_complex: bool) -> np.ndarray:
     return values.view(np.complex128).reshape(values.shape[:2]) if is_complex else values
 
 
+class _FloatTable(dict):
+    """float(token) for each JSON number token, converted on its first lookup only.
+
+    The decoder hands parse_float the very string it would give float, so the
+    values are the same bit for bit (-0.0 stays apart from 0.0, 1E400 is inf).
+    """
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
 def _parse_json(text: str) -> ExportRecord:
     try:
-        doc = json.loads(text)
+        # a record holds few distinct floats, so most tokens are a dict hit, not a strtod
+        doc = json.loads(text, parse_float=_FloatTable().__getitem__)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise RecordParseError(f"invalid JSON: {exc}") from exc
     try:
@@ -323,7 +339,7 @@ def _text_block(lines: list[str], rows: int, width: int, convert, pattern, dtype
             raise RecordParseError(f"{what} row has {len(row)} tokens, expected {width}")
         tokens += row
     table = {}
-    for token in set(tokens):
+    for token in dict.fromkeys(tokens):  # file order, so the first bad token is named
         if not pattern.fullmatch(token):
             raise RecordParseError(f"malformed {what} token {token!r}")
         table[token] = convert(token)

@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -606,3 +607,60 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ADMISSIBLE" in proc.stdout
+
+
+def test_verify_names_the_same_bad_token_under_any_hash_seed(tmp_path):
+    # the exponent-two text record has two bad tokens, 2 before -2 in file order
+    record, flags, expected = _malformed_record("exponent-two")
+    out = tmp_path / "exponent-two.text"
+    out.write_text(serialize(record, "text"))
+    stderr = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoclinic", "verify", str(out), *flags],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == expected
+        stderr.append(proc.stderr)
+    assert stderr[0] == stderr[1]
+    assert stderr[0].endswith(b"malformed exponent token '2'\n")
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_does_not_leak_exact(tmp_path, capsys):
+    conference, seidel = tmp_path / "c.json", tmp_path / "s.json"
+    run(capsys, ["generate", "--kind", "conference", "--k", "3", "--out", str(conference)])
+    run(capsys, ["generate", "--kind", "seidel", "--k", "3", "--out", str(seidel)])
+    assert run(capsys, ["verify", str(conference), "--exact"])[0] == EXIT_OK
+    # --exact on a seidel record exits 4
+    assert run(capsys, ["verify", str(seidel)])[0] == EXIT_OK
+
+
+def test_cached_parser_does_not_leak_format(capsys):
+    for argv in (["--format", "json-like"], []):
+        code, stdout, _ = run(capsys, ["generate", "--k", "3", *argv])
+        assert code == EXIT_OK
+        assert json.loads(stdout)["kind"] == "conference"
+
+
+def test_cached_parser_does_not_leak_tol(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    run(capsys, ["generate", "--kind", "conference", "--k", "7", "--out", str(out)])
+    code, stdout, _ = run(capsys, ["verify", str(out), "--tol", "1e-300"])
+    assert code == EXIT_VERIFY and "(tol 1e-300)" in stdout
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_OK and "(tol 1e-09)" in stdout
+
+
+def test_cached_parser_usage_error_repeats(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "--k" in errors[0]

@@ -594,3 +594,59 @@ def test_read_record_accepts_crlf_line_ends(tmp_path):
     path = tmp_path / "crlf.txt"
     path.write_bytes(serialize(record, "text").replace("\n", "\r\n").encode())
     assert records_equal(read_record(str(path)), record)
+
+
+def _assert_parse_matches_plain_json(text):
+    """parse against plain json.loads, which calls float() on every number token."""
+    doc, back = json.loads(text), parse(text)
+    reference = np.array(doc["entries"], dtype=np.float64)
+    assert np.array_equal(back.entries.view(np.float64).reshape(reference.shape).view(np.uint64), reference.view(np.uint64))
+    assert np.float64(back.theta).view(np.uint64) == np.float64(doc["theta"]).view(np.uint64)
+    assert repr(back.metadata) == repr(doc["metadata"])  # repr tells -0.0 from 0.0
+    return back
+
+
+@pytest.mark.parametrize("k", [3, 7, 31])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_parse_json_memo_matches_plain_json_loads_bitwise(kind, k):
+    # at k = 31 a record's entries take 5 to 12 distinct floats, the planes record's 447
+    _assert_parse_matches_plain_json(serialize(build_record(kind, k), "json"))
+
+
+# -0.0 beside 0.0, the least subnormal, an overflow to inf, an integer, an
+# underflow to 0.0, and three spellings of 0.1
+EDGE_JSON = (
+    '{"complex": false, "entries": [[-0.0, 0.0, 5e-324], [1E400, 3, -1e-400], [0.1, 0.10, 1e-1]],'
+    ' "exponents": null, "format": "isoclinic-record", "k": 3, "kind": "gram",'
+    ' "metadata": {"x": [-0.0, 0.0, 2.5]}, "order": 3, "theta": -0.0, "version": 1}'
+)
+
+
+def test_parse_json_memo_keeps_every_edge_value():
+    back = _assert_parse_matches_plain_json(EDGE_JSON)
+    entries = back.entries
+    assert np.signbit(entries[0, 0]) and not np.signbit(entries[0, 1])
+    assert entries[0, 2] == 5e-324 and entries[1, 0] == math.inf and entries[1, 1] == 3.0
+    assert np.signbit(entries[1, 2]) and entries[1, 2] == 0.0
+    assert entries[2, 0] == entries[2, 1] == entries[2, 2] == 0.1
+    assert math.copysign(1.0, back.theta) == -1.0
+
+
+@pytest.mark.parametrize(
+    "section,what,bad",
+    [
+        ("exponents", "exponent", ["7", "-5", "x", "+1", "09"]),
+        ("entries", "entry", ["+7", "x", "1_0", "Inf", "1E5"]),
+    ],
+)
+def test_parse_text_names_the_first_bad_token_in_file_order(section, what, bad):
+    # five distinct bad tokens, the last of row 0 first; set order would name any of them
+    lines = serialize(build_record("conference", 3), "text").split("\n")
+    first = lines.index(section) + 1
+    for offset, token in enumerate(bad):
+        row = lines[first + offset].split(" ")
+        row[-1 - offset] = token
+        lines[first + offset] = " ".join(row)
+    with pytest.raises(RecordParseError) as exc:
+        parse("\n".join(lines))
+    assert str(exc.value) == f"malformed {what} token {bad[0]!r}"
