@@ -39,6 +39,7 @@ from .orders import OrderInfo, classify_order
 from .planes import (
     PlaneTuple,
     _isoclinic_deviation,
+    build_gram,
     isoclinic_residual,
     ls_bound,
     orthonormality_residual,
@@ -79,8 +80,6 @@ def build_record(kind: str, k: int, info: OrderInfo | None = None) -> ExportReco
         S = build_seidel(field)
         return ExportRecord("seidel", 2 * S.q, k, theta, S.dense, None, meta)
     if kind == "gram":
-        from .planes import build_gram
-
         A = build_gram(build_seidel(field))
         meta["lambda"] = [1, 2 * k - 2]
         return ExportRecord("gram", A.shape[0], k, theta, A, None, meta)

@@ -26,12 +26,14 @@ ones, far below 2^53, so the floating-point matrix products are exact and
 are compared with ==, with no tolerance.
 
 The construction is group-developed over the additive group of GF(q):
-C[i, j] = c(a_i - a_j).  Then so is C C*, and its row 0 holds every
-distinct entry, so `conference_residual` and `verify_counts` read row 0
-only, after checking the form exactly (gf.developed_column).  Any other C,
-such as scale_row_col(C, ...), a permuted C or a record, takes the full
-product.  That deviation is computed once per ConferenceMatrix and kept on
-it: the gate of hadamard.double and hadamard_residual(double(C)) read it
+C[i, j] = c(a_i - a_j).  Then so are C C* and the count products, and
+their first row or column holds every distinct entry.  So
+`conference_residual` and `verify_counts` each have one path, a product
+read on m leading rows or columns: the exact form check
+gf.developed_column picks m = 1 for a group-developed input and m = q for
+any other, such as scale_row_col(C, ...), a permuted C or a record.  The
+deviation of C C* is computed once per ConferenceMatrix and kept on it:
+the gate of hadamard.double and hadamard_residual(double(C)) read it
 too.  The equivalence witnesses are integer identities on E and build no
 C(omega).
 """
@@ -100,9 +102,10 @@ class ConferenceMatrix:
     diagonal, meaning the value omega**e.  Row/column scaling destroys the
     layer, in which case `exponents` is None and only numeric checks apply.
 
-    The order q is read from the shape of `values`, which must be square,
-    with `exponents` of the same shape (else InvalidOrder).  k is an input:
-    a record's header states it, and its checks hold the array against it.
+    The order q is read from the shape of `values`, which must be square
+    of order >= 1, with `exponents` of the same shape (else InvalidOrder).
+    k is an input: a record's header states it, and its checks hold the
+    array against it.
 
     The residual of C C* - (q-1) I is computed on first use and kept on the
     object.  Do not change `values` in place after a check has read it:
@@ -116,8 +119,8 @@ class ConferenceMatrix:
 
     def __post_init__(self) -> None:
         shape = self.values.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise InvalidOrder(f"conference values must be square, got shape {shape}")
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise InvalidOrder(f"conference values must be square of order >= 1, got shape {shape}")
         if self.exponents is not None and self.exponents.shape != shape:
             raise InvalidOrder(f"exponents have shape {self.exponents.shape}, values {shape}")
 
@@ -131,7 +134,7 @@ class ConferenceMatrix:
 
     @cached_property
     def gram_deviation(self) -> np.ndarray:
-        """_gram_deviation(values): C C* - (q-1) I, or its row 0 conjugated; computed once."""
+        """_gram_deviation(values): the columns of C C* - (q-1) I that hold every distinct entry; computed once."""
         return _gram_deviation(self.values)
 
     @cached_property
@@ -184,18 +187,24 @@ def gram_counts(C: ConferenceMatrix) -> GramCounts:
     r = P P + N N.  The zero diagonal of E keeps g = i and g = j out of every
     count.  The diagonal of the result is meaningless and set to -1.
     """
+    # the float64 counts are exact integers (see _exponent_counts), so the cast to int64 loses nothing
+    r, s, t = (counts.astype(np.int64) for counts in _exponent_counts(C, C.q))
+    for m in (r, s, t):
+        np.fill_diagonal(m, -1)
+    return GramCounts(r=r, s=s, t=t)
+
+
+def _exponent_counts(C: ConferenceMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows 0..m-1 of the counts (r, s, t) of gram_counts, as float64 arrays of shape (m, q).
+
+    Every entry is a sum of at most q ones, far below 2^53, so the float64
+    (BLAS) products are exact.
+    """
     if C.exponents is None:
         raise ValueError("symbolic exponent layer absent; only numeric checks apply")
     pos = (C.exponents == 1).astype(np.float64)
     neg = (C.exponents == -1).astype(np.float64)
-    # every entry is a sum of at most q ones, far below 2^53, so the float64
-    # (BLAS) products are exact and the cast to int64 loses nothing
-    r = (pos @ pos + neg @ neg).astype(np.int64)
-    s = (pos @ neg).astype(np.int64)
-    t = (neg @ pos).astype(np.int64)
-    for m in (r, s, t):
-        np.fill_diagonal(m, -1)
-    return GramCounts(r=r, s=s, t=t)
+    return pos[:m] @ pos + neg[:m] @ neg, pos[:m] @ neg, neg[:m] @ pos
 
 
 def verify_counts(C: ConferenceMatrix) -> bool:
@@ -204,60 +213,48 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     Together with Re(omega^2) = (2-k)/(k-1) this certifies
     C C* = (2k-2) I exactly: the counts are integers compared with ==.
 
-    When E is group-developed over the additive group of GF(q), checked
-    exactly as E == E[:, 0][sub] with sub the digit-difference index of the
-    factored order q, the count at (i, j) depends on a_i - a_j only, so the
-    counts of row 0 (one vector-matrix product each) cover every
-    off-diagonal entry.  Any other E takes the full products of gram_counts.
+    The counts are read on rows 0..m-1.  When E is group-developed over the
+    additive group of GF(q), checked exactly by gf.developed_column, the
+    count at (i, j) depends on a_i - a_j only, so row 0 covers every
+    off-diagonal entry and m = 1; any other E is read on every row, m = q.
     """
-    k = C.k
+    k, q = C.k, C.q
     want = (k - 2, (k - 1) // 2, (k - 1) // 2)
-    row = _row_counts(C.exponents)
-    if row is not None:
-        return all((counts[1:] == w).all() for counts, w in zip(row, want))
-    counts = gram_counts(C)
-    off = ~np.eye(C.q, dtype=bool)
-    return all((counts[off] == w).all() for counts, w in zip((counts.r, counts.s, counts.t), want))
-
-
-def _row_counts(E: np.ndarray | None) -> tuple[np.ndarray, ...] | None:
-    """Row 0 of (r, s, t) when E is group-developed over GF(q), q its order, else None."""
-    if E is None or developed_column(E) is None:
-        return None
-    pos = (E == 1).astype(np.float64)
-    neg = (E == -1).astype(np.float64)
-    # exact as in gram_counts: sums of at most q ones
-    return pos[0] @ pos + neg[0] @ neg, pos[0] @ neg, neg[0] @ pos
+    m = q if C.exponents is None or developed_column(C.exponents) is None else 1
+    counts = _exponent_counts(C, m)
+    for rows, w in zip(counts, want):
+        rows.flat[:: q + 1] = w  # the diagonal of the top m x m block counts nothing
+    return all((rows == w).all() for rows, w in zip(counts, want))
 
 
 def conference_residual(C: ConferenceMatrix) -> float:
-    """Max-abs entry of C C* - (q-1) I.
+    """Max-abs entry of C C* - (q-1) I, computed once per C and kept on it (ConferenceMatrix.gram_residual).
 
-    When C is group-developed over GF(q) (see gf.developed_column), so is C C*:
-
-        (C C*)[i, j] = sum_x c(x) conj(c(x + a_j - a_i))
-
-    depends on a_j - a_i only, so row 0 holds every distinct entry, the
-    diagonal at (0, 0).  That row is one vector-matrix product, O(q^2).  Any
-    other C, such as scale_row_col(C, ...) or a record with one changed
-    entry, takes the full O(q^3) product.  Computed once per C and kept on
-    it (ConferenceMatrix.gram_residual).
+    See _gram_deviation for the columns of the product that are read.
     """
     return C.gram_residual
 
 
 def _gram_deviation(V: np.ndarray) -> np.ndarray:
-    """C C* - (q-1) I for the q x q C = V, or only its conjugated row 0 when V is group-developed over GF(q).
+    """Columns 0..m-1 of C C* - (q-1) I for the q x q C = V, shape (q, m).
 
-    The conjugate changes no |entry|, no real part and only the sign of
-    each imaginary part; it spares the q x q conjugate of V.
+    When C is group-developed over GF(q) (checked exactly by
+    gf.developed_column), so is C C*:
+
+        (C C*)[i, j] = sum_x c(x) conj(c(x + a_j - a_i))
+
+    depends on a_j - a_i only, so column 0 holds every distinct entry, the
+    diagonal at (0, 0), and m = 1: one matrix-vector product, O(q^2).  Any
+    other C, such as scale_row_col(C, ...) or a record with one changed
+    entry, is read on every column, m = q: the full O(q^3) product.
+    Column j of C C* is the conjugate of its row j; reading columns spares
+    the q x q conjugate of V.
     """
     q = V.shape[0]
-    if developed_column(V) is not None:
-        dev = V @ V[0].conj()  # conj of (C C*)[0, j] = sum_g C[0, g] conj(C[j, g])
-        dev[0] -= q - 1
-        return dev
-    return V @ V.conj().T - (q - 1) * np.eye(q)
+    m = q if developed_column(V) is None else 1
+    dev = V @ V[:m].conj().T
+    dev[:m].flat[:: m + 1] -= q - 1  # the diagonal of the top m x m block
+    return dev
 
 
 def scale_row_col(C: ConferenceMatrix, index: int, u: complex) -> ConferenceMatrix:

@@ -9,7 +9,7 @@ matrices of doubled order are of independent interest, e.g. in quantum
 information; this module only builds and verifies them.
 
 `hadamard_residual` reads H H* - 2q I from C C* when H has exactly this
-form, and from row 0 of C C* alone when C is also group-developed over
+form, and from column 0 of C C* alone when C is also group-developed over
 GF(q), as the construction is; otherwise it forms the full product.  The
 form check runs once per HadamardMatrix and is kept on it, so the residual
 and the doubling-form row of a verified record share it.  The gate of
@@ -35,7 +35,8 @@ class HadamardMatrix:
     """Unimodular matrix of order n2 with H H* = n2 I.
 
     The order n2 is read from the shape of `values`, which must be square
-    (else InvalidOrder); it may be odd, and then H is no doubling.
+    of order >= 1 (else InvalidOrder); it may be odd, and then H is no
+    doubling.
 
     The doubling-form check (_doubled) is computed on first use and kept on
     the object.  Do not change `values` in place after a check has read
@@ -48,8 +49,8 @@ class HadamardMatrix:
 
     def __post_init__(self) -> None:
         shape = self.values.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise InvalidOrder(f"a Hadamard matrix must be square, got shape {shape}")
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise InvalidOrder(f"a Hadamard matrix must be square of order >= 1, got shape {shape}")
 
     @property
     def n2(self) -> int:
@@ -94,10 +95,11 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     H H* - 2q I follow from M = C C*: the diagonal blocks are
     2 Re(M - (q-1) I) and the off-diagonal blocks 2i Im M, since
     C~ C^T = conj(M).  M - (q-1) I is read as ConferenceMatrix.gram_deviation
-    reads it: its row 0 when C is group-developed over GF(q) (see
-    conference_residual), else the full q x q M, 8 times fewer flops than
-    H H*.  When C is the values of H's source, that is the array the source
-    keeps, not formed again.  Any other H takes the dense product H H*.
+    reads it: its column 0 when C is group-developed over GF(q) (see
+    conference._gram_deviation), else the full q x q M, 8 times fewer flops
+    than H H*.  When C is the values of H's source, that is the array the
+    source keeps, not formed again.  Any other H takes the dense product
+    H H*.
     """
     V = H.values
     C = H.doubling_of
@@ -106,7 +108,7 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     q = H.n2 // 2
     # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere
     unimod = float(np.abs(np.abs(V[:q, :q]) - 1.0).max())
-    # M - (q-1) I, or its row 0 conjugated, which changes no |Re| or |Im|
+    # M - (q-1) I, or its column 0
     dev = H.source.gram_deviation if H.source is not None and C is H.source.values else _gram_deviation(C)
     real = 2.0 * float(np.abs(dev.real).max())
     imag = 2.0 * float(np.abs(dev.imag).max())

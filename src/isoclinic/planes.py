@@ -18,10 +18,10 @@ and the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).  An S
 without the group-developed form falls back to the dense route,
 extract_bases(build_gram(S)).  Either route first asks S^2 = (2k-2) I of
 S through the one guard of the seidel module (_require_involutory, S^2
-residual at most 1e-10), and reads the form check, the transform and the
-S^2 residual that S keeps once computed (see seidel.SeidelMatrix), so
-extracting the planes of an S whose S^2 residual or spectrum was taken
-repeats none of that work.
+residual at most 1e-10), and reads the form check and the S^2 residual
+that S keeps once computed (see seidel.SeidelMatrix), so extracting the
+planes of an S whose S^2 residual or spectrum was taken repeats neither.
+The transform is computed once per call: this is its one reader.
 
 Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
 basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidOrder, RankMismatch
-from .seidel import SeidelMatrix, _blocks, _require_involutory
+from .seidel import SeidelMatrix, _blocks, _character_transform, _require_involutory
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +137,7 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     """
     _require_involutory(S)
     lam = Fraction(1, 2 * S.k - 2)
-    transform = S.transform
+    transform = _character_transform(S)
     if transform is None or not ((transform.vals[:, 0] < 0) & (transform.vals[:, 1] > 0)).all():
         return extract_bases(build_gram(S), S.q, lam)
     q = S.q

@@ -43,13 +43,13 @@ g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.
 and checks the form exactly (SeidelMatrix.block_column: gf.developed_column
 on the (a, b, i, j) block view; then g(-x) = g(x) and g(x) symmetric);
 it then takes g^(b) from a cos phase table, one batched 2 x 2 eigh, and
-nothing of order 2q.  `seidel_square_residual` needs only the first check:
-S^2 is block group-developed too, so its block row 0 (a 2 x 2q product)
-holds every distinct entry.  An S that fails the check, such as
-normalize(S), permute_blocks by a non-affine sigma or a record with one
-changed block, takes the dense path: the full S^2 here, build_gram and
-extract_bases in planes.  `spectrum` has one path on every S: the
-projector traces, O(q).
+nothing of order 2q.  An S that fails the check, such as normalize(S),
+permute_blocks by a non-affine sigma or a record with one changed block,
+takes build_gram and extract_bases there.  `seidel_square_residual` needs
+only the first check, and only to pick how many rows of S^2 it reads:
+S^2 is block group-developed too, so its block row 0, rows 0 and 1, holds
+every distinct entry; any other S is read on every row.  `spectrum` has
+one path on every S: the projector traces, O(q).
 
 One involution guard.  spectrum, planes_from_seidel and build_gram need
 S^2 = (2k-2) I only, and each asks it of S in one place,
@@ -65,12 +65,13 @@ computed g^(b), q-term sums, moves their eigenvalues by 0.01 to
 sign either; it is not gated, as it measures the sums and not S.  The S^2 residual itself has
 stayed at or below 1.8e-12 for every order measured up to q = 3125.
 
-Each of these values is computed at most once per SeidelMatrix and kept
-on it (the cached properties block_column, transform and square_residual),
-so seidel_square_residual, spectrum, build_gram and planes_from_seidel on
-one S check its form once, run at most one batched eigh and form S^2 at
-most once; none of the three raises, so the guard, which reads the kept
-residual, decides each use alone.
+The form check and the S^2 residual are computed at most once per
+SeidelMatrix and kept on it (the cached properties block_column and
+square_residual), so seidel_square_residual, spectrum, build_gram and
+planes_from_seidel on one S check its form once and form S^2 at most once;
+neither raises, so the guard, which reads the kept residual, decides each
+use alone.  The character transform is not kept: planes_from_seidel, its
+one reader, computes it on each call.
 """
 
 from __future__ import annotations
@@ -109,16 +110,15 @@ class SeidelMatrix:
     are orthogonal.
 
     The order q is read from the shape of `dense`, which must be square of
-    even order (else InvalidOrder).  k is an input: a record's header
+    even order >= 2 (else InvalidOrder).  k is an input: a record's header
     states it, and its checks hold the array against it.
 
-    The form check, the character transform and the S^2 residual are
-    computed on first use and kept on the object, so every check of one S
-    reads the same verdict.  Do not change `dense` in place after a check
-    has read it: build a new matrix instead (dataclasses.replace gives one
-    with nothing cached).  None of them raises: whether S^2 = (2k-2) I
-    holds closely enough is decided from the kept residual by
-    _require_involutory, once per use.
+    The form check and the S^2 residual are computed on first use and kept
+    on the object, so every check of one S reads the same verdict.  Do not
+    change `dense` in place after a check has read it: build a new matrix
+    instead (dataclasses.replace gives one with nothing cached).  Neither
+    raises: whether S^2 = (2k-2) I holds closely enough is decided from the
+    kept residual by _require_involutory, once per use.
     """
 
     k: int
@@ -126,8 +126,8 @@ class SeidelMatrix:
 
     def __post_init__(self) -> None:
         shape = self.dense.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2:
-            raise InvalidOrder(f"a Seidel matrix must be square of even order, got shape {shape}")
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or not shape[0]:
+            raise InvalidOrder(f"a Seidel matrix must be square of even order >= 2, got shape {shape}")
 
     @property
     def q(self) -> int:
@@ -150,11 +150,6 @@ class SeidelMatrix:
         g(a_x) = S[x, 0].
         """
         return developed_column(self.blocks.transpose(2, 3, 0, 1))
-
-    @cached_property
-    def transform(self) -> _Transform | None:
-        """_character_transform(self), computed once."""
-        return _character_transform(self)
 
     @cached_property
     def square_residual(self) -> float:
@@ -203,22 +198,21 @@ def seidel_square_residual(S: SeidelMatrix) -> float:
 
 
 def _square_residual(S: SeidelMatrix) -> float:
-    """Max-abs entry of S^2 - (2k-2) I.
+    """Max-abs entry of S^2 - (2k-2) I, read on rows 0..m-1 of S^2: the m x 2q product S[:m] S.
 
     When S is block group-developed over GF(q) (see
     SeidelMatrix.block_column), so is S^2: its block (i, j) is
     sum_x g(x) g(a_i - a_j - x), which depends on a_i - a_j only.  Block
-    row 0, the 2 x 2q product S[:2] S, then holds every distinct entry, the
-    diagonal at (0, 0) and (1, 1).  Any other S, such as normalize(S),
-    permute_blocks(S, sigma) for a sigma that is not affine, or a record
-    with one changed block, takes the full 2q x 2q product.
+    row 0, m = 2, then holds every distinct entry, the diagonal at (0, 0)
+    and (1, 1).  Any other S, such as normalize(S), permute_blocks(S, sigma)
+    for a sigma that is not affine, or a record with one changed block, is
+    read on every row, m = 2q.
     """
-    mu2 = 2 * S.k - 2
-    if S.block_column is not None:
-        dev = S.dense[:2] @ S.dense
-        dev[[0, 1], [0, 1]] -= mu2
-        return float(np.abs(dev).max())
-    return float(np.abs(S.dense @ S.dense - mu2 * np.eye(2 * S.q)).max())
+    n = 2 * S.q
+    m = n if S.block_column is None else 2
+    dev = S.dense[:m] @ S.dense
+    dev.flat[:: n + 1] -= 2 * S.k - 2  # the diagonal of the top m x m block
+    return float(np.abs(dev).max())
 
 
 def _require_involutory(S: SeidelMatrix) -> None:

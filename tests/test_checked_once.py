@@ -1,4 +1,4 @@
-"""Each matrix object is checked once: form checks, the character transform and residuals are kept on it.
+"""Each matrix object is checked once: form checks and residuals are kept on it.
 
 Counters are monkeypatched over the module functions that do the work, so
 a second computation on the same object shows as a second call.  The other
@@ -92,7 +92,7 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     assert len(eighs) == 1
     # one C: the witnesses read E, and the hadamard stage reads the C that H was doubled from
     assert len(conferences) == 1 and H.source is C
-    # the form of E for the counts, then row 0 of C C* once: the gate of double and
+    # the form of E for the counts, then column 0 of C C* once: the gate of double and
     # hadamard_residual read the deviation the conference-residual stage kept; then the
     # (a, b, i, j) block view of S, once for seidel-square, spectrum and the planes
     assert len(developed) == 3 and developed[0] is C.exponents and developed[1] is C.values
@@ -122,6 +122,15 @@ def test_conference_residual_forms_the_full_product_once_on_the_dense_path(monke
     H = double(scaled)
     assert products == [scaled.values]
     assert hadamard_residual(H) <= TOL
+
+
+def test_each_plane_extraction_computes_the_character_transform(monkeypatch):
+    # nothing keeps the transform: planes_from_seidel is its one reader
+    _, _, S = canonical(5, 2)
+    transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    first, second = planes_from_seidel(S), planes_from_seidel(S)
+    assert transforms == [S, S]
+    assert first.basis.tobytes() == second.basis.tobytes()
 
 
 def test_verify_checks_a_hadamard_record_once(monkeypatch, tmp_path, capsys):
@@ -195,7 +204,7 @@ def sourceless(H):
 @pytest.mark.parametrize("p,alpha", FIELDS)
 def test_the_source_path_gives_the_sourceless_residual_bit_for_bit(p, alpha):
     _, C, _ = canonical(p, alpha)
-    for c in (C, scale_row_col(C, 3, 1j)):  # the row-0 path and the full product
+    for c in (C, scale_row_col(C, 3, 1j)):  # one column of C C* and every column
         H = double(c)
         assert H.source is c and H.doubling_of is c.values
         bare = sourceless(H)

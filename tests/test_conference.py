@@ -532,39 +532,58 @@ def _verdict_from_gram_counts(C):
     )
 
 
+def rows_read(monkeypatch) -> list:
+    """Patch conference._exponent_counts to append the number of rows m of every call to the returned list."""
+    seen: list = []
+    counts = conference._exponent_counts
+
+    def recorded(C, m):
+        seen.append(m)
+        return counts(C, m)
+
+    monkeypatch.setattr(conference, "_exponent_counts", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
-def test_row_counts_verdict_matches_gram_counts(p, alpha):
+def test_row_counts_verdict_matches_gram_counts(monkeypatch, p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
-    row = conference._row_counts(C.exponents)
-    assert row is not None  # the canonical E is group-developed
     counts = gram_counts(C)
-    for got, full in zip(row, (counts.r, counts.s, counts.t)):
-        assert np.array_equal(got[1:], full[0, 1:])
-    assert verify_counts(C) is True and _verdict_from_gram_counts(C)
+    for got, full in zip(conference._exponent_counts(C, 1), (counts.r, counts.s, counts.t)):
+        assert got.shape == (1, f.q) and np.array_equal(got[0, 1:], full[0, 1:])
     # -E, the exponents of C(1/omega0), is group-developed too
     negated = replace(C, exponents=-C.exponents)
-    assert conference._row_counts(negated.exponents) is not None
+    rows = rows_read(monkeypatch)
+    assert verify_counts(C) is _verdict_from_gram_counts(C) is True
     assert verify_counts(negated) is _verdict_from_gram_counts(negated) is True
+    # verify_counts reads row 0 of a group-developed E, gram_counts every row
+    assert rows == [1, f.q, 1, f.q]
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
-def test_counts_fall_back_when_not_group_developed(p, alpha):
+def test_counts_fall_back_when_not_group_developed(monkeypatch, p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
     flipped = replace(C, exponents=_flip_pair(C.exponents))
     permuted = permute(C, np.random.default_rng(f.q).permutation(f.q))
+    rows = rows_read(monkeypatch)
     for tampered, verdict in ((flipped, False), (permuted, True)):
-        assert conference._row_counts(tampered.exponents) is None
+        rows.clear()
         assert verify_counts(tampered) is verdict
+        assert rows == [f.q]  # every row
         assert _verdict_from_gram_counts(tampered) is verdict
 
 
-def test_row_counts_need_a_prime_power_order_and_a_matching_shape():
+def test_row_counts_need_a_prime_power_order_and_a_matching_shape(monkeypatch):
     C = build_conference(make_field(5), critical_omega(3))
-    assert conference._row_counts(None) is None
-    assert conference._row_counts(np.zeros((6, 6), dtype=np.int8)) is None  # 6 is no prime power
-    assert conference._row_counts(np.zeros((4, 4), dtype=np.int8)) is None  # 4 is even
+    rows = rows_read(monkeypatch)
+    with pytest.raises(ValueError, match="exponent layer absent"):
+        verify_counts(replace(C, exponents=None))
+    for q in (6, 4):  # 6 is no prime power, 4 is even
+        zeros = ConferenceMatrix(k=3, exponents=np.zeros((q, q), dtype=np.int8), values=np.zeros((q, q), complex))
+        assert verify_counts(zeros) is False
+    assert rows == [5, 6, 4]  # every row, the absent exponents included
 
 
 def reference_mask_values(exponents, omega):
@@ -589,7 +608,7 @@ def test_values_from_exponents_match_mask_reference_bytewise(p, alpha):
 
 
 def reference_conference_residual(C):
-    """The full product C C*; an oracle for the row-0 residual."""
+    """The full product C C*; an oracle for the one-column residual."""
     return float(np.abs(C.values @ C.values.conj().T - (C.q - 1) * np.eye(C.q)).max())
 
 
@@ -647,6 +666,14 @@ def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
     assert conference_residual(bad) > 1e-3
 
 
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_gram_deviation_reads_one_column_of_a_group_developed_c(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    assert conference._gram_deviation(C.values).shape == (f.q, 1)
+    assert conference._gram_deviation(scale_row_col(C, 3, 1j).values).shape == (f.q, f.q)
+
+
 def test_unit_gate_rejects_nan():
     f = make_field(5)
     for u in (complex(math.nan), complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf)):
@@ -674,3 +701,9 @@ def test_a_conference_matrix_must_be_square_with_exponents_of_its_shape():
         ConferenceMatrix(k=3, exponents=C.exponents[:4, :4], values=C.values)
     with pytest.raises(InvalidOrder):
         replace(C, values=C.values[:4, :4])  # the exponents keep their 5 x 5 shape
+
+
+def test_an_empty_conference_matrix_is_refused():
+    # order 0 is square, but every residual would reduce an empty array
+    with pytest.raises(InvalidOrder):
+        ConferenceMatrix(k=3, exponents=None, values=np.zeros((0, 0), dtype=complex))

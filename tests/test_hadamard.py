@@ -91,7 +91,7 @@ def test_doubling_form_residual_matches_dense(p, alpha):
     C = hadamard._doubled(H.values)
     assert C is not None
     assert np.array_equal(C, H.values[q:, :q] + np.eye(q))
-    assert developed_column(C) is not None  # so the residual reads row 0 of C C* only
+    assert developed_column(C) is not None  # so the residual reads column 0 of C C* only
     fast, dense = hadamard_residual(H), hadamard._dense_residual(H)
     assert fast <= 1e-11
     assert abs(fast - dense) <= 1e-12
@@ -170,7 +170,7 @@ def reference_doubled(V, n2):
 
 
 def reference_form_residual(H):
-    """hadamard_residual through the full q x q product M = C C*; an oracle for the row-0 path."""
+    """hadamard_residual through the full q x q product M = C C*; an oracle for the one-column read."""
     C = reference_doubled(H.values, H.n2)
     if C is None:
         return hadamard._dense_residual(H)
@@ -336,6 +336,12 @@ def test_a_hadamard_matrix_reads_its_order_from_its_array():
     assert odd.n2 == 3 and odd.doubling_of is None
     with pytest.raises(TypeError):
         HadamardMatrix(n2=12, values=H.values)  # an order that could disagree with the array is no field
+
+
+def test_an_empty_hadamard_matrix_is_refused():
+    # order 0 is square and even, but every residual would reduce an empty array
+    with pytest.raises(InvalidOrder):
+        HadamardMatrix(values=np.zeros((0, 0), dtype=complex))
 
 
 def test_a_hadamard_matrix_must_be_square():

@@ -493,6 +493,28 @@ def test_square_residual_is_the_full_product_off_the_developed_form(p, alpha):
     assert permute_blocks(S, sigma).block_column is not None
 
 
+class MatmulShapes(np.ndarray):
+    """An array that appends the operand shapes of every matmul it enters to `shapes`."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.shapes.append(tuple(x.shape for x in inputs))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_square_residual_reads_two_rows_of_a_group_developed_s(monkeypatch, p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    n = 2 * S.q
+    shapes = []
+    monkeypatch.setattr(MatmulShapes, "shapes", shapes)
+    for T in (S, normalize(S)):
+        seidel._square_residual(SeidelMatrix(k=T.k, dense=T.dense.view(MatmulShapes)))
+    assert shapes == [((2, n), (n, n)), ((n, n), (n, n))]
+
+
 def test_spectrum_rejects_a_nan_entry():
     # the trace ignores an off-diagonal nan, so only the S^2 guard can catch it
     S = build_seidel(make_field(5))
@@ -547,6 +569,12 @@ def test_a_seidel_matrix_reads_its_order_from_its_array():
         spectrum(other)
     with pytest.raises(TypeError):
         SeidelMatrix(q=6, k=3, dense=S.dense)  # an order that could disagree with the array is no field
+
+
+def test_an_empty_seidel_matrix_is_refused():
+    # order 0 is square and even, but every residual would reduce an empty array
+    with pytest.raises(InvalidOrder):
+        SeidelMatrix(k=3, dense=np.zeros((0, 0)))
 
 
 def test_a_seidel_matrix_must_be_square_of_even_order():
