@@ -21,6 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -213,14 +214,6 @@ def _validate_header(kind: str, order: int, k: int) -> None:
 _EXPONENT_RULE = "exponents must be integers in {-1, 0, 1}"
 
 
-def _exponents(values: np.ndarray) -> np.ndarray:
-    """The exponent layer as int8, rejecting any entry outside {-1, 0, 1}."""
-    exponents = values.astype(np.int64)
-    if not np.isin(exponents, (-1, 0, 1)).all():
-        raise RecordParseError(_EXPONENT_RULE)
-    return exponents.astype(np.int8)
-
-
 def _metadata(value: Any) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise RecordParseError(f"metadata must be a JSON object, got {value!r}")
@@ -243,16 +236,30 @@ def _validate_shapes(record: ExportRecord) -> None:
         raise RecordParseError(f"exponents have shape {record.exponents.shape}, entries {shape}")
 
 
-def _json_typed(value: Any, types: tuple[type, ...], rule: str) -> np.ndarray:
-    """A nested JSON list as an object array whose every element has one of types.
+def _json_typed(value: Any, types: tuple[type, ...], dtype: type, rule: str) -> tuple[np.ndarray, list]:
+    """An empty array of dtype in the shape of a nested JSON list, and the list's scalars in order.
 
-    A bool is not a number here (type, not isinstance), and a ragged list
-    leaves lists among the elements, so both fail the check.
+    The lists are walked one level at a time, as numpy finds a shape: a
+    level of lists that all have one length adds an axis, and the first
+    level that is not all lists holds the scalars.  RecordParseError(rule)
+    unless every scalar has one of types (type, not isinstance, so a bool
+    is not a number here); a ragged list leaves a list or a second length
+    at some level, and more axes than numpy has fail too.  The caller fills
+    the array with the scalars, after any check of its shape.
     """
-    array = np.array(value, dtype=object)
-    if not set(map(type, array.ravel().tolist())) <= set(types):
+    shape, level = [], [value]
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise RecordParseError(rule)
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if not kinds <= set(types):
         raise RecordParseError(rule)
-    return array
+    try:
+        return np.empty(shape, dtype), level
+    except ValueError as exc:  # past numpy's maximum number of axes
+        raise RecordParseError(rule) from exc
 
 
 def _json_int(doc: dict, key: str) -> int:
@@ -263,12 +270,12 @@ def _json_int(doc: dict, key: str) -> int:
 
 
 def _json_entries(value: Any, is_complex: bool) -> np.ndarray:
-    array = _json_typed(value, (int, float), "entries must be equal-length lists of JSON numbers")
-    if is_complex and (array.ndim != 3 or array.shape[2] != 2):
-        raise RecordParseError(f"complex entries must be rows of [re, im] pairs, got shape {array.shape}")
-    if not is_complex and array.ndim != 2:
-        raise RecordParseError(f"real entries must be rows of numbers, got shape {array.shape}")
-    values = array.astype(np.float64)
+    values, scalars = _json_typed(value, (int, float), np.float64, "entries must be equal-length lists of JSON numbers")
+    if is_complex and (values.ndim != 3 or values.shape[2] != 2):
+        raise RecordParseError(f"complex entries must be rows of [re, im] pairs, got shape {values.shape}")
+    if not is_complex and values.ndim != 2:
+        raise RecordParseError(f"real entries must be rows of numbers, got shape {values.shape}")
+    values.reshape(-1)[:] = scalars  # an int past the float range raises OverflowError
     return values.view(np.complex128).reshape(values.shape[:2]) if is_complex else values
 
 
@@ -304,7 +311,11 @@ def _parse_json(text: str) -> ExportRecord:
         entries = _json_entries(doc["entries"], doc["complex"])
         exponents = None
         if doc["exponents"] is not None:
-            exponents = _exponents(_json_typed(doc["exponents"], (int,), _EXPONENT_RULE))
+            values, scalars = _json_typed(doc["exponents"], (int,), np.int64, _EXPONENT_RULE)
+            values.reshape(-1)[:] = scalars  # an int past the int64 range raises OverflowError
+            if not np.isin(values, (-1, 0, 1)).all():
+                raise RecordParseError(_EXPONENT_RULE)
+            exponents = values.astype(np.int8)
         return ExportRecord(
             kind=kind,
             order=order,

@@ -26,9 +26,15 @@ is the negation map: it holds the index of -a_j.
 
 `GaloisField.chi_differences()` is the exponent matrix E[i, j] =
 chi(a_i - a_j) that every construction reads: one lookup of the digit
-differences into the chi table.  Both arrays are computed once per field and
-shared read-only.  The diagonal of E is chi(0) = 0; for q = 1 (mod 4) it is
-symmetric, for q = 3 (mod 4) antisymmetric.
+differences into the chi table.  The diagonal of E is chi(0) = 0; for
+q = 1 (mod 4) it is symmetric, for q = 3 (mod 4) antisymmetric.
+
+`GaloisField.character_phases()` is the index b.a_x mod p of the additive
+characters psi_b(a_x) = exp(2 pi i b.x / p), the digitwise dot product,
+in the smallest unsigned dtype that holds p - 1: the character transform
+of the seidel module and the plane basis read their cos and sin tables
+through it.  All three arrays are computed once per field and shared
+read-only.
 """
 
 from __future__ import annotations
@@ -197,6 +203,19 @@ class GaloisField:
             index = np.add.outer(high, index).transpose(0, 2, 1, 3).reshape(m * p, m * p)
         index.flags.writeable = False
         return index
+
+    def character_phases(self) -> np.ndarray:
+        """The q x q index b.a_x mod p (digitwise dot product), computed once and shared read-only.
+
+        The dtype is the smallest unsigned integer type that holds p - 1.
+        """
+        return self._character_phases
+
+    @functools.cached_property
+    def _character_phases(self) -> np.ndarray:
+        phases = (self._digits @ self._digits.T % self.p).astype(np.min_scalar_type(self.p - 1))
+        phases.flags.writeable = False
+        return phases
 
     @functools.cached_property
     def _chi_differences(self) -> np.ndarray:

@@ -23,12 +23,56 @@ that S keeps once computed (see seidel.SeidelMatrix), so extracting the
 planes of an S whose S^2 residual or spectrum was taken repeats neither.
 The transform is computed once per call: this is its one reader.
 
-Both residuals read blocks of one Gram matrix: the diagonal 2 x 2 blocks of
-basis^T basis are the P_i^T P_i, and its blocks above the diagonal are the
-B = P_i^T P_j, i < j.  The isoclinic residual reads the four entries of
-every block as four strided q x q arrays b00, b01, b10, b11 of the Gram and
-forms the three distinct entries of every B^T B from them elementwise:
-b00^2 + b10^2, b01^2 + b11^2 and b00 b01 + b10 b11.
+Table form.  That basis is exactly X = table * w: entry (t, 2i + c) is
+table[t, i] * w[t, c], with table the real character table
+(seidel._character_table: m = (q + 1) / 2 cos rows, the first a row of
+ones, then a sin row for each b != 0) and w[t] the scaled v_b of row t,
+shared by the cos and the sin row of one b.  Column i = 0 of the table
+reads cos 0 = 1 on every cos row, so block column 0 of X returns w bit for
+bit, and _is_table_basis compares the whole of X with table * w by ==.
+
+The m-row rule.  Both residuals read one product, PlaneTuple.gram_rows:
+block rows 0..m-1 of X^T X, the (2m, 2q) product X[:, :2m]^T X.  For any w,
+block (i, j) of (table * w)^T (table * w) is
+
+    sum_b w_b w_b^T (cos(b.a_i) cos(b.a_j) + sin(b.a_i) sin(b.a_j))
+        = sum_b w_b w_b^T cos(b.(a_i - a_j))
+
+(b.a read as the angle 2 pi b.a / p, no sin term for b = 0) by the
+addition law, so X^T X is block group-developed over GF(q): block
+row 0 holds every distinct block, the diagonal ones P_i^T P_i at (0, 0)
+and every B = P_i^T P_j, i != j, at (0, j') with a_j' = a_j - a_i.  On a
+basis that passes _is_table_basis, m = 1: the orthonormality residual
+reads block (0, 0) and the isoclinic residual blocks (0, j), j >= 1, with
+no 2q x 2q product.  Any other basis is read on every block row, m = n:
+the eigh route of extract_bases, a record not in table form (a rotated QX,
+a row permutation, one changed entry) and a tuple of any other shape.
+The form check uses the basis alone, no metadata.  The isoclinic residual
+reads the four entries of every block as four strided m x n arrays b00,
+b01, b10, b11 and forms the three distinct entries of every B^T B from
+them elementwise: b00^2 + b10^2, b01^2 + b11^2 and b00 b01 + b10 b11.
+
+The bound.  The table is rounded, so the addition law, and with it the
+group-developed form of X^T X, holds only to roundoff.  With eps the
+double-precision machine epsilon:
+
+  - The addition-law error of the table, e(p) = max over j, k of
+    |c_j c_k + s_j s_k - c_(j-k mod p)| in exact arithmetic on the table
+    values c_j = cos(alpha_j), s_j = sin(alpha_j), is at most 40 eps: each
+    angle alpha_j = fl(fl(2 pi / p) j) lies within 3 pi eps of 2 pi j / p,
+    which moves the law by at most 9 pi eps, and cos and sin within 2 ulp
+    add at most 10 eps.  It reads 1.2 to 7.6 eps for p = 3 to 1889.
+  - Two computed entries of X^T X that belong to one difference a_i - a_j
+    then differ by at most delta = (2q + 40) eps: e(p) times
+    sum_t |w_tc w_td| <= 1 (columns of unit norm), plus the roundoff of two
+    q-term dot products and of the product table * w.  delta is linear in
+    q in the worst case; it read 1.1, 3.5, 11, 32, 48.5 and 53.5 eps at
+    q = 5, 61, 121, 529, 729 and 2197, closer to sqrt(q) eps.
+  - The orthonormality residual read on block row 0 is within delta + eps
+    of the every-row reading, and the isoclinic residual within
+    2 delta + eps (the entries of an isoclinic B are at most
+    sqrt(lambda) <= 1/2), so both within (4q + 81) eps.  The gap read at
+    most 5.5 eps for q <= 2197.
 
 That count is maximal for this angle parameter: the pairwise bound
 
@@ -45,12 +89,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidOrder, RankMismatch
-from .seidel import SeidelMatrix, _blocks, _character_transform, _require_involutory
+from .gf import field_of_order
+from .seidel import SeidelMatrix, _blocks, _character_table, _character_transform, _require_involutory
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +108,10 @@ class PlaneTuple:
     even number of columns (else InvalidOrder).  lambda is kept as an exact
     rational so tightness of the count bound can be decided without
     floating point.
+
+    Both residuals read one Gram product, kept on the object (gram_rows).
+    Do not change `basis` in place after a residual has read it: build a
+    new tuple instead (dataclasses.replace gives one with nothing cached).
     """
 
     lam: Fraction
@@ -71,6 +121,17 @@ class PlaneTuple:
         shape = self.basis.shape
         if len(shape) != 2 or shape[1] % 2:
             raise InvalidOrder(f"a plane basis must be 2-D with an even number of columns, got shape {shape}")
+
+    @cached_property
+    def gram_rows(self) -> np.ndarray:
+        """Block rows 0..m-1 of basis^T basis, the (2m, 2n) product basis[:, :2m]^T basis; computed once.
+
+        m = 1 when the basis passes the exact form check _is_table_basis, in
+        which case block row 0 holds every distinct block (see the module
+        docstring); m = n on any other basis.
+        """
+        m = 1 if _is_table_basis(self.basis) else self.n
+        return self.basis[:, : 2 * m].T @ self.basis
 
     @property
     def r(self) -> int:
@@ -123,17 +184,18 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     block g^(b) has one positive and one negative eigenvalue, the +mu
     eigenspace of S is spanned by the real and imaginary parts of
     psi_b(a_i) v_b, v_b the +mu unit eigenvector of g^(b) = g^(-b).  Pairing
-    b with -b gives the q rows of X directly, with no 2q x 2q eigh:
+    b with -b gives the q rows of X directly, with no 2q x 2q eigh: X is
+    exactly table[t, i] * w[t, c] at row t and column 2i + c, for
+    table = seidel._character_table of the field and
 
-        row 0:          sqrt(2/q) v_0[c]                      (b = 0)
-        rows 2t-1, 2t:  (2/sqrt(q)) cos(2 pi b.a_i / p) v_b[c],
-                        (2/sqrt(q)) sin(2 pi b.a_i / p) v_b[c]
+        w[0] = sqrt(2/q) v_0                 (b = 0, the row of ones)
+        w[t] = w[t + m - 1] = (2/sqrt(q)) v_b   (the cos row t and the sin row
+                                              t + m - 1 of the t-th b != 0)
 
-    at column 2i + c, for the t-th b of the transform.  Then
-    X^T X = 2 P_+ = I + S/mu.  Gauge: each v_b is signed so that its first
-    entry above 1e-12 in magnitude is positive.  Any other S takes
-    extract_bases(build_gram(S), ...), whose rows are the eigh eigenvectors.
-    Either way S must pass seidel._require_involutory.
+    with m = (q + 1) / 2.  Then X^T X = 2 P_+ = I + S/mu.  Gauge: each v_b
+    is signed so that its first entry above 1e-12 in magnitude is positive.
+    Any other S takes extract_bases(build_gram(S), ...), whose rows are the
+    eigh eigenvectors.  Either way S must pass seidel._require_involutory.
     """
     _require_involutory(S)
     lam = Fraction(1, 2 * S.k - 2)
@@ -142,36 +204,59 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
         return extract_bases(build_gram(S), S.q, lam)
     q = S.q
     v = transform.vecs[:, :, 1]  # eigh sorts ascending: column 1 belongs to +mu
-    lead = np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1])
-    v = v * np.copysign(1.0, lead)[:, None]
-    phase = np.empty((q, q))
-    phase[0] = math.sqrt(2.0 / q)
-    np.multiply(transform.cos[1:], 2.0 / math.sqrt(q), out=phase[1::2])
-    np.multiply(transform.sin[1:], 2.0 / math.sqrt(q), out=phase[2::2])
-    rows = np.concatenate([v[:1], np.repeat(v[1:], 2, axis=0)])  # v_0, then v_b for its cos and its sin row
-    basis = (phase[:, :, None] * rows[:, None, :]).reshape(q, 2 * q)
-    return PlaneTuple(lam=lam, basis=basis)
+    scale = np.full(len(v), 2.0 / math.sqrt(q))
+    scale[0] = math.sqrt(2.0 / q)
+    w = v * np.copysign(scale, np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1]))[:, None]
+    return PlaneTuple(lam=lam, basis=_table_basis(transform.table, w))
+
+
+def _table_basis(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The q x 2q basis table[t, i] * w[t, c] at column 2i + c, w given on the cos rows (m of them).
+
+    Each sin row t + m - 1 takes the w of its cos row t.
+    """
+    q = len(table)
+    w = np.concatenate([w, w[1:]])
+    basis = np.empty((q, 2 * q))
+    for c in (0, 1):  # a strided column per c runs far faster than a broadcast over a last axis of 2
+        np.multiply(table, w[:, c : c + 1], out=basis[:, c::2])
+    return basis
+
+
+def _is_table_basis(basis: np.ndarray) -> bool:
+    """Whether basis is exactly the table basis of planes_from_seidel, for w read from basis itself.
+
+    The check needs nothing but the basis: its shape gives q, hence the
+    field and the character table, and its block column 0 gives w bit for
+    bit, since column 0 of the table reads cos 0 = 1 on every cos row.
+    Then the whole basis is compared with _table_basis(table, w) by ==, so
+    a sin row whose w differs from that of its cos row fails too.
+    """
+    q = basis.shape[0]
+    if basis.shape[1] != 2 * q or (field := field_of_order(q)) is None:
+        return False
+    return np.array_equal(basis, _table_basis(_character_table(field), basis[: (q + 1) // 2, :2]))
 
 
 def orthonormality_residual(pt: PlaneTuple) -> float:
-    """Max deviation of any plane's P^T P from I_2."""
-    planes = pt.basis.reshape(pt.r, pt.n, 2)
-    blocks = planes.transpose(1, 2, 0) @ planes.transpose(1, 0, 2)  # P_i^T P_i for every plane i
-    return float(np.abs(blocks - np.eye(2)).max(initial=0.0))
+    """Max deviation of any plane's P^T P from I_2, read on the diagonal blocks of PlaneTuple.gram_rows."""
+    m = len(pt.gram_rows) // 2
+    diagonal = np.einsum("iiab->iab", _blocks(pt.gram_rows[:, : 2 * m]))  # P_i^T P_i for i < m
+    return float(np.abs(diagonal - np.eye(2)).max(initial=0.0))
 
 
 def isoclinic_residual(pt: PlaneTuple) -> float:
-    """Max deviation of any B^T B from lambda I_2, B = P_i^T P_j, i < j."""
-    return _isoclinic_deviation(_blocks(pt.basis.T @ pt.basis), pt.lam)
+    """Max deviation of any B^T B from lambda I_2, B = P_i^T P_j, i < j, read on PlaneTuple.gram_rows."""
+    return _isoclinic_deviation(_blocks(pt.gram_rows), pt.lam)
 
 
 def _isoclinic_deviation(blocks: np.ndarray, lam: Fraction | float) -> float:
     """Max-abs entry of B^T B - lam I_2 over the blocks B = blocks[i, j] above the diagonal.
 
-    blocks has shape (n, n, 2, 2).  B^T B is symmetric, so its three distinct
-    entries are formed from the four strided n x n entry arrays of blocks;
-    the blocks on and below the diagonal are computed too and then masked
-    out by np.triu.
+    blocks has shape (m, n, 2, 2), block rows 0..m-1 of an n x n array of
+    blocks.  B^T B is symmetric, so its three distinct entries are formed
+    from the four strided m x n entry arrays of blocks; the blocks on and
+    below the diagonal are computed too and then masked out by np.triu.
     """
     b00, b01, b10, b11 = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
     lam = float(lam)

@@ -42,10 +42,11 @@ g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.
 `planes.planes_from_seidel` reads g from block column 0 (g(a_i) = S[i, 0])
 and checks the form exactly (SeidelMatrix.block_column: gf.developed_column
 on the (a, b, i, j) block view; then g(-x) = g(x) and g(x) symmetric);
-it then takes g^(b) from a cos phase table, one batched 2 x 2 eigh, and
-nothing of order 2q.  An S that fails the check, such as normalize(S),
-permute_blocks by a non-affine sigma or a record with one changed block,
-takes build_gram and extract_bases there.  `seidel_square_residual` needs
+it then takes g^(b) from the cos rows of the real character table
+(_character_table), one batched 2 x 2 eigh, and nothing of order 2q.  An
+S that fails the check, such as normalize(S), permute_blocks by a
+non-affine sigma or a record with one changed block, takes build_gram and
+extract_bases there.  `seidel_square_residual` needs
 only the first check, and only to pick how many rows of S^2 it reads:
 S^2 is block group-developed too, so its block row 0, rows 0 and 1, holds
 every distinct entry; any other S is read on every row.  `spectrum` has
@@ -71,7 +72,8 @@ square_residual), so seidel_square_residual, spectrum, build_gram and
 planes_from_seidel on one S check its form once and form S^2 at most once;
 neither raises, so the guard, which reads the kept residual, decides each
 use alone.  The character transform is not kept: planes_from_seidel, its
-one reader, computes it on each call.
+one reader, computes it on each call from the phase index that the field
+keeps (gf.GaloisField.character_phases).
 """
 
 from __future__ import annotations
@@ -111,7 +113,9 @@ class SeidelMatrix:
 
     The order q is read from the shape of `dense`, which must be square of
     even order >= 2 (else InvalidOrder).  k is an input: a record's header
-    states it, and its checks hold the array against it.
+    states it, and its checks hold the array against it.  It must be at
+    least 3 (else InvalidOrder), as mu = sqrt(2k - 2) divides in spectrum
+    and in the plane extraction.
 
     The form check and the S^2 residual are computed on first use and kept
     on the object, so every check of one S reads the same verdict.  Do not
@@ -128,6 +132,8 @@ class SeidelMatrix:
         shape = self.dense.shape
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or not shape[0]:
             raise InvalidOrder(f"a Seidel matrix must be square of even order >= 2, got shape {shape}")
+        if self.k < 3:
+            raise InvalidOrder(f"a Seidel matrix needs k >= 3, got k = {self.k!r}")
 
     @property
     def q(self) -> int:
@@ -171,9 +177,8 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
 
 
 def _blocks(dense: np.ndarray) -> np.ndarray:
-    """(q, q, 2, 2) block view of a 2q x 2q array; a view whenever dense is C-contiguous."""
-    q = dense.shape[0] // 2
-    return dense.reshape(q, 2, q, 2).swapaxes(1, 2)
+    """(m, n, 2, 2) block view of a 2m x 2n array; a view whenever its rows are C-contiguous."""
+    return dense.reshape(dense.shape[0] // 2, 2, dense.shape[1] // 2, 2).swapaxes(1, 2)
 
 
 def _reflection_blocks(c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -247,16 +252,35 @@ def rotation_sum(field: GaloisField, theta: float, b: Element) -> np.ndarray:
 class _Transform(NamedTuple):
     """The 2 x 2 blocks g^(b) of a group-developed S, for b = 0 and one b of each pair {b, -b}.
 
-    Row 0 of every array is b = 0.  cos and sin hold cos(2 pi b.a_i / p)
-    and sin(2 pi b.a_i / p), shape (m, q) with m = (q + 1) / 2; vals and
-    vecs are the eigh of the g^(b), shapes (m, 2) and (m, 2, 2).  g^(-b)
-    equals g^(b), so the m blocks carry all 2q eigenvalues of S.
+    table is _character_table of the field, whose m = (q + 1) / 2 cos rows
+    give the g^(b); vals and vecs are the eigh of the g^(b), shapes (m, 2)
+    and (m, 2, 2), in the order of those rows.  g^(-b) equals g^(b), so the
+    m blocks carry all 2q eigenvalues of S.
     """
 
-    cos: np.ndarray
-    sin: np.ndarray
+    table: np.ndarray
     vals: np.ndarray
     vecs: np.ndarray
+
+
+def _character_table(field: GaloisField) -> np.ndarray:
+    """The q x q real character table of the additive group of GF(q), one b of each pair {b, -b}.
+
+    Rows 0..m-1, m = (q + 1) / 2, are cos(2 pi b.a_x / p) for b = 0 (a row
+    of ones) and then the lesser index b of each pair; rows m..q-1 are
+    sin(2 pi b.a_x / p) for the same b != 0, in the same order.  Each entry
+    is looked up through field.character_phases() in the p values of cos
+    and sin, so every build gives the same bits.
+    """
+    q, p = field.q, field.p
+    # row 0 of the digit differences is the negation map: b = 0 first, then the lesser index of each pair
+    phases = field.character_phases()[np.arange(q) <= field.digit_differences()[0]]
+    angle = 2.0 * math.pi / p * np.arange(p)
+    m = len(phases)
+    table = np.empty((q, q))
+    np.take(np.cos(angle), phases, out=table[:m], mode="clip")  # "clip" fills out without a buffer
+    np.take(np.sin(angle), phases[1:], out=table[m:], mode="clip")
+    return table
 
 
 def _character_transform(S: SeidelMatrix) -> _Transform | None:
@@ -270,14 +294,9 @@ def _character_transform(S: SeidelMatrix) -> _Transform | None:
     # the transform is real only for g even with symmetric values
     if not (np.array_equal(entries[:, :, neg], entries) and np.array_equal(entries[1, 0], entries[0, 1])):
         return None
-    reps = np.flatnonzero(np.arange(q) <= neg)  # b = 0 first, then the lesser index of each pair
-    p = field.p
-    digits = field.digit_array()
-    dot = digits[reps] @ digits.T % p
-    angle = 2.0 * math.pi / p * np.arange(p)
-    cos, sin = np.cos(angle)[dot], np.sin(angle)[dot]
-    vals, vecs = np.linalg.eigh((cos @ entries.reshape(4, q).T).reshape(-1, 2, 2))
-    return _Transform(cos, sin, vals, vecs)
+    table = _character_table(field)
+    vals, vecs = np.linalg.eigh((table[: (q + 1) // 2] @ entries.reshape(4, q).T).reshape(-1, 2, 2))
+    return _Transform(table, vals, vecs)
 
 
 def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:

@@ -36,7 +36,7 @@ from isoclinic import (
     seidel_square_residual,
     spectrum,
 )
-from isoclinic import conference, gf, hadamard, seidel
+from isoclinic import conference, gf, hadamard, planes, seidel
 
 FIELDS = [(5, 1), (3, 2), (5, 3)]
 TOL = 1e-9
@@ -84,9 +84,10 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     products = count_calls(monkeypatch, conference, "_gram_deviation")
     doubled = count_calls(monkeypatch, hadamard, "_doubled")
     conferences = count_calls(monkeypatch, conference, "build_conference")
-    built = [capture(monkeypatch, name) for name in ("build_conference", "build_seidel", "double")]
+    table_checks = count_calls(monkeypatch, planes, "_is_table_basis")
+    built = [capture(monkeypatch, name) for name in ("build_conference", "build_seidel", "planes_from_seidel", "double")]
     rows = cli.run_pipeline((p**alpha + 1) // 2, TOL)
-    (C,), (S,), (H,) = built
+    (C,), (S,), (pt,), (H,) = built
     assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
     assert transforms == [S]
     assert len(eighs) == 1
@@ -99,6 +100,8 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     assert developed[2].shape == (2, 2, S.q, S.q) and np.shares_memory(developed[2], S.dense)
     assert len(products) == 1 and products[0] is C.values
     assert len(doubled) <= 1 and H.doubling_of is C.values
+    # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals
+    assert table_checks == [pt.basis] and pt.gram_rows.shape == (2, 2 * S.q)
 
 
 def test_square_residual_forms_the_full_product_once_on_the_dense_path(monkeypatch):

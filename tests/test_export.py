@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoclinic import (
     RecordParseError,
@@ -24,6 +26,7 @@ from isoclinic import (
     serialize,
     write_record,
 )
+from isoclinic import export, seidel
 from isoclinic.cli import build_record
 from isoclinic.export import KINDS, records_equal
 
@@ -170,8 +173,8 @@ def test_serialize_unknown_format():
 # per-entry writer: exports are byte-identical across versions of the writer.
 # The planes rows pin the record in the eigh gauge, the basis build_record
 # wrote before the character-sum extraction (_eigh_gauge_planes_record), so
-# the writer stays pinned on unchanged input; PLANES_DIGESTS pins the planes
-# records build_record writes now.
+# the writer stays pinned on unchanged input; TABLE_PLANES_DIGESTS pins the
+# planes records build_record writes now.
 PINNED_DIGESTS = """
 3 conference json defebaa8340f6bb44e7ab1e4a05c1fd87930e4269bd47c45c259dcf25789f22b
 3 conference text b36233608580c422ca79ce7b76766e5a96b194b8fc6abb289f3380c45ec68fe4
@@ -256,8 +259,11 @@ PINNED_DIGESTS = """
 """
 
 
-# SHA-256 of serialize(build_record("planes", k), fmt): the basis of the
-# character-sum extraction, rows b = 0, then cos and sin rows per pair {b, -b}
+# SHA-256 of serialize(record, fmt) for the planes record in the gauge that
+# build_record wrote before the table form (_interleaved_planes_record): rows
+# b = 0, then a cos and a sin row per pair {b, -b}, each (2/sqrt(q)) cos or sin
+# times v_b.  Like the eigh-gauge rows above, they keep the writer pinned on
+# unchanged input.
 PLANES_DIGESTS = """
 3 json 69c88d89f088daf217b7c73baf495bc6a4da669277c2f1b1de71311a88f027b0
 3 text 927cab33921345bf7375acfb915b1da0ac21ed97e99510e98ed56c90dbc1ad6b
@@ -275,6 +281,29 @@ PLANES_DIGESTS = """
 61 text 654edc1aac39b16ed96fb5099994017d0a5fe11014dd1caccea756628b2edb5e
 63 json d000323d707888066f423432486087f5022fc8e3eb6adf3a4cf5364a9a1ee4eb
 63 text c5ec7108870eff26e0dc9072a5c566514218540eb914d19343b563789f089a18
+"""
+
+
+# SHA-256 of serialize(build_record("planes", k), fmt): the table basis of the
+# character-sum extraction, the cos rows (b = 0 first), then the sin rows, each
+# row the table row times the w of its b
+TABLE_PLANES_DIGESTS = """
+3 json 82695f2a29d2458274541c5c1805ac7c6a33f35f118684f113a4e30c8b5cc778
+3 text d1e8bdd179778bc899bf70e498bc077ea4925bf76966da816564f1ba36c8ebf1
+5 json e37aca71e8b92626caac9193957ee63bb624bca46ada70691de792cb80b1d314
+5 text d84a107a7fd29c94a4c2058c46a2bbad2e38ec832764597bfffd50a2d01e7b8f
+7 json 89e81b069da1e91e9ea90d6aa65c1faf7fa1c25f02a9927a976aadccfc98ba32
+7 text b27dae0c37bdd498603a7a60345bb9f178ba5915db7a647f926a70a41aaffa63
+13 json d3526fb040e37dda5286b5bed4b101e6aad68b1e60b61fa26715eb39363e255d
+13 text 3b2a02926c759369c09f6a93a87a3f6927cd39319b94f28d969c039a738a0543
+31 json 1c46087bbb9ef133fe6681c8f1f956d6991d27e0846acc99923987eff0ce53ac
+31 text 3773f20492b70f439e8b93cba83d8e87d1f7f2533ff58310edd57da3a790bc1e
+41 json 8a096a5fdd0c1a8b79bcf8621d8bd802e8dc2ab7145484443eb1680caf6200c3
+41 text 936b629c84bd147348e2ba4bc2c562a5e485d2fac780d13369034fadcab2ade6
+61 json 5a056a9ff4b10ef7d1df7db9d5e13065c825590695a0f9607ed5e9385f4bc27b
+61 text 578cab5c571941e9fbb4642aad01cbd828d6490a2797d6bb3a065e9fb4834f50
+63 json f2d45a89383e7901de498e300f7d06431a81b79cd11166d63bb8edb8dea4feb5
+63 text 9f72bba96927c417ea982b39312a60d8b4afd02348576ac84b7815f490099de3
 """
 
 
@@ -298,8 +327,31 @@ def test_export_digest_pinned(k, kind, fmt, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+@functools.cache
+def _interleaved_planes_record(k):
+    record = build_record("planes", k)
+    S = build_seidel(make_field(record.metadata["p"], record.metadata["alpha"]))
+    transform = seidel._character_transform(S)
+    q, m = S.q, (S.q + 1) // 2
+    v = transform.vecs[:, :, 1]
+    v = v * np.copysign(1.0, np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1]))[:, None]
+    phase = np.empty((q, q))
+    phase[0] = math.sqrt(2.0 / q)
+    np.multiply(transform.table[1:m], 2.0 / math.sqrt(q), out=phase[1::2])
+    np.multiply(transform.table[m:], 2.0 / math.sqrt(q), out=phase[2::2])
+    rows = np.concatenate([v[:1], np.repeat(v[1:], 2, axis=0)])
+    record.entries = (phase[:, :, None] * rows[:, None, :]).reshape(q, 2 * q)
+    return record
+
+
 @pytest.mark.parametrize("k,fmt,digest", [line.split() for line in PLANES_DIGESTS.split("\n") if line])
 def test_export_digest_pinned_planes(k, fmt, digest):
+    text = serialize(_interleaved_planes_record(int(k)), fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k,fmt,digest", [line.split() for line in TABLE_PLANES_DIGESTS.split("\n") if line])
+def test_export_digest_pinned_table_planes(k, fmt, digest):
     text = serialize(_record("planes", int(k)), fmt)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
@@ -461,6 +513,16 @@ def _set_entry(value, component=None):
     return mutate
 
 
+def _wrap_every_entry_of(key):
+    def mutate(doc):
+        doc[key] = [[[x] for x in row] for row in doc[key]]
+
+    return mutate
+
+
+_wrap_every_entry = _wrap_every_entry_of("entries")
+
+
 def _extend_every_pair(doc):
     for row in doc["entries"]:
         for pair in row:
@@ -484,6 +546,20 @@ STRICT_JSON = {
     "exponent-true": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, True), "exponents must be"),
     "exponent-huge": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, 10**30), "too large"),
     "entry-huge": ("seidel", _set_entry(10**400), "too large"),
+    # ragged and wrong-depth entries and exponents, each in one place or everywhere
+    "real-short-row": ("seidel", lambda doc: doc["entries"][3].pop(), "equal-length lists"),
+    "real-too-deep": ("seidel", _wrap_every_entry, r"rows of numbers, got shape \(10, 10, 1\)"),
+    "real-too-shallow": ("seidel", lambda doc: doc.update(entries=doc["entries"][0]), r"rows of numbers, got shape \(10,\)"),
+    "complex-too-shallow": ("conference", lambda doc: doc.update(entries=[[0.5] * 5] * 5), r"\[re, im\] pairs"),
+    "complex-too-deep": ("conference", _wrap_every_entry, r"\[re, im\] pairs, got shape \(5, 5, 1, 2\)"),
+    "too-deep-and-huge": ("seidel", lambda doc: (_wrap_every_entry(doc), _set_entry([10**400])(doc)), "rows of numbers"),
+    "past-numpy-axes": ("seidel", lambda doc: doc.update(entries=functools.reduce(lambda x, _: [x], range(70), 0.5)), "equal-length lists"),
+    "exponent-short-row": ("conference", lambda doc: doc["exponents"][2].pop(), "exponents must be"),
+    "exponent-too-deep": ("conference", _wrap_every_entry_of("exponents"), r"exponents have shape \(5, 5, 1\)"),
+    "exponent-float": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, 1.0), "exponents must be"),
+    "exponent-string": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, "1"), "exponents must be"),
+    "exponent-null": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, None), "exponents must be"),
+    "exponent-pair": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, [1, 1]), "exponents must be"),
 }
 
 
@@ -494,6 +570,80 @@ def test_parse_json_strict_typing(case):
     mutate(doc)
     with pytest.raises(RecordParseError, match=match):
         parse(json.dumps(doc))
+
+
+def reference_json_array(value, types, dtype, rule):
+    """The object-array typing the parser used before: an oracle for export._json_typed and the fill after it."""
+    array = np.array(value, dtype=object)
+    if not set(map(type, array.ravel().tolist())) <= set(types):
+        raise RecordParseError(rule)
+    return array
+
+
+def _outcome(decode, value):
+    try:
+        array = decode(value)
+    except (RecordParseError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _typed_entries(value, is_complex):
+    values, scalars = export._json_typed(value, (int, float), np.float64, "rule")
+    shape_ok = values.ndim == 3 and values.shape[2] == 2 if is_complex else values.ndim == 2
+    if not shape_ok:
+        raise RecordParseError(f"shape {values.shape}")
+    values.reshape(-1)[:] = scalars
+    return values
+
+
+def _reference_entries(value, is_complex):
+    array = reference_json_array(value, (int, float), np.float64, "rule")
+    shape_ok = array.ndim == 3 and array.shape[2] == 2 if is_complex else array.ndim == 2
+    if not shape_ok:
+        raise RecordParseError(f"shape {array.shape}")
+    return array.astype(np.float64)
+
+
+def _typed_exponents(value):
+    values, scalars = export._json_typed(value, (int,), np.int64, "rule")
+    values.reshape(-1)[:] = scalars
+    return values
+
+
+def _reference_exponents(value):
+    return reference_json_array(value, (int,), np.int64, "rule").astype(np.int64)
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(-2, 2),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.just({}),
+)
+JSON_NESTED = st.recursive(JSON_SCALARS, lambda children: st.lists(children, max_size=3), max_leaves=12)
+# rows of equal length whose items are mostly scalars or pairs, so that many draws are nearly regular
+JSON_ROWS = st.integers(0, 3).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, min_size=2, max_size=2), JSON_NESTED), min_size=cols, max_size=cols),
+        max_size=3,
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(JSON_NESTED, JSON_ROWS))
+def test_json_typing_matches_the_object_array_reference(value):
+    # the same error, or the same array bit for bit, for entries of both kinds and for exponents
+    value = json.loads(json.dumps(value))
+    for is_complex in (False, True):
+        assert _outcome(lambda v: _typed_entries(v, is_complex), value) == _outcome(
+            lambda v: _reference_entries(v, is_complex), value
+        )
+    assert _outcome(_typed_exponents, value) == _outcome(_reference_exponents, value)
 
 
 def _set_header(key, value):

@@ -119,16 +119,29 @@ def test_planes_are_equi_isoclinic(p, alpha):
     assert np.linalg.matrix_rank(pt.basis) == q
 
 
-def reference_orthonormality_residual(pt):
-    """Plane-by-plane loop; an oracle for the block-Gram residual."""
-    return max(float(np.abs(pt.plane(i).T @ pt.plane(i) - np.eye(2)).max()) for i in range(pt.n))
+EPS = float(np.finfo(float).eps)
 
 
-def reference_isoclinic_residual(pt):
-    """Pair-by-pair loop; an oracle for the block-Gram residual."""
+def row_read_bound(q):
+    """The gap the planes docstring states between the row-0 and the every-row reading of either residual."""
+    return (4 * q + 81) * EPS
+
+
+def rows_read(pt):
+    """m, the number of block rows of basis^T basis that the residuals of pt read."""
+    return len(pt.gram_rows) // 2
+
+
+def reference_orthonormality_residual(pt, rows=None):
+    """Plane-by-plane loop over the first rows planes (all by default); an oracle for the block-Gram residual."""
+    return max(float(np.abs(pt.plane(i).T @ pt.plane(i) - np.eye(2)).max()) for i in range(rows or pt.n))
+
+
+def reference_isoclinic_residual(pt, rows=None):
+    """Pair-by-pair loop over the pairs i < j with i among the first rows planes; an oracle for the block-Gram residual."""
     lam = float(pt.lam)
     worst = 0.0
-    for i in range(pt.n):
+    for i in range(rows or pt.n):
         for j in range(i + 1, pt.n):
             b = pt.plane(i).T @ pt.plane(j)
             worst = max(worst, float(np.abs(b.T @ b - lam * np.eye(2)).max()))
@@ -141,11 +154,14 @@ def test_residuals_match_pair_loop_reference(p, alpha):
     basis = pt.basis.copy()
     basis[:, -2:] *= 1.01  # the last plane is neither orthonormal nor isoclinic to the others
     scaled = replace(pt, basis=basis)
+    assert (rows_read(pt), rows_read(scaled)) == (1, pt.n)
     for residual, reference in (
         (orthonormality_residual, reference_orthonormality_residual),
         (isoclinic_residual, reference_isoclinic_residual),
     ):
-        assert abs(residual(pt) - reference(pt)) <= 1e-15
+        # the table basis is read on plane 0 and its pairs, and agrees with every pair within the stated bound
+        assert abs(residual(pt) - reference(pt, rows=1)) <= 1e-15
+        assert abs(residual(pt) - reference(pt)) <= row_read_bound(pt.n)
         assert residual(pt) <= 1e-10
         assert abs(residual(scaled) - reference(scaled)) <= 1e-15
         assert residual(scaled) > 1e-4 and reference(scaled) > 1e-4
@@ -268,9 +284,9 @@ def test_planes_fall_back_when_not_group_developed(p, alpha):
         planes_from_seidel(SeidelMatrix(k=S.k, dense=dense))
 
 
-def reference_einsum_orthonormality_residual(pt):
-    """The diagonal blocks P_i^T P_i from one einsum; an oracle for the batched product."""
-    planes = pt.basis.reshape(pt.r, pt.n, 2)
+def reference_einsum_orthonormality_residual(pt, rows):
+    """The diagonal blocks P_i^T P_i, i < rows, from one einsum; an oracle for the batched product."""
+    planes = pt.basis.reshape(pt.r, pt.n, 2)[:, :rows]
     blocks = np.einsum("xia,xib->iab", planes, planes, optimize=True)
     return float(np.abs(blocks - np.eye(2)).max(initial=0.0))
 
@@ -282,26 +298,31 @@ def test_orthonormality_residual_matches_einsum_reference_exactly(p, alpha):
     dense = extract_bases(build_gram(S), S.q, pt.lam)
     basis = pt.basis.copy()
     basis[:, -2:] *= 1.01
-    for tup in (pt, dense, replace(pt, basis=basis)):
-        assert orthonormality_residual(tup) == reference_einsum_orthonormality_residual(tup)
+    for tup, rows in ((pt, 1), (dense, S.q), (replace(pt, basis=basis), S.q)):
+        assert rows_read(tup) == rows
+        assert orthonormality_residual(tup) == reference_einsum_orthonormality_residual(tup, rows)
     assert orthonormality_residual(replace(pt, basis=basis)) > 1e-3
 
 
-def reference_gather_isoclinic_residual(pt):
-    """The pair gather and batched contraction; an oracle for the strided block-entry kernel."""
-    i, j = np.triu_indices(pt.n, 1)
-    b = seidel._blocks(pt.basis.T @ pt.basis)[i, j]  # b[m] = P_i^T P_j for the m-th pair i < j
+def reference_gather_isoclinic_residual(pt, rows):
+    """The pair gather and batched contraction over the pairs i < j, i < rows; an oracle for the strided block-entry kernel."""
+    i, j = np.triu_indices(rows, 1, pt.n)
+    gram = pt.basis[:, : 2 * rows].T @ pt.basis  # block rows 0..rows-1 of basis^T basis
+    b = seidel._blocks(gram)[i, j]  # b[m] = P_i^T P_j for the m-th pair
     btb = np.einsum("mab,mac->mbc", b, b)
     return float(np.abs(btb - float(pt.lam) * np.eye(2)).max(initial=0.0))
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
 def test_isoclinic_residual_matches_gather_reference_exactly(p, alpha):
-    pt = planes_from_seidel(build_seidel(make_field(p, alpha)))
+    S = build_seidel(make_field(p, alpha))
+    pt = planes_from_seidel(S)
+    dense = extract_bases(build_gram(S), S.q, pt.lam)
     basis = pt.basis.copy()
     basis[:, -2:] *= 1.01
-    for tup in (pt, replace(pt, basis=basis)):
-        assert isoclinic_residual(tup) == reference_gather_isoclinic_residual(tup)
+    for tup, rows in ((pt, 1), (dense, S.q), (replace(pt, basis=basis), S.q)):
+        assert rows_read(tup) == rows
+        assert isoclinic_residual(tup) == reference_gather_isoclinic_residual(tup, rows)
 
 
 def test_isoclinic_deviation_reads_only_the_blocks_above_the_diagonal():
@@ -349,3 +370,110 @@ def test_a_plane_basis_must_be_2d_with_an_even_number_of_columns():
             PlaneTuple(lam=pt.lam, basis=basis)
     with pytest.raises(InvalidOrder):
         replace(pt, basis=pt.basis[:, :7])
+
+
+def every_row_reading(monkeypatch, pt):
+    """Both residuals of pt's basis read on every block row: the oracle of the row read."""
+    with monkeypatch.context() as m:
+        m.setattr(planes, "_is_table_basis", lambda basis: False)
+        tup = replace(pt)
+        assert rows_read(tup) == pt.n
+        return orthonormality_residual(tup), isoclinic_residual(tup)
+
+
+def previous_residuals(pt):
+    """The residuals as every basis was read before the row read: batched diagonal blocks and the full Gram."""
+    planes_ = pt.basis.reshape(pt.r, pt.n, 2)
+    diagonal = planes_.transpose(1, 2, 0) @ planes_.transpose(1, 0, 2)
+    orth = float(np.abs(diagonal - np.eye(2)).max(initial=0.0))
+    return orth, planes._isoclinic_deviation(seidel._blocks(pt.basis.T @ pt.basis), pt.lam)
+
+
+def addition_law_error(p):
+    """max |c_j c_k + s_j s_k - c_(j-k)| over the p-entry cos and sin table, exact on the table values."""
+    angle = 2.0 * math.pi / p * np.arange(p)
+    c = [Fraction(float(x)) for x in np.cos(angle)]
+    s = [Fraction(float(x)) for x in np.sin(angle)]
+    return float(max(abs(c[j] * c[k] + s[j] * s[k] - c[(j - k) % p]) for j in range(p) for k in range(p)))
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS + [(3, 6)])
+def test_row_read_agrees_with_the_every_row_read_within_the_stated_bound(monkeypatch, p, alpha):
+    f = make_field(p, alpha)
+    pt = planes_from_seidel(build_seidel(f))
+    assert rows_read(pt) == 1
+    assert addition_law_error(p) <= 40 * EPS
+    # delta: two entries of X^T X at one difference a_i - a_j, against block row 0
+    blocks = seidel._blocks(pt.basis.T @ pt.basis)
+    delta = float(np.abs(blocks - blocks[0][f.digit_differences().T]).max())
+    assert delta <= (2 * f.q + 40) * EPS
+    orth, iso = every_row_reading(monkeypatch, pt)
+    assert abs(orthonormality_residual(pt) - orth) <= delta + EPS
+    assert abs(isoclinic_residual(pt) - iso) <= 2 * delta + EPS
+    assert max(abs(orthonormality_residual(pt) - orth), abs(isoclinic_residual(pt) - iso)) <= row_read_bound(f.q)
+
+
+class MatmulShapes(np.ndarray):
+    """An array that appends the operand shapes of every matmul it enters to `shapes`."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.shapes.append(tuple(x.shape for x in inputs))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_the_table_basis_forms_one_block_row_of_the_gram(monkeypatch, p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    pt = planes_from_seidel(S)
+    q = S.q
+    shapes = []
+    monkeypatch.setattr(MatmulShapes, "shapes", shapes)
+    for tup in (pt, extract_bases(build_gram(S), q, pt.lam)):
+        tup = replace(tup, basis=tup.basis.view(MatmulShapes))
+        orthonormality_residual(tup)
+        isoclinic_residual(tup)
+    # one product per tuple, shared by both residuals: no 2q x 2q X^T X on the table basis
+    assert shapes == [((2, q), (q, 2 * q)), ((2 * q, q), (q, 2 * q))]
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_other_valid_bases_are_read_on_every_row_and_pass(p, alpha):
+    S = build_seidel(make_field(p, alpha))
+    pt = planes_from_seidel(S)
+    rng = np.random.default_rng(S.q)
+    Q = np.linalg.qr(rng.standard_normal((S.q, S.q)))[0]
+    bases = (
+        extract_bases(build_gram(S), S.q, pt.lam).basis,
+        pt.basis[rng.permutation(S.q)],
+        Q @ pt.basis,
+    )
+    for basis in bases:
+        tup = replace(pt, basis=basis)
+        assert rows_read(tup) == S.q
+        assert orthonormality_residual(tup) <= 1e-12 and isoclinic_residual(tup) <= 1e-12
+        # the every-row read gives what every basis read before, bit for bit
+        got = (orthonormality_residual(tup), isoclinic_residual(tup))
+        assert [x.hex() for x in got] == [x.hex() for x in previous_residuals(tup)]
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_a_forged_table_basis_is_read_on_every_row_and_fails(p, alpha):
+    pt = planes_from_seidel(build_seidel(make_field(p, alpha)))
+    q, m = pt.n, (pt.n + 1) // 2
+    sin_row = pt.basis.copy()
+    sin_row[m] *= 1.01  # the first sin row no longer shares the w of its cos row
+    entry = pt.basis.copy()
+    entry[q - 1, 2 * q - 1] += 1e-3
+    # the sin rows read 0 on block column 0, so block column 0 and block row 0 of X^T X are those of pt:
+    # a check on block column 0 alone, or a read of block row 0 alone, would pass the first forgery
+    assert np.array_equal(sin_row[:, :2], pt.basis[:, :2])
+    assert np.array_equal(sin_row[:, :2].T @ sin_row, pt.basis[:, :2].T @ pt.basis)
+    for basis in (sin_row, entry):
+        tup = replace(pt, basis=basis)
+        assert rows_read(tup) == q
+        assert max(orthonormality_residual(tup), isoclinic_residual(tup)) > 1e-7
+        got = (orthonormality_residual(tup), isoclinic_residual(tup))
+        assert [x.hex() for x in got] == [x.hex() for x in previous_residuals(tup)]

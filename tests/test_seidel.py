@@ -383,11 +383,12 @@ def test_spectrum_transform_matches_trace_path(p, alpha):
     transform = seidel._character_transform(S)
     assert transform is not None
     m = (S.q + 1) // 2
-    assert transform.vals.shape == (m, 2) and transform.cos.shape == (m, S.q)
+    assert transform.vals.shape == (m, 2) and transform.table.shape == (S.q, S.q)
     mu = math.sqrt(2 * S.k - 2)
     assert np.abs(np.abs(transform.vals) - mu).max() <= 1e-12
-    # g^(0) = diag(mu, -mu)
-    assert np.abs(transform.cos[0] @ S.blocks[:, 0].reshape(S.q, 4) - [mu, 0.0, 0.0, -mu]).max() <= 1e-12
+    # g^(0) = diag(mu, -mu); row 0 of the table, b = 0, is a row of ones
+    assert np.array_equal(transform.table[0], np.ones(S.q))
+    assert np.abs(transform.table[0] @ S.blocks[:, 0].reshape(S.q, 4) - [mu, 0.0, 0.0, -mu]).max() <= 1e-12
     assert spectrum(S) == [(mu, S.q), (-mu, S.q)]
 
 
@@ -584,3 +585,15 @@ def test_a_seidel_matrix_must_be_square_of_even_order():
             SeidelMatrix(k=3, dense=dense)
     with pytest.raises(InvalidOrder):
         replace(S, dense=S.dense[:9, :9])
+
+
+def test_a_seidel_matrix_below_k_3_is_refused():
+    # mu = sqrt(2k - 2) divides in spectrum and in the plane extraction, so k < 3 is refused at construction
+    for k in (1, 2, 0, -3):
+        with pytest.raises(InvalidOrder, match="k >= 3"):
+            SeidelMatrix(k=k, dense=np.zeros((2, 2)))
+    S = build_seidel(make_field(5))
+    for k in (1, 2):
+        with pytest.raises(InvalidOrder, match="k >= 3"):
+            replace(S, k=k)
+    assert replace(S, k=4).k == 4  # a k the array disagrees with is the checks' to find, not the constructor's
