@@ -118,6 +118,15 @@ def _metadata_lambda(meta: dict) -> Fraction:
     raise RecordParseError(f"metadata lambda must be two integers with a nonzero denominator, got {pair!r}")
 
 
+def _row(name: str, value: float, limit: float, detail: str = "{:.3e}") -> tuple[str, bool, str]:
+    """A threshold row (name, ok, detail): value <= limit passes, so a nan fails; detail formats value."""
+    return name, value <= limit, detail.format(value)
+
+
+def _asymmetry(M: np.ndarray) -> float:
+    return float(np.abs(M - M.T).max())
+
+
 def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[str, bool, str]]:
     """Kind-appropriate checks as (name, ok, detail) rows."""
     kind = record.kind
@@ -131,19 +140,15 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     if kind == "conference":
         omega = _metadata_omega(record.metadata)
         C = ConferenceMatrix(k=record.k, exponents=record.exponents, values=record.entries.astype(np.complex128))
-        resid = conference_residual(C)
-        checks.append(("conference-residual", resid <= tol, f"{resid:.3e}"))
+        checks.append(_row("conference-residual", conference_residual(C), tol))
         values = C.values
-        diag = float(np.abs(values.diagonal()).max())
-        checks.append(("zero-diagonal", diag <= tol, f"{diag:.3e}"))
+        checks.append(_row("zero-diagonal", float(np.abs(values.diagonal()).max()), tol))
         off = ~np.eye(C.q, dtype=bool)
-        unit = float(np.abs(np.abs(values[off]) - 1.0).max(initial=0.0))
-        checks.append(("unimodular", unit <= tol, f"{unit:.3e}"))
-        sym = float(np.abs(values - values.T).max())
-        checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
+        checks.append(_row("unimodular", float(np.abs(np.abs(values[off]) - 1.0).max(initial=0.0)), tol))
+        checks.append(_row("symmetry", _asymmetry(values), tol))
         if C.exponents is not None:
             dev = float(np.abs(values - _values_from_exponents(C.exponents, omega)).max())
-            checks.append(("exponent-values", dev <= tol, f"{dev:.3e}"))
+            checks.append(_row("exponent-values", dev, tol))
         if exact:
             if record.exponents is None:
                 raise _ExactUnavailable("exact layer unavailable: record has no exponent matrix")
@@ -156,42 +161,33 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         if record.order % 2 != 0:
             raise RecordParseError("seidel record order must be even")
         S = SeidelMatrix(k=record.k, dense=record.entries.astype(np.float64))
-        resid = seidel_square_residual(S)
-        checks.append(("seidel-square", resid <= tol, f"{resid:.3e}"))
-        sym = float(np.abs(S.dense - S.dense.T).max())
-        checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
+        checks.append(_row("seidel-square", seidel_square_residual(S), tol))
+        checks.append(_row("symmetry", _asymmetry(S.dense), tol))
         blocks = S.blocks
-        diag = float(np.abs(np.einsum("iiab->iab", blocks)).max())
-        checks.append(("zero-diagonal-blocks", diag <= tol, f"{diag:.3e}"))
+        checks.append(_row("zero-diagonal-blocks", float(np.abs(np.einsum("iiab->iab", blocks)).max()), tol))
         # B B^T = I for every off-diagonal block B
         gram = np.einsum("ijab,ijcb->ijac", blocks, blocks)
         off = ~np.eye(S.q, dtype=bool)
-        orth = float(np.abs(gram[off] - np.eye(2)).max(initial=0.0))
-        checks.append(("orthogonal-blocks", orth <= tol, f"{orth:.3e}"))
+        checks.append(_row("orthogonal-blocks", float(np.abs(gram[off] - np.eye(2)).max(initial=0.0)), tol))
         return checks
     if kind == "gram":
         if record.order % 2 != 0:
             raise RecordParseError("gram record order must be even")
         A = record.entries.astype(np.float64)
-        n = A.shape[0]
-        sym = float(np.abs(A - A.T).max())
-        checks.append(("symmetry", sym <= tol, f"{sym:.3e}"))
+        checks.append(_row("symmetry", _asymmetry(A), tol))
         idem = float(np.abs(A @ A - 2.0 * A).max())
-        checks.append(("eigenvalues-0-2", idem <= max(tol, 1e-10) * n, f"|A^2-2A| = {idem:.3e}"))
-        diag_blocks = np.einsum("iiab->iab", _blocks(A))
-        diag = float(np.abs(diag_blocks - np.eye(2)).max())
-        checks.append(("unit-diagonal-blocks", diag <= tol, f"{diag:.3e}"))
+        checks.append(_row("eigenvalues-0-2", idem, max(tol, 1e-10) * A.shape[0], "|A^2-2A| = {:.3e}"))
+        diag = float(np.abs(np.einsum("iiab->iab", _blocks(A)) - np.eye(2)).max())
+        checks.append(_row("unit-diagonal-blocks", diag, tol))
         # A_ij^T A_ij = lambda I for i < j, at the lambda of the record's k
         lam = Fraction(1, 2 * record.k - 2)
         iso = _isoclinic_deviation(_blocks(A), lam)
-        checks.append(("isoclinic-blocks", iso <= tol, f"{iso:.3e} at lambda = {lam}"))
+        checks.append(_row("isoclinic-blocks", iso, tol, f"{{:.3e}} at lambda = {lam}"))
         return checks
     if kind == "planes":
         pt = PlaneTuple(lam=_metadata_lambda(record.metadata), basis=record.entries.astype(np.float64))
-        orth = orthonormality_residual(pt)
-        checks.append(("orthonormal-pairs", orth <= tol, f"{orth:.3e}"))
-        iso = isoclinic_residual(pt)
-        checks.append(("isoclinic", iso <= tol, f"{iso:.3e}"))
+        checks.append(_row("orthonormal-pairs", orthonormality_residual(pt), tol))
+        checks.append(_row("isoclinic", isoclinic_residual(pt), tol))
         # 2k - 1 planes in R^(2k - 1): as many planes as dimensions, and that
         # count attains the exact bound at this lambda
         checks.append(("plane-count", pt.n == pt.r, f"n = {pt.n}, r = {pt.r}"))
@@ -204,8 +200,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         return checks
     # hadamard
     H = HadamardMatrix(values=record.entries.astype(np.complex128))
-    resid = hadamard_residual(H)
-    checks.append(("hadamard-residual", resid <= tol, f"{resid:.3e}"))
+    checks.append(_row("hadamard-residual", hadamard_residual(H), tol))
     # the record claims to be the doubling of a conference matrix C, which is symmetric with zero diagonal;
     # the residual above has checked that form already and H keeps the verdict
     form = H.doubling_of is not None
@@ -228,31 +223,28 @@ STAGES = (
 
 
 def _chain(field: GaloisField, k: int, tol: float):
-    """Yield (ok, detail) for each stage of STAGES in turn."""
+    """Yield the (name, ok, detail) row of each stage of STAGES in turn."""
+    counts, residual, square, spectral, witnesses, extraction, isoclinic, bound, hadamard = STAGES
     q = field.q
     C = build_conference(field, critical_omega(k))
     ok = verify_counts(C)
     kk = (k - 1) // 2
-    yield ok, f"(r,s,t) = ({k - 2},{kk},{kk}) at every off-diagonal" if ok else "counts differ"
-    r = conference_residual(C)
-    yield r <= tol, f"{r:.3e}"
+    yield counts, ok, f"(r,s,t) = ({k - 2},{kk},{kk}) at every off-diagonal" if ok else "counts differ"
+    yield _row(residual, conference_residual(C), tol)
     S = build_seidel(field)
-    r = seidel_square_residual(S)
-    yield r <= tol, f"{r:.3e}"
+    yield _row(square, seidel_square_residual(S), tol)
     pairs = spectrum(S)
-    yield all(m == q for _, m in pairs), " ".join(f"{v:+.6f} x{m}" for v, m in pairs)
+    yield spectral, all(m == q for _, m in pairs), " ".join(f"{v:+.6f} x{m}" for v, m in pairs)
     equivalence_witnesses(field)
-    yield True, "permutation and all-i scaling verified"
+    yield witnesses, True, "permutation and all-i scaling verified"
     pt = planes_from_seidel(S)
-    r = orthonormality_residual(pt)
-    yield r <= tol, f"orthonormality {r:.3e}"
-    r = isoclinic_residual(pt)
-    yield r <= tol, f"{r:.3e} at lambda = {pt.lam}"
+    yield _row(extraction, orthonormality_residual(pt), tol, "orthonormality {:.3e}")
+    yield _row(isoclinic, isoclinic_residual(pt), tol, f"{{:.3e}} at lambda = {pt.lam}")
     bc = ls_bound(q, pt.lam, q)
-    yield bc.tight, f"v = {q} = bound {bc.bound}"
+    yield bound, bc.tight, f"v = {q} = bound {bc.bound}"
+    del S, pt  # no later stage reads them, so the 2q x 2q H of the doubling does not sit beside them
     H = double(C)
-    r = hadamard_residual(H)
-    yield r <= tol, f"order {H.n2}, residual {r:.3e}"
+    yield _row(hadamard, hadamard_residual(H), tol, f"order {H.n2}, residual {{:.3e}}")
 
 
 def run_pipeline(k: int, tol: float) -> list[tuple[str, bool, str]]:
@@ -262,13 +254,19 @@ def run_pipeline(k: int, tol: float) -> list[tuple[str, bool, str]]:
     rows: list[tuple[str, bool, str]] = []
     for name in STAGES:
         try:
-            ok, detail = next(chain)
+            rows.append(next(chain))
         except IsoclinicError as exc:  # raised by the work of this stage
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        rows.append((name, ok, detail))
-        if not ok:
+            rows.append((name, False, f"{type(exc).__name__}: {exc}"))
+        if not rows[-1][1]:
             break
     return rows
+
+
+def _report(rows: list[tuple[str, bool, str]], width: int) -> bool:
+    """Print each (name, ok, detail) row with its name padded to width; whether every row passed."""
+    for name, ok, detail in rows:
+        print(f"{name:<{width}} {'PASS' if ok else 'FAIL':<4} {detail}")
+    return all(ok for _, ok, _ in rows)
 
 
 def cmd_generate(args) -> int:
@@ -310,10 +308,7 @@ def cmd_verify(args) -> int:
     except RecordParseError as exc:
         print(f"malformed record: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    ok = True
-    for name, passed, detail in checks:
-        ok &= passed
-        print(f"{name:<22} {'PASS' if passed else 'FAIL':<4} {detail}")
+    ok = _report(checks, 22)
     print(f"result {'PASS' if ok else 'FAIL'} (tol {args.tol:g})")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -342,13 +337,8 @@ def cmd_pipeline(args) -> int:
         print(f"k={args.k} (q={info.q}) is not admissible: {info.reason}", file=sys.stderr)
         return EXIT_PARAMS
     stages = run_pipeline(args.k, args.tol)
-    ok = True
-    for name, passed, detail in stages:
-        ok &= passed
-        print(f"{name:<24} {'PASS' if passed else 'FAIL':<4} {detail}")
-    if not ok:
-        failed = next(name for name, passed, _ in stages if not passed)
-        print(f"pipeline failed at stage {failed}", file=sys.stderr)
+    if not _report(stages, 24):  # run_pipeline stops at the first FAIL
+        print(f"pipeline failed at stage {stages[-1][0]}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -129,12 +129,17 @@ def _json_nested(tokens: np.ndarray, level: int) -> str:
     return opening(m) + "".join(out.tolist()) + closing(m)
 
 
-def _exponent_tokens(exponents: np.ndarray, render_other) -> np.ndarray:
+def _exponent_tokens(exponents: np.ndarray) -> np.ndarray:
+    """_int_tokens of the exponents; ValueError unless their dtype is an integer one.
+
+    Only integer exponents parse back, so a float layer, even an integral
+    one, is refused rather than written as a record its parser rejects or
+    reads as other values.
+    """
     exponents = np.asarray(exponents)
-    if exponents.dtype.kind in "iu":
-        return _int_tokens(exponents)
-    # only integer exponents parse back; others are still written, one by one
-    return np.array([render_other(x) for x in exponents.ravel().tolist()], dtype=object).reshape(exponents.shape)
+    if exponents.dtype.kind not in "iu":
+        raise ValueError(f"exponents must have an integer dtype, got {exponents.dtype}")
+    return _int_tokens(exponents)
 
 
 _BODY = '\n "entries": 0,\n "exponents": 0,\n'
@@ -162,7 +167,7 @@ def to_json(record: ExportRecord) -> str:
     }
     head, _, tail = json.dumps(doc, indent=1, sort_keys=True).partition(_BODY)
     entries = _json_nested(_float_tokens(record.entries, _json_float), 1)
-    exponents = "null" if record.exponents is None else _json_nested(_exponent_tokens(record.exponents, json.dumps), 1)
+    exponents = "null" if record.exponents is None else _json_nested(_exponent_tokens(record.exponents), 1)
     return f'{head}\n "entries": {entries},\n "exponents": {exponents},\n{tail}\n'
 
 
@@ -191,7 +196,7 @@ def to_text(record: ExportRecord) -> str:
     lines += _text_rows(_float_tokens(record.entries, float.__repr__))
     if record.exponents is not None:
         lines.append("exponents")
-        lines += _text_rows(_exponent_tokens(record.exponents, lambda e: str(int(e))))
+        lines += _text_rows(_exponent_tokens(record.exponents))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

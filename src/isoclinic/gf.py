@@ -96,9 +96,9 @@ class GaloisField:
         alpha: extension degree, >= 1.
         q: field size p**alpha.
         modulus: monic irreducible modulus as a coefficient tuple of length
-            alpha + 1, constant term first.  For alpha = 1 it is x - 0,
-            i.e. plain arithmetic mod p.  For alpha > 1 it is the
-            lexicographically smallest monic irreducible of degree alpha.
+            alpha + 1, constant term first: the lexicographically
+            smallest monic irreducible of degree alpha.  For alpha = 1
+            that is x - 0, i.e. plain arithmetic mod p.
         elements: all q elements in canonical (base-p digit) order.
     """
 
@@ -110,10 +110,7 @@ class GaloisField:
         self.p = p
         self.alpha = alpha
         self.q = p**alpha
-        if alpha == 1:
-            self.modulus: tuple[int, ...] = (0, 1)
-        else:
-            self.modulus = next(c for c in _monic_polys(alpha, p) if _is_irreducible(c, p))
+        self.modulus: tuple[int, ...] = next(c for c in _monic_polys(alpha, p) if _is_irreducible(c, p))
         self._digits = np.arange(self.q)[:, None] // p ** np.arange(alpha) % p
         self._digits.flags.writeable = False
         self.elements: tuple[Element, ...] = tuple(map(tuple, self._digits.tolist()))

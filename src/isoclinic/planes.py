@@ -8,28 +8,54 @@ X of row rank 2k - 1 therefore yields q = 2k - 1 planes in R^(2k-1),
 spanned by consecutive column pairs of X, any two of which meet at the same
 pair of angles: B = P_i^T P_j has B^T B = lambda I_2.
 
-For the canonical S the factor comes from the character transform of the
-seidel module: S is block group-developed over the additive group of GF(q),
-each 2 x 2 block g^(b) = sum_x g(x) cos(2 pi b.x / p) has eigenvalues
-+-mu (g^(0) = diag(mu, -mu); for b != 0 the off-diagonal entry is
-gamma(b) sin(theta), gamma(b) = +-sqrt(q) a quadratic Gauss sum), and the
-+mu eigenvector v_b of g^(b) = g^(-b) gives two real rows of X, the cos
-and the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).  An S
-without the group-developed form falls back to the dense route,
-extract_bases(build_gram(S)).  Either route first asks S^2 = (2k-2) I of
-S through the one guard of the seidel module (_require_involutory, S^2
-residual at most 1e-10), and reads the form check and the S^2 residual
-that S keeps once computed (see seidel.SeidelMatrix), so extracting the
-planes of an S whose S^2 residual or spectrum was taken repeats neither.
-The transform is computed once per call: this is its one reader.
+Character transform.  For the canonical S the factor comes from the
+additive characters of GF(q).  S is block group-developed over the
+additive group (Z_p)^alpha of GF(q): S[i, j] = g(a_i - a_j) with
+g(x) = s_{theta chi(x)} and g(0) = 0.  For each b in (Z_p)^alpha the
+vectors psi_b(a_i) v, with psi_b(x) = exp(2 pi i b.x / p) the additive
+characters, satisfy S (psi_b (x) v) = psi_b (x) g^(b) v, so S splits into
+q blocks of order 2,
+
+    g^(b) = sum_x g(x) psi_b(-x) = sum_x g(x) cos(2 pi b.x / p),
+
+real because g is even with symmetric values.  Summing the reflections,
+with cos(theta) = 1/mu and mu = sqrt(2k - 2):
+
+    g^(0) = (q - 1) cos(theta) diag(1, -1) = diag(mu, -mu),
+    g^(b) = [[-cos theta, gamma(b) sin theta], [gamma(b) sin theta, cos theta]]
+            for b != 0,
+
+since sum_{x != 0} psi_b(x) = -1 and gamma(b) = sum_x chi(x) psi_b(x) is a
+quadratic Gauss sum, gamma(b) = +-sqrt(q).  Both eigenvalues of each
+g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.  The +mu
+eigenvector v_b of g^(b) = g^(-b) gives two real rows of X, the cos and
+the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).
+
+_character_transform reads g from block column 0 (g(a_i) = S[i, 0]) and
+checks the form exactly (SeidelMatrix.block_column: gf.developed_column
+on the (a, b, i, j) block view; then g(-x) = g(x) and g(x) symmetric); it
+then takes g^(b) from the cos rows of the real character table
+(_character_table), one batched 2 x 2 eigh, and nothing of order 2q.  An
+S that fails the check, such as normalize(S), permute_blocks by a
+non-affine sigma or a record with one changed block, falls back to the
+dense route, extract_bases(build_gram(S)).  Either route first asks
+S^2 = (2k-2) I of S through the one guard of the seidel module
+(_require_involutory, S^2 residual at most 1e-10), and reads the form
+check and the S^2 residual that S keeps once computed (see
+seidel.SeidelMatrix), so extracting the planes of an S whose S^2 residual
+or spectrum was taken repeats neither.  The transform is not kept:
+planes_from_seidel, its one reader, computes it on each call from the
+phase index that the field keeps (gf.GaloisField.character_phases).
 
 Table form.  That basis is exactly X = table * w: entry (t, 2i + c) is
-table[t, i] * w[t, c], with table the real character table
-(seidel._character_table: m = (q + 1) / 2 cos rows, the first a row of
-ones, then a sin row for each b != 0) and w[t] the scaled v_b of row t,
-shared by the cos and the sin row of one b.  Column i = 0 of the table
-reads cos 0 = 1 on every cos row, so block column 0 of X returns w bit for
-bit, and _is_table_basis compares the whole of X with table * w by ==.
+table[t, i] * w[t, c], with table the real character table and w[t] the
+scaled v_b of row t, shared by the cos and the sin row of one b.
+_character_table fixes the layout of the table, and this module alone
+reads it: m = (q + 1) / 2 cos rows, the first (b = 0) a row of ones, then
+a sin row for each b != 0 in the order of the cos rows.  Column i = 0 of
+the table reads cos 0 = 1 on every cos row, so block column 0 of X
+returns w bit for bit, and _is_table_basis compares the whole of X with
+table * w by ==.
 
 The m-row rule.  Both residuals read one product, PlaneTuple.gram_rows:
 block rows 0..m-1 of X^T X, the (2m, 2q) product X[:, :2m]^T X.  For any w,
@@ -95,8 +121,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidOrder, RankMismatch
-from .gf import field_of_order
-from .seidel import SeidelMatrix, _blocks, _character_table, _character_transform, _require_involutory
+from .gf import GaloisField, field_of_order
+from .seidel import SeidelMatrix, _blocks, _require_involutory
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,16 +203,57 @@ def extract_bases(gram: np.ndarray, r: int, lam: Fraction) -> PlaneTuple:
     return PlaneTuple(lam=Fraction(lam), basis=basis)
 
 
+def _character_table(field: GaloisField) -> np.ndarray:
+    """The q x q real character table of the additive group of GF(q), one b of each pair {b, -b}.
+
+    Rows 0..m-1, m = (q + 1) / 2, are cos(2 pi b.a_x / p) for b = 0 (a row
+    of ones) and then the lesser index b of each pair; rows m..q-1 are
+    sin(2 pi b.a_x / p) for the same b != 0, in the same order.  Each entry
+    is looked up through field.character_phases() in the p values of cos
+    and sin, so every build gives the same bits.
+    """
+    q, p = field.q, field.p
+    # row 0 of the digit differences is the negation map: b = 0 first, then the lesser index of each pair
+    phases = field.character_phases()[np.arange(q) <= field.digit_differences()[0]]
+    angle = 2.0 * math.pi / p * np.arange(p)
+    m = len(phases)
+    table = np.empty((q, q))
+    np.take(np.cos(angle), phases, out=table[:m], mode="clip")  # "clip" fills out without a buffer
+    np.take(np.sin(angle), phases[1:], out=table[m:], mode="clip")
+    return table
+
+
+def _character_transform(S: SeidelMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(table, vals, vecs) when S is group-developed over GF(S.q) with even, symmetric g, else None.
+
+    table is _character_table of the field, whose m = (q + 1) / 2 cos rows
+    give the blocks g^(b); vals and vecs are the eigh of the g^(b), shapes
+    (m, 2) and (m, 2, 2), in the order of those rows.  g^(-b) equals g^(b),
+    so the m blocks carry all 2q eigenvalues of S.
+    """
+    entries = S.block_column
+    if entries is None:
+        return None
+    q = S.q
+    field = field_of_order(q)
+    neg = field.digit_differences()[0]  # row 0 of the index is the negation map x -> -x
+    # the transform is real only for g even with symmetric values
+    if not (np.array_equal(entries[:, :, neg], entries) and np.array_equal(entries[1, 0], entries[0, 1])):
+        return None
+    table = _character_table(field)
+    return table, *np.linalg.eigh((table[: (q + 1) // 2] @ entries.reshape(4, q).T).reshape(-1, 2, 2))
+
+
 def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     """Full extraction: 2k-1 equi-isoclinic planes in R^(2k-1).
 
-    For a group-developed S (see seidel._character_transform) whose every
+    For a group-developed S (see _character_transform) whose every
     block g^(b) has one positive and one negative eigenvalue, the +mu
     eigenspace of S is spanned by the real and imaginary parts of
     psi_b(a_i) v_b, v_b the +mu unit eigenvector of g^(b) = g^(-b).  Pairing
     b with -b gives the q rows of X directly, with no 2q x 2q eigh: X is
     exactly table[t, i] * w[t, c] at row t and column 2i + c, for
-    table = seidel._character_table of the field and
+    table = _character_table of the field and
 
         w[0] = sqrt(2/q) v_0                 (b = 0, the row of ones)
         w[t] = w[t + m - 1] = (2/sqrt(q)) v_b   (the cos row t and the sin row
@@ -200,14 +267,16 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     _require_involutory(S)
     lam = Fraction(1, 2 * S.k - 2)
     transform = _character_transform(S)
-    if transform is None or not ((transform.vals[:, 0] < 0) & (transform.vals[:, 1] > 0)).all():
+    # eigh sorts ascending: every g^(b) needs one negative and then one positive eigenvalue
+    if transform is None or not (np.sign(transform[1]) == (-1.0, 1.0)).all():
         return extract_bases(build_gram(S), S.q, lam)
+    table, _, vecs = transform
     q = S.q
-    v = transform.vecs[:, :, 1]  # eigh sorts ascending: column 1 belongs to +mu
+    v = vecs[:, :, 1]  # column 1 belongs to +mu
     scale = np.full(len(v), 2.0 / math.sqrt(q))
-    scale[0] = math.sqrt(2.0 / q)
+    scale[0] = math.sqrt(2.0 / q)  # the cos row of b = 0 has no sin row
     w = v * np.copysign(scale, np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1]))[:, None]
-    return PlaneTuple(lam=lam, basis=_table_basis(transform.table, w))
+    return PlaneTuple(lam=lam, basis=_table_basis(table, w))
 
 
 def _table_basis(table: np.ndarray, w: np.ndarray) -> np.ndarray:

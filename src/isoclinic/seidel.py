@@ -21,36 +21,18 @@ Layout: block (i, j) of the dense array holds rows 2i, 2i+1 and columns 2j,
 2j+1.  Every block operation of the package reads and writes through the
 (q, q, 2, 2) view `_blocks` gives, which is also `SeidelMatrix.blocks`.
 
-Character transform.  S is block group-developed over the additive group
-(Z_p)^alpha of GF(q): S[i, j] = g(a_i - a_j) with g(x) = s_{theta chi(x)}
-and g(0) = 0.  For each b in (Z_p)^alpha the vectors psi_b(a_i) v, with
-psi_b(x) = exp(2 pi i b.x / p) the additive characters, satisfy
-S (psi_b (x) v) = psi_b (x) g^(b) v, so S splits into q blocks of order 2,
-
-    g^(b) = sum_x g(x) psi_b(-x) = sum_x g(x) cos(2 pi b.x / p),
-
-real because g is even with symmetric values.  Summing the reflections,
-with cos(theta) = 1/mu and mu = sqrt(2k - 2):
-
-    g^(0) = (q - 1) cos(theta) diag(1, -1) = diag(mu, -mu),
-    g^(b) = [[-cos theta, gamma(b) sin theta], [gamma(b) sin theta, cos theta]]
-            for b != 0,
-
-since sum_{x != 0} psi_b(x) = -1 and gamma(b) = sum_x chi(x) psi_b(x) is a
-quadratic Gauss sum, gamma(b) = +-sqrt(q).  Both eigenvalues of each
-g^(b) are +-mu: cos^2 theta + q sin^2 theta = 2k - 2.
-`planes.planes_from_seidel` reads g from block column 0 (g(a_i) = S[i, 0])
-and checks the form exactly (SeidelMatrix.block_column: gf.developed_column
-on the (a, b, i, j) block view; then g(-x) = g(x) and g(x) symmetric);
-it then takes g^(b) from the cos rows of the real character table
-(_character_table), one batched 2 x 2 eigh, and nothing of order 2q.  An
-S that fails the check, such as normalize(S), permute_blocks by a
-non-affine sigma or a record with one changed block, takes build_gram and
-extract_bases there.  `seidel_square_residual` needs
-only the first check, and only to pick how many rows of S^2 it reads:
-S^2 is block group-developed too, so its block row 0, rows 0 and 1, holds
-every distinct entry; any other S is read on every row.  `spectrum` has
-one path on every S: the projector traces, O(q).
+Group-developed form.  The canonical S is block group-developed over the
+additive group (Z_p)^alpha of GF(q): S[i, j] = g(a_i - a_j) with
+g(x) = s_{theta chi(x)} and g(0) = 0.  SeidelMatrix.block_column checks
+the form exactly (gf.developed_column on the (a, b, i, j) block view) and
+returns g, read from block column 0: g(a_i) = S[i, 0].  The planes module
+splits such an S by the additive characters into q blocks g^(b) of order
+2 (see its "Character transform").  `seidel_square_residual` needs the
+check only to pick how many rows of S^2 it reads: S^2 is block
+group-developed too, so its block row 0, rows 0 and 1, holds every
+distinct entry; any other S, such as normalize(S), permute_blocks by a
+non-affine sigma or a record with one changed block, is read on every
+row.  `spectrum` has one path on every S: the projector traces, O(q).
 
 One involution guard.  spectrum, planes_from_seidel and build_gram need
 S^2 = (2k-2) I only, and each asks it of S in one place,
@@ -60,20 +42,19 @@ symmetric of order 2q, so ||S^2 - mu^2 I||_2 <= 2q 1e-10, and every
 eigenvalue lambda of S has |lambda^2 - mu^2| <= 2q 1e-10, far below
 mu^2 = q - 1.  So lambda lies near +mu or near -mu, and the multiplicities
 read from the signs of the eigenvalues (through the projector traces, or
-of the g^(b) in planes_from_seidel) are exact.  The roundoff of the
-computed g^(b), q-term sums, moves their eigenvalues by 0.01 to
-0.15 q^2 eps in lambda^2 (measured for q = 121 to 2209), which changes no
-sign either; it is not gated, as it measures the sums and not S.  The S^2 residual itself has
-stayed at or below 1.8e-12 for every order measured up to q = 3125.
+of the blocks g^(b) in planes.planes_from_seidel) are exact.  The
+roundoff of the computed g^(b), q-term sums, moves their eigenvalues by
+0.01 to 0.15 q^2 eps in lambda^2 (measured for q = 121 to 2209), which
+changes no sign either; it is not gated, as it measures the sums and not
+S.  The S^2 residual itself has stayed at or below 1.8e-12 for every
+order measured up to q = 3125.
 
 The form check and the S^2 residual are computed at most once per
 SeidelMatrix and kept on it (the cached properties block_column and
 square_residual), so seidel_square_residual, spectrum, build_gram and
 planes_from_seidel on one S check its form once and form S^2 at most once;
 neither raises, so the guard, which reads the kept residual, decides each
-use alone.  The character transform is not kept: planes_from_seidel, its
-one reader, computes it on each call from the phase index that the field
-keeps (gf.GaloisField.character_phases).
+use alone.
 """
 
 from __future__ import annotations
@@ -81,13 +62,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .conference import ConferenceMatrix, _check_permutation, _require_symmetrizable, critical_angle
 from .errors import InvalidOrder, InvalidShift, NotInvolutory, NotUnimodular
-from .gf import Element, GaloisField, developed_column, field_of_order
+from .gf import Element, GaloisField, developed_column
 
 
 def plane_rotation(angle: float) -> np.ndarray:
@@ -247,56 +228,6 @@ def rotation_sum(field: GaloisField, theta: float, b: Element) -> np.ndarray:
             continue
         total += plane_rotation(theta * (field.chi(a) - field.chi(field.add(a, b))))
     return total
-
-
-class _Transform(NamedTuple):
-    """The 2 x 2 blocks g^(b) of a group-developed S, for b = 0 and one b of each pair {b, -b}.
-
-    table is _character_table of the field, whose m = (q + 1) / 2 cos rows
-    give the g^(b); vals and vecs are the eigh of the g^(b), shapes (m, 2)
-    and (m, 2, 2), in the order of those rows.  g^(-b) equals g^(b), so the
-    m blocks carry all 2q eigenvalues of S.
-    """
-
-    table: np.ndarray
-    vals: np.ndarray
-    vecs: np.ndarray
-
-
-def _character_table(field: GaloisField) -> np.ndarray:
-    """The q x q real character table of the additive group of GF(q), one b of each pair {b, -b}.
-
-    Rows 0..m-1, m = (q + 1) / 2, are cos(2 pi b.a_x / p) for b = 0 (a row
-    of ones) and then the lesser index b of each pair; rows m..q-1 are
-    sin(2 pi b.a_x / p) for the same b != 0, in the same order.  Each entry
-    is looked up through field.character_phases() in the p values of cos
-    and sin, so every build gives the same bits.
-    """
-    q, p = field.q, field.p
-    # row 0 of the digit differences is the negation map: b = 0 first, then the lesser index of each pair
-    phases = field.character_phases()[np.arange(q) <= field.digit_differences()[0]]
-    angle = 2.0 * math.pi / p * np.arange(p)
-    m = len(phases)
-    table = np.empty((q, q))
-    np.take(np.cos(angle), phases, out=table[:m], mode="clip")  # "clip" fills out without a buffer
-    np.take(np.sin(angle), phases[1:], out=table[m:], mode="clip")
-    return table
-
-
-def _character_transform(S: SeidelMatrix) -> _Transform | None:
-    """The block transform of S when S is group-developed over GF(S.q) with even, symmetric g, else None."""
-    entries = S.block_column
-    if entries is None:
-        return None
-    q = S.q
-    field = field_of_order(q)
-    neg = field.digit_differences()[0]  # row 0 of the index is the negation map x -> -x
-    # the transform is real only for g even with symmetric values
-    if not (np.array_equal(entries[:, :, neg], entries) and np.array_equal(entries[1, 0], entries[0, 1])):
-        return None
-    table = _character_table(field)
-    vals, vecs = np.linalg.eigh((table[: (q + 1) // 2] @ entries.reshape(4, q).T).reshape(-1, 2, 2))
-    return _Transform(table, vals, vecs)
 
 
 def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:

@@ -78,7 +78,7 @@ def canonical(p, alpha):
 
 @pytest.mark.parametrize("p,alpha", FIELDS)
 def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
-    transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    transforms = count_calls(monkeypatch, planes, "_character_transform")
     eighs = count_calls(monkeypatch, np.linalg, "eigh")
     developed = count_calls(monkeypatch, gf, "developed_column")
     products = count_calls(monkeypatch, conference, "_gram_deviation")
@@ -130,7 +130,7 @@ def test_conference_residual_forms_the_full_product_once_on_the_dense_path(monke
 def test_each_plane_extraction_computes_the_character_transform(monkeypatch):
     # nothing keeps the transform: planes_from_seidel is its one reader
     _, _, S = canonical(5, 2)
-    transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    transforms = count_calls(monkeypatch, planes, "_character_transform")
     first, second = planes_from_seidel(S), planes_from_seidel(S)
     assert transforms == [S, S]
     assert first.basis.tobytes() == second.basis.tobytes()
@@ -232,7 +232,7 @@ def test_the_involution_guard_raises_on_every_use(monkeypatch):
     # 1.01 S keeps the group-developed form, but every eigenvalue is 1.01 mu
     _, _, S = canonical(3, 2)
     scaled = SeidelMatrix(k=S.k, dense=1.01 * S.dense)
-    transforms = count_calls(monkeypatch, seidel, "_character_transform")
+    transforms = count_calls(monkeypatch, planes, "_character_transform")
     squares = count_calls(monkeypatch, seidel, "_square_residual")
     for _ in range(2):
         with pytest.raises(NotInvolutory, match="S\\^2"):

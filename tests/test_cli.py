@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -593,6 +594,31 @@ def test_pipeline_checks_each_object_it_built_once(monkeypatch, k):
     assert calls["ls_bound"][0][0] == (q, pt.lam, q)
 
 
+def test_pipeline_frees_the_seidel_matrix_and_the_planes_before_doubling(monkeypatch):
+    # no stage after the bound reads S or the planes, so the 2q x 2q H is not built beside them
+    refs, alive = [], []
+    build_seidel, planes_from_seidel, double = cli.build_seidel, cli.planes_from_seidel, cli.double
+
+    def kept(fn):
+        def built(arg):
+            obj = fn(arg)
+            refs.append(weakref.ref(obj))
+            return obj
+
+        return built
+
+    def doubled(C):
+        alive.extend(ref() is not None for ref in refs)
+        return double(C)
+
+    monkeypatch.setattr(cli, "build_seidel", kept(build_seidel))
+    monkeypatch.setattr(cli, "planes_from_seidel", kept(planes_from_seidel))
+    monkeypatch.setattr(cli, "double", doubled)
+    rows = cli.run_pipeline(7, 1e-9)
+    assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
+    assert alive == [False, False]
+
+
 def test_pipeline_rejects_inadmissible(capsys):
     code, _, stderr = run(capsys, ["pipeline", "--k", "4"])
     assert code == EXIT_PARAMS
@@ -664,3 +690,108 @@ def test_cached_parser_usage_error_repeats(capsys):
         assert exc.value.code == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and "--k" in errors[0]
+
+
+# The whole report of each command, with every residual masked: its digits come from BLAS summation
+# order, which differs from one machine to another.  The names, column widths, verdicts and detail
+# text are pinned.
+RESIDUAL = re.compile(r"\d\.\d{3}e[+-]\d{2}")
+
+VERIFY_REPORTS = {
+    "conference": """\
+kind conference order 61 k 31
+order                  PASS 61 = 2k-1 = 61
+conference-residual    PASS <r>
+zero-diagonal          PASS <r>
+unimodular             PASS <r>
+symmetry               PASS <r>
+exponent-values        PASS <r>
+exact-counts           PASS match
+result PASS (tol 1e-09)
+""",
+    "seidel": """\
+kind seidel order 122 k 31
+order                  PASS 122 = 2(2k-1) = 122
+seidel-square          PASS <r>
+symmetry               PASS <r>
+zero-diagonal-blocks   PASS <r>
+orthogonal-blocks      PASS <r>
+result PASS (tol 1e-09)
+""",
+    "gram": """\
+kind gram order 122 k 31
+order                  PASS 122 = 2(2k-1) = 122
+symmetry               PASS <r>
+eigenvalues-0-2        PASS |A^2-2A| = <r>
+unit-diagonal-blocks   PASS <r>
+isoclinic-blocks       PASS <r> at lambda = 1/60
+result PASS (tol 1e-09)
+""",
+    "planes": """\
+kind planes order 61 k 31
+order                  PASS 61 = 2k-1 = 61
+orthonormal-pairs      PASS <r>
+isoclinic              PASS <r>
+plane-count            PASS n = 61, r = 61
+count-bound-tight      PASS v = 61, bound 61
+result PASS (tol 1e-09)
+""",
+    "hadamard": """\
+kind hadamard order 122 k 31
+order                  PASS 122 = 2(2k-1) = 122
+hadamard-residual      PASS <r>
+doubling-form          PASS H = [[C+I, C~-I], [C-I, -C~-I]]
+result PASS (tol 1e-09)
+""",
+}
+
+PIPELINE_REPORTS = {
+    3: """\
+conference-exact-counts  PASS (r,s,t) = (1,1,1) at every off-diagonal
+conference-residual      PASS <r>
+seidel-square            PASS <r>
+spectrum                 PASS +2.000000 x5 -2.000000 x5
+equivalence-witnesses    PASS permutation and all-i scaling verified
+plane-extraction         PASS orthonormality <r>
+isoclinic                PASS <r> at lambda = 1/4
+count-bound-tight        PASS v = 5 = bound 5
+hadamard                 PASS order 10, residual <r>
+""",
+    13: """\
+conference-exact-counts  PASS (r,s,t) = (11,6,6) at every off-diagonal
+conference-residual      PASS <r>
+seidel-square            PASS <r>
+spectrum                 PASS +4.898979 x25 -4.898979 x25
+equivalence-witnesses    PASS permutation and all-i scaling verified
+plane-extraction         PASS orthonormality <r>
+isoclinic                PASS <r> at lambda = 1/24
+count-bound-tight        PASS v = 25 = bound 25
+hadamard                 PASS order 50, residual <r>
+""",
+    41: """\
+conference-exact-counts  PASS (r,s,t) = (39,20,20) at every off-diagonal
+conference-residual      PASS <r>
+seidel-square            PASS <r>
+spectrum                 PASS +8.944272 x81 -8.944272 x81
+equivalence-witnesses    PASS permutation and all-i scaling verified
+plane-extraction         PASS orthonormality <r>
+isoclinic                PASS <r> at lambda = 1/80
+count-bound-tight        PASS v = 81 = bound 81
+hadamard                 PASS order 162, residual <r>
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_report_layout_is_pinned(tmp_path, capsys, kind, fmt):
+    path = tmp_path / f"{kind}.{fmt}"
+    assert run(capsys, ["generate", "--kind", kind, "--k", "31", "--format", fmt, "--out", str(path)]) == (EXIT_OK, "", "")
+    code, stdout, stderr = run(capsys, ["verify", str(path)] + (["--exact"] if kind == "conference" else []))
+    assert (code, RESIDUAL.sub("<r>", stdout), stderr) == (EXIT_OK, VERIFY_REPORTS[kind], "")
+
+
+@pytest.mark.parametrize("k", sorted(PIPELINE_REPORTS))
+def test_pipeline_report_layout_is_pinned(capsys, k):
+    code, stdout, stderr = run(capsys, ["pipeline", "--k", str(k)])
+    assert (code, RESIDUAL.sub("<r>", stdout), stderr) == (EXIT_OK, PIPELINE_REPORTS[k], "")

@@ -26,7 +26,7 @@ from isoclinic import (
     serialize,
     write_record,
 )
-from isoclinic import export, seidel
+from isoclinic import export, planes
 from isoclinic.cli import build_record
 from isoclinic.export import KINDS, records_equal
 
@@ -150,11 +150,11 @@ def test_parse_rejects_inconsistent_body(kind, mutate, fmt):
 
 
 def test_parse_rejects_fractional_exponents():
-    # the text format writes exponents as integers, so only JSON can carry these
-    record = build_record("conference", 3)
-    record.exponents = record.exponents * 0.5
+    # the writers refuse a float exponent layer, so the halved exponents are put into the JSON document
+    doc = json.loads(serialize(build_record("conference", 3), "json"))
+    doc["exponents"] = [[e * 0.5 for e in row] for row in doc["exponents"]]
     with pytest.raises(RecordParseError, match="exponents must be integers"):
-        parse(serialize(record, "json"))
+        parse(json.dumps(doc))
 
 
 def test_parse_rejects_exponent_shape_mismatch():
@@ -331,14 +331,14 @@ def test_export_digest_pinned(k, kind, fmt, digest):
 def _interleaved_planes_record(k):
     record = build_record("planes", k)
     S = build_seidel(make_field(record.metadata["p"], record.metadata["alpha"]))
-    transform = seidel._character_transform(S)
+    table, _, vecs = planes._character_transform(S)
     q, m = S.q, (S.q + 1) // 2
-    v = transform.vecs[:, :, 1]
+    v = vecs[:, :, 1]
     v = v * np.copysign(1.0, np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1]))[:, None]
     phase = np.empty((q, q))
     phase[0] = math.sqrt(2.0 / q)
-    np.multiply(transform.table[1:m], 2.0 / math.sqrt(q), out=phase[1::2])
-    np.multiply(transform.table[m:], 2.0 / math.sqrt(q), out=phase[2::2])
+    np.multiply(table[1:m], 2.0 / math.sqrt(q), out=phase[1::2])
+    np.multiply(table[m:], 2.0 / math.sqrt(q), out=phase[2::2])
     rows = np.concatenate([v[:1], np.repeat(v[1:], 2, axis=0)])
     record.entries = (phase[:, :, None] * rows[:, None, :]).reshape(q, 2 * q)
     return record
@@ -452,6 +452,12 @@ def _float_exponents():
     return record
 
 
+def _integral_float_exponents():
+    record = _special_conference()
+    record.exponents = record.exponents.astype(np.float64)
+    return record
+
+
 def _dropped_plane():
     record = _special_planes()
     record.entries = record.entries[:, :-2]
@@ -473,15 +479,23 @@ ROUND_TRIP = {
 }
 WRITE_ONLY = {
     "nan-payloads": _nan_payloads,
-    "float-exponents": _float_exponents,
     "no-columns": _no_columns,
+}
+# only integer exponents parse back, so both writers refuse a float layer, integral or not
+REFUSED = {
+    "float-exponents": _float_exponents,
+    "integral-float-exponents": _integral_float_exponents,
 }
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("case", list(ROUND_TRIP) + list(WRITE_ONLY))
+@pytest.mark.parametrize("case", list(ROUND_TRIP) + list(WRITE_ONLY) + list(REFUSED))
 def test_writer_matches_per_entry_reference(case, fmt):
-    record = {**ROUND_TRIP, **WRITE_ONLY}[case]()
+    record = {**ROUND_TRIP, **WRITE_ONLY, **REFUSED}[case]()
+    if case in REFUSED:
+        with pytest.raises(ValueError, match="exponents must have an integer dtype, got float64"):
+            serialize(record, fmt)
+        return
     reference = _reference_to_json(record) if fmt == "json" else _reference_to_text(record)
     assert serialize(record, fmt) == reference
 

@@ -38,7 +38,7 @@ from isoclinic import (
     spectrum,
     transport_scaling,
 )
-from isoclinic import seidel
+from isoclinic import planes, seidel
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -380,15 +380,16 @@ def rotate_block(S, phi=0.01):
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
 def test_spectrum_transform_matches_trace_path(p, alpha):
     S = build_seidel(make_field(p, alpha))
-    transform = seidel._character_transform(S)
+    transform = planes._character_transform(S)
     assert transform is not None
+    table, vals, _ = transform
     m = (S.q + 1) // 2
-    assert transform.vals.shape == (m, 2) and transform.table.shape == (S.q, S.q)
+    assert vals.shape == (m, 2) and table.shape == (S.q, S.q)
     mu = math.sqrt(2 * S.k - 2)
-    assert np.abs(np.abs(transform.vals) - mu).max() <= 1e-12
+    assert np.abs(np.abs(vals) - mu).max() <= 1e-12
     # g^(0) = diag(mu, -mu); row 0 of the table, b = 0, is a row of ones
-    assert np.array_equal(transform.table[0], np.ones(S.q))
-    assert np.abs(transform.table[0] @ S.blocks[:, 0].reshape(S.q, 4) - [mu, 0.0, 0.0, -mu]).max() <= 1e-12
+    assert np.array_equal(table[0], np.ones(S.q))
+    assert np.abs(table[0] @ S.blocks[:, 0].reshape(S.q, 4) - [mu, 0.0, 0.0, -mu]).max() <= 1e-12
     assert spectrum(S) == [(mu, S.q), (-mu, S.q)]
 
 
@@ -398,10 +399,10 @@ def test_spectrum_falls_back_when_not_group_developed(p, alpha):
     sigma = np.random.default_rng(S.q).permutation(S.q)
     mu = math.sqrt(2 * S.k - 2)
     for T in (normalize(S), permute_blocks(S, sigma)):
-        assert seidel._character_transform(T) is None
+        assert planes._character_transform(T) is None
         assert spectrum(T) == [(mu, S.q), (-mu, S.q)]
     rotated = rotate_block(S)
-    assert seidel._character_transform(rotated) is None
+    assert planes._character_transform(rotated) is None
     with pytest.raises(NotInvolutory):
         spectrum(rotated)
 
@@ -414,9 +415,9 @@ def test_involution_guard_rejects_a_group_developed_non_involution():
         with pytest.raises(NotInvolutory, match="S\\^2"):
             check(scaled)
     # the transform only computes the blocks; the verdict is the guard's
-    transform = seidel._character_transform(scaled)
+    transform = planes._character_transform(scaled)
     assert transform is not None
-    assert np.abs(np.abs(transform.vals) - 1.01 * math.sqrt(2 * S.k - 2)).max() <= 1e-12
+    assert np.abs(np.abs(transform[1]) - 1.01 * math.sqrt(2 * S.k - 2)).max() <= 1e-12
 
 
 def test_spectrum_and_planes_accept_a_valid_matrix_at_q_1889():
@@ -431,7 +432,7 @@ def test_spectrum_and_planes_accept_a_valid_matrix_at_q_1889():
 
 
 def test_transform_needs_a_prime_power_order_and_a_matching_shape():
-    assert seidel._character_transform(SeidelMatrix(k=3, dense=np.zeros((12, 12)))) is None
+    assert planes._character_transform(SeidelMatrix(k=3, dense=np.zeros((12, 12)))) is None
 
 
 def reference_square_residual(S):
