@@ -32,7 +32,7 @@ from .conference import (
     verify_counts,
 )
 from .errors import IsoclinicError, RecordParseError
-from .export import KINDS, ExportRecord, read_record, serialize
+from .export import KINDS, ExportRecord, read_record, serialize, write_record
 from .gf import GaloisField, make_field
 from .hadamard import HadamardMatrix, double, hadamard_residual
 from .orders import OrderInfo, classify_order
@@ -114,7 +114,9 @@ def _metadata_lambda(meta: dict) -> Fraction:
     """The planes record's exact isoclinism parameter lambda."""
     pair = meta.get("lambda")
     if isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) and pair[1] != 0:
-        return Fraction(*pair)
+        if abs(Fraction(*pair)) <= sys.float_info.max:  # the residuals read lambda as a float
+            return Fraction(*pair)
+        raise RecordParseError(f"metadata lambda must lie within the float range, got {pair!r}")
     raise RecordParseError(f"metadata lambda must be two integers with a nonzero denominator, got {pair!r}")
 
 
@@ -275,13 +277,11 @@ def cmd_generate(args) -> int:
         print(f"k={args.k} (q={info.q}) is not admissible: {info.reason}", file=sys.stderr)
         return EXIT_PARAMS
     record = build_record(args.kind, args.k, info)
-    payload = serialize(record, args.format)
     if args.out is None:
-        sys.stdout.write(payload)
+        sys.stdout.write(serialize(record, args.format))
         return EXIT_OK
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_record(record, args.out, args.format)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any
@@ -171,10 +172,6 @@ def to_json(record: ExportRecord) -> str:
     return f'{head}\n "entries": {entries},\n "exponents": {exponents},\n{tail}\n'
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _text_rows(tokens: np.ndarray) -> list[str]:
     return [" ".join(row.ravel().tolist()) for row in tokens]
 
@@ -186,7 +183,7 @@ def to_text(record: ExportRecord) -> str:
         f"kind {record.kind}",
         f"order {record.order}",
         f"k {record.k}",
-        f"theta {_fmt(record.theta)}",
+        f"theta {float(record.theta)!r}",
         f"complex {int(record.is_complex)}",
         "metadata " + json.dumps(record.metadata, sort_keys=True),
         f"rows {rows}",
@@ -212,7 +209,8 @@ def serialize(record: ExportRecord, fmt: str) -> str:
 def _validate_header(kind: str, order: int, k: int) -> None:
     if kind not in KINDS:
         raise RecordParseError(f"unknown record kind {kind!r}")
-    if order < 1 or k < 3:
+    # the checks read k as a float, so a k past the float range is as implausible as k < 3
+    if order < 1 or not 3 <= k <= sys.float_info.max:
         raise RecordParseError(f"implausible header: order={order}, k={k}")
 
 
@@ -300,7 +298,8 @@ def _parse_json(text: str) -> ExportRecord:
     try:
         # a record holds few distinct floats, so most tokens are a dict hit, not a strtod
         doc = json.loads(text, parse_float=_FloatTable().__getitem__)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a JSONDecodeError is a ValueError, and so is an int token of more digits than int() converts
+    except (ValueError, RecursionError) as exc:
         raise RecordParseError(f"invalid JSON: {exc}") from exc
     try:
         if doc["format"] != MAGIC:

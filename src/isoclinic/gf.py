@@ -2,7 +2,12 @@
 
 Elements are coefficient tuples of length alpha, constant term first, with
 coefficients reduced mod p; products are reduced mod a fixed monic
-irreducible modulus of degree alpha.  The canonical element order is by
+irreducible modulus of degree alpha, by the one polynomial remainder that
+the modulus search also uses.  The modulus is the first irreducible in a
+walk over the monic polynomials of degree alpha that counts their
+non-leading coefficients in base p, constant term least significant
+(itertools.product over range(p), each tuple reversed); each candidate is
+tested by trial division.  The canonical element order is by
 base-p digits: element i carries the digits of i as coefficients, so
 elements[0] is zero, elements[1] is one, and for prime fields element i is
 the residue i itself.
@@ -40,6 +45,7 @@ read-only.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -49,15 +55,7 @@ from .orders import factor_prime_power
 Element = tuple[int, ...]
 
 
-def _base_p_digits(i: int, p: int, width: int) -> Element:
-    digits = []
-    for _ in range(width):
-        digits.append(i % p)
-        i //= p
-    return tuple(digits)
-
-
-def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
+def _poly_rem(a: list[int] | tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     # remainder of a modulo the monic polynomial b, in place on a copy
     a = list(a)
     db = len(b) - 1
@@ -71,9 +69,10 @@ def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
 
 def _monic_polys(deg: int, p: int):
     # monic polynomials of the given degree, ascending in the base-p value
-    # of their non-leading coefficients (constant term least significant)
-    for i in range(p**deg):
-        yield _base_p_digits(i, p, deg) + (1,)
+    # of their non-leading coefficients (constant term least significant):
+    # product counts with its first digit most significant, so each tuple is reversed
+    for digits in itertools.product(range(p), repeat=deg):
+        yield digits[::-1] + (1,)
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -82,7 +81,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     deg = len(poly) - 1
     for m in range(1, deg // 2 + 1):
         for d in _monic_polys(m, p):
-            r = _poly_rem(list(poly), d, p)
+            r = _poly_rem(poly, d, p)
             if not any(r[:m]):
                 return False
     return True
@@ -96,9 +95,11 @@ class GaloisField:
         alpha: extension degree, >= 1.
         q: field size p**alpha.
         modulus: monic irreducible modulus as a coefficient tuple of length
-            alpha + 1, constant term first: the lexicographically
-            smallest monic irreducible of degree alpha.  For alpha = 1
-            that is x - 0, i.e. plain arithmetic mod p.
+            alpha + 1, constant term first: the first monic irreducible
+            of degree alpha in the candidate walk, the one whose
+            coefficients, read from the leading one down, are
+            lexicographically smallest.  For alpha = 1 that is x - 0,
+            i.e. plain arithmetic mod p.
         elements: all q elements in canonical (base-p digit) order.
     """
 
@@ -140,19 +141,13 @@ class GaloisField:
         return tuple((a - b) % p for a, b in zip(x, y))
 
     def mul(self, x: Element, y: Element) -> Element:
-        p, alpha, modulus = self.p, self.alpha, self.modulus
+        p, alpha = self.p, self.alpha
         prod = [0] * (2 * alpha - 1)
         for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        for d in range(len(prod) - 1, alpha - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(alpha):
-                    prod[d - alpha + j] = (prod[d - alpha + j] - c * modulus[j]) % p
-        return tuple(prod[:alpha])
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        # _poly_rem reduces only the coefficients it subtracts from
+        return tuple(c % p for c in _poly_rem(prod, self.modulus, p)[:alpha])
 
     def pow(self, x: Element, n: int) -> Element:
         """x**n by square and multiply, n >= 0."""

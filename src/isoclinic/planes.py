@@ -324,25 +324,14 @@ def _isoclinic_deviation(blocks: np.ndarray, lam: Fraction | float) -> float:
 
     blocks has shape (m, n, 2, 2), block rows 0..m-1 of an n x n array of
     blocks.  B^T B is symmetric, so its three distinct entries are formed
-    from the four strided m x n entry arrays of blocks; the blocks on and
-    below the diagonal are computed too and then masked out by np.triu.
+    elementwise from the four strided m x n entry arrays of blocks; the
+    blocks on and below the diagonal are computed too and then masked out
+    by np.triu.
     """
     b00, b01, b10, b11 = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
     lam = float(lam)
-    tmp = np.multiply(b10, b10)
-    dev = np.multiply(b00, b00)
-    dev += tmp
-    dev -= lam
-    np.abs(dev, out=dev)  # |(B^T B)_00 - lam|
-    other = np.multiply(b01, b01)
-    other += np.multiply(b11, b11, out=tmp)
-    other -= lam
-    np.abs(other, out=other)  # |(B^T B)_11 - lam|
-    np.maximum(dev, other, out=dev)
-    np.multiply(b00, b01, out=other)
-    other += np.multiply(b10, b11, out=tmp)
-    np.abs(other, out=other)  # |(B^T B)_01| = |(B^T B)_10|
-    np.maximum(dev, other, out=dev)
+    diagonal = np.maximum(np.abs(b00 * b00 + b10 * b10 - lam), np.abs(b01 * b01 + b11 * b11 - lam))
+    dev = np.maximum(diagonal, np.abs(b00 * b01 + b10 * b11))
     return float(np.triu(dev, 1).max(initial=0.0))
 
 

@@ -291,7 +291,7 @@ def from_conference(C: ConferenceMatrix) -> SeidelMatrix:
     floating-point roundoff in the angle extraction.
     """
     off = ~np.eye(C.q, dtype=bool)
-    dev = float(np.abs(np.abs(C.values[off]) - 1.0).max())
+    dev = float(np.abs(np.abs(C.values[off]) - 1.0).max(initial=0.0))  # an order-1 C has no off-diagonal
     if not dev <= 1e-8:  # also rejects nan
         raise NotUnimodular(f"off-diagonal entries deviate from |c| = 1 by {dev!r}")
     ang = np.angle(C.values)

@@ -405,6 +405,35 @@ def test_verify_nonfinite_entry_fails_without_warnings(tmp_path, kind, value):
     assert "Warning" not in proc.stderr, proc.stderr
 
 
+HUGE = 10**400  # an int that no float holds
+# (kind, header k, metadata lambda or None, flags, exit code); the checks read k and lambda as floats
+OVERFLOW_CASES = [pytest.param(kind, HUGE, None, [], EXIT_PARSE, id=f"{kind}-huge-k") for kind in KINDS]
+OVERFLOW_CASES += [
+    pytest.param("conference", HUGE, None, ["--exact"], EXIT_PARSE, id="conference-huge-k-exact"),
+    pytest.param("planes", 3, [HUGE, 1], [], EXIT_PARSE, id="planes-huge-lambda"),
+    # past 2^53 but within the float range, and a lambda that rounds to 0.0: FAIL rows, as before
+    pytest.param("seidel", 10**30, None, [], EXIT_VERIFY, id="seidel-k-1e30"),
+    pytest.param("conference", 10**30, None, ["--exact"], EXIT_VERIFY, id="conference-k-1e30-exact"),
+    pytest.param("planes", 3, [1, HUGE], [], EXIT_VERIFY, id="planes-tiny-lambda"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind,k,lam,flags,expected", OVERFLOW_CASES)
+def test_verify_numbers_past_the_float_range(tmp_path, kind, k, lam, flags, expected, fmt):
+    record = build_record(kind, 3)
+    record.k = k
+    if lam is not None:
+        record.metadata["lambda"] = lam
+    out = tmp_path / f"{kind}.{fmt}"
+    out.write_text(serialize(record, fmt))
+    proc = subprocess.run([sys.executable, "-m", "isoclinic", "verify", str(out), *flags], capture_output=True, text=True)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if expected == EXIT_VERIFY:
+        assert " FAIL " in proc.stdout and "result FAIL" in proc.stdout
+
+
 @functools.cache
 def _fuzz_base(source, k, fmt):
     # source is a kind, built at order k, or the name of a forged record at k = 7

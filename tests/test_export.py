@@ -555,6 +555,7 @@ STRICT_JSON = {
     "order-fractional": ("conference", lambda doc: doc.update(order=4.7), "order must be an integer"),
     "k-fractional": ("conference", lambda doc: doc.update(k=3.5), "k must be an integer"),
     "k-true": ("conference", lambda doc: doc.update(k=True), "k must be an integer"),
+    "k-past-the-float-range": ("seidel", lambda doc: doc.update(k=10**400), "implausible header"),
     "complex-string-flag": ("seidel", lambda doc: doc.update(complex="false"), "complex must be true or false"),
     "version-float": ("seidel", lambda doc: doc.update(version=1.0), "unsupported version"),
     "exponent-true": ("conference", lambda doc: doc["exponents"][0].__setitem__(1, True), "exponents must be"),
@@ -584,6 +585,15 @@ def test_parse_json_strict_typing(case):
     mutate(doc)
     with pytest.raises(RecordParseError, match=match):
         parse(json.dumps(doc))
+
+
+def test_parse_json_refuses_an_int_past_the_digit_limit():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an int token of more digits
+    # than Python converts (4300 by default)
+    text = serialize(build_record("seidel", 3), "json")
+    assert '"k": 3,' in text
+    with pytest.raises(RecordParseError):
+        parse(text.replace('"k": 3,', '"k": 1' + "0" * 5000 + ","))
 
 
 def reference_json_array(value, types, dtype, rule):

@@ -96,6 +96,13 @@ def test_gf9_modulus_and_arithmetic():
         (7, 2, (1, 0, 1)),
         (3, 3, (1, 2, 0, 1)),
         (3, 4, (2, 1, 0, 0, 1)),
+        # every extension field of the benchmark ladder and the CI pipelines: the modulus fixes E
+        (5, 3, (1, 1, 0, 1)),
+        (11, 2, (1, 0, 1)),
+        (23, 2, (1, 0, 1)),
+        (3, 6, (2, 1, 0, 0, 0, 0, 1)),
+        (13, 3, (2, 0, 0, 1)),
+        (5, 5, (1, 4, 0, 0, 0, 1)),
     ],
 )
 def test_modulus_is_first_irreducible(p, alpha, expected):

@@ -250,6 +250,15 @@ def test_from_conference_rejects_non_unimodular():
         from_conference(bad)
 
 
+def test_from_conference_accepts_order_one():
+    # an order-1 C has no off-diagonal entry, so its unimodular deviation is 0, as its residual is
+    from isoclinic import ConferenceMatrix
+
+    S = from_conference(ConferenceMatrix(k=3, exponents=None, values=np.zeros((1, 1), dtype=complex)))
+    assert S.q == 1
+    assert np.array_equal(S.dense, np.zeros((2, 2)))
+
+
 def test_permute_blocks_functorial():
     rng = np.random.default_rng(23)
     f = make_field(3, 2)
