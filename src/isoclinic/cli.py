@@ -240,11 +240,12 @@ def _chain(field: GaloisField, k: int, tol: float):
     equivalence_witnesses(field)
     yield witnesses, True, "permutation and all-i scaling verified"
     pt = planes_from_seidel(S)
+    del S  # no later stage reads it, so the plane residuals do not hold it beside their products
     yield _row(extraction, orthonormality_residual(pt), tol, "orthonormality {:.3e}")
     yield _row(isoclinic, isoclinic_residual(pt), tol, f"{{:.3e}} at lambda = {pt.lam}")
     bc = ls_bound(q, pt.lam, q)
     yield bound, bc.tight, f"v = {q} = bound {bc.bound}"
-    del S, pt  # no later stage reads them, so the 2q x 2q H of the doubling does not sit beside them
+    del pt  # no later stage reads it, so the 2q x 2q H of the doubling does not sit beside it
     H = double(C)
     yield _row(hadamard, hadamard_residual(H), tol, f"order {H.n2}, residual {{:.3e}}")
 

@@ -14,31 +14,34 @@ the residue i itself.
 
 The quadratic character chi maps zero to 0, nonzero squares to +1 and
 non-squares to -1 (by Euler's criterion, the field element x^((q-1)/2)).
-The chi table marks the squares directly: the digit polynomials of all q
-elements (for prime fields the residues i) are squared mod the modulus in
-one vectorised pass.  For q = 1 (mod 4) the character is even:
-chi(-x) = chi(x).
+The chi table marks the squares directly.  `mul` reduces the product
+t^i t^j of every two power-basis elements t^d = elements[p^d] once; the
+square of each element is then the bilinear form of its digits on that
+alpha x alpha table, mod p, for all q elements in one vectorised pass
+(each entry a sum of alpha^2 products below p^3, exact in int64).  For
+q = 1 (mod 4) the character is even: chi(-x) = chi(x).
 
-`GaloisField.digit_differences()` is the index of a_i - a_j.  Addition only
+`GaloisField.digit_differences` is the index of a_i - a_j.  Addition only
 touches the base-p digits, so that index is the digitwise difference mod p
 read back in base p: the Kronecker sum of alpha copies of the p x p table
 (i - j) mod p, stored in the smallest unsigned dtype that holds q - 1.  A
 matrix M is group-developed over the additive group of GF(q) when
-M[i, j] = m(a_i - a_j), that is M == M[:, 0][digit_differences()];
+M[i, j] = m(a_i - a_j), that is M == M[:, 0][digit_differences];
 `developed_column` is that one test, which the conference, Seidel and
 count checks make before they take their O(q^2) paths.  Row 0 of the index
 is the negation map: it holds the index of -a_j.
 
-`GaloisField.chi_differences()` is the exponent matrix E[i, j] =
+`GaloisField.chi_differences` is the exponent matrix E[i, j] =
 chi(a_i - a_j) that every construction reads: one lookup of the digit
 differences into the chi table.  The diagonal of E is chi(0) = 0; for
 q = 1 (mod 4) it is symmetric, for q = 3 (mod 4) antisymmetric.
 
-`GaloisField.character_phases()` is the index b.a_x mod p of the additive
+`GaloisField.character_phases` is the index b.a_x mod p of the additive
 characters psi_b(a_x) = exp(2 pi i b.x / p), the digitwise dot product,
 in the smallest unsigned dtype that holds p - 1: the character transform
 of the seidel module and the plane basis read their cos and sin tables
-through it.  All three arrays are computed once per field and shared
+through it.  These three arrays and `GaloisField.digits` are attributes,
+each computed once per field (the three on first use) and shared
 read-only.
 """
 
@@ -101,6 +104,8 @@ class GaloisField:
             lexicographically smallest.  For alpha = 1 that is x - 0,
             i.e. plain arithmetic mod p.
         elements: all q elements in canonical (base-p digit) order.
+        digits: the (q, alpha) array of base-p digits of every element, in
+            canonical order; read-only.
     """
 
     def __init__(self, p: int, alpha: int = 1):
@@ -112,18 +117,15 @@ class GaloisField:
         self.alpha = alpha
         self.q = p**alpha
         self.modulus: tuple[int, ...] = next(c for c in _monic_polys(alpha, p) if _is_irreducible(c, p))
-        self._digits = np.arange(self.q)[:, None] // p ** np.arange(alpha) % p
-        self._digits.flags.writeable = False
-        self.elements: tuple[Element, ...] = tuple(map(tuple, self._digits.tolist()))
+        self.digits = np.arange(self.q)[:, None] // p ** np.arange(alpha) % p
+        self.digits.flags.writeable = False
+        self.elements: tuple[Element, ...] = tuple(map(tuple, self.digits.tolist()))
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero: Element = self.elements[0]
         self.one: Element = self.elements[1]
 
     def __repr__(self) -> str:
         return f"GaloisField(p={self.p}, alpha={self.alpha})"
-
-    def element(self, i: int) -> Element:
-        return self.elements[i]
 
     def index(self, x: Element) -> int:
         return self._index[x]
@@ -170,19 +172,12 @@ class GaloisField:
         """Quadratic character: 0 on zero, +1 on squares, -1 on non-squares."""
         return self._chi_table[self._index[x]]
 
-    def chi_differences(self) -> np.ndarray:
-        """The int8 q x q matrix E[i, j] = chi(a_i - a_j), computed once and shared read-only."""
-        return self._chi_differences
-
+    @functools.cached_property
     def digit_differences(self) -> np.ndarray:
         """The q x q index of a_i - a_j, computed once and shared read-only.
 
         The dtype is the smallest unsigned integer type that holds q - 1.
         """
-        return self._digit_differences
-
-    @functools.cached_property
-    def _digit_differences(self) -> np.ndarray:
         p = self.p
         dtype = np.min_scalar_type(self.q - 1)
         i = np.arange(p)
@@ -196,22 +191,20 @@ class GaloisField:
         index.flags.writeable = False
         return index
 
+    @functools.cached_property
     def character_phases(self) -> np.ndarray:
         """The q x q index b.a_x mod p (digitwise dot product), computed once and shared read-only.
 
         The dtype is the smallest unsigned integer type that holds p - 1.
         """
-        return self._character_phases
-
-    @functools.cached_property
-    def _character_phases(self) -> np.ndarray:
-        phases = (self._digits @ self._digits.T % self.p).astype(np.min_scalar_type(self.p - 1))
+        phases = (self.digits @ self.digits.T % self.p).astype(np.min_scalar_type(self.p - 1))
         phases.flags.writeable = False
         return phases
 
     @functools.cached_property
-    def _chi_differences(self) -> np.ndarray:
-        E = np.array(self._chi_table, dtype=np.int8)[self._digit_differences]
+    def chi_differences(self) -> np.ndarray:
+        """The int8 q x q matrix E[i, j] = chi(a_i - a_j), computed once and shared read-only."""
+        E = np.array(self._chi_table, dtype=np.int8)[self.digit_differences]
         E.flags.writeable = False
         return E
 
@@ -219,24 +212,14 @@ class GaloisField:
     def _chi_table(self) -> tuple[int, ...]:
         p, alpha = self.p, self.alpha
         table = np.full(self.q, -1, dtype=np.int64)
-        # square every digit polynomial, then reduce mod the monic modulus (for
-        # alpha = 1 the digits are the residues and there is nothing to reduce)
-        digits = self.digit_array()
-        prod = np.zeros((self.q, 2 * alpha - 1), dtype=np.int64)
-        for i in range(alpha):
-            prod[:, i : i + alpha] += digits[:, i : i + 1] * digits
-        prod %= p
-        for d in range(2 * alpha - 2, alpha - 1, -1):
-            prod[:, d - alpha : d] -= prod[:, d : d + 1] * np.array(self.modulus[:alpha])
-            prod[:, d - alpha : d] %= p
-        squares = prod[:, :alpha] @ p ** np.arange(alpha, dtype=np.int64)
+        # t^i t^j reduced once by mul for the power basis t^d = elements[p^d]; the square of
+        # each element is the bilinear form of its digits on that table, mod p
+        basis = [self.elements[p**d] for d in range(alpha)]
+        products = np.array([[self.mul(a, b) for b in basis] for a in basis], dtype=np.int64)
+        squares = np.einsum("xi,xj,ijd->xd", self.digits, self.digits, products) % p @ p ** np.arange(alpha)
         table[squares] = 1
         table[0] = 0
         return tuple(table.tolist())
-
-    def digit_array(self) -> np.ndarray:
-        """The (q, alpha) array of base-p digits of every element, in canonical order; computed once, read-only."""
-        return self._digits
 
     def first_nonsquare(self) -> Element:
         """First element in canonical order with chi = -1."""
@@ -274,4 +257,4 @@ def developed_column(M: np.ndarray) -> np.ndarray | None:
         return None
     column = M[..., :, 0]
     # np.take gathers from a strided column about 4 times faster than fancy indexing does
-    return column if np.array_equal(M, np.take(column, field.digit_differences(), axis=-1)) else None
+    return column if np.array_equal(M, np.take(column, field.digit_differences, axis=-1)) else None

@@ -78,9 +78,7 @@ def double(C: ConferenceMatrix) -> HadamardMatrix:
     H[q:, :q] = V
     np.conjugate(V, out=H[:q, q:])  # symmetric C: entrywise conjugate equals conjugate transpose
     np.negative(H[:q, q:], out=H[q:, q:])
-    # diag[a, b, i] is H[a q + i, b q + i], the diagonal of block (a, b)
-    row, col = H.strides
-    diag = np.lib.stride_tricks.as_strided(H, shape=(2, 2, q), strides=(q * row, q * col, row + col))
+    diag = np.einsum("aibi->abi", H.reshape(2, q, 2, q))  # a writable view: the diagonal of block (a, b)
     diag[0, 0] += 1.0
     diag[0, 1] -= 1.0
     diag[1] -= 1.0
@@ -98,18 +96,20 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     reads it: its column 0 when C is group-developed over GF(q) (see
     conference._gram_deviation), else the full q x q M, 8 times fewer flops
     than H H*.  When C is the values of H's source, that is the array the
-    source keeps, not formed again.  Any other H takes the dense product
-    H H*.
+    source keeps, not formed again.  Unimodularity is read on the same m
+    columns of C + I: column 0 of a group-developed C + I holds every
+    off-diagonal value of C, and 1 at (0, 0), so its maximum deviation is
+    that of the whole block.  Any other H takes the dense product H H*.
     """
     V = H.values
     C = H.doubling_of
     if C is None:
         return _dense_residual(H)
     q = H.n2 // 2
-    # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere
-    unimod = float(np.abs(np.abs(V[:q, :q]) - 1.0).max())
     # M - (q-1) I, or its column 0
     dev = H.source.gram_deviation if H.source is not None and C is H.source.values else _gram_deviation(C)
+    # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere; read on the m columns of dev
+    unimod = float(np.abs(np.abs(V[:q, : dev.shape[1]]) - 1.0).max())
     real = 2.0 * float(np.abs(dev.real).max())
     imag = 2.0 * float(np.abs(dev.imag).max())
     return max(unimod, real, imag)

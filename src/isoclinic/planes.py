@@ -209,12 +209,12 @@ def _character_table(field: GaloisField) -> np.ndarray:
     Rows 0..m-1, m = (q + 1) / 2, are cos(2 pi b.a_x / p) for b = 0 (a row
     of ones) and then the lesser index b of each pair; rows m..q-1 are
     sin(2 pi b.a_x / p) for the same b != 0, in the same order.  Each entry
-    is looked up through field.character_phases() in the p values of cos
+    is looked up through field.character_phases in the p values of cos
     and sin, so every build gives the same bits.
     """
     q, p = field.q, field.p
     # row 0 of the digit differences is the negation map: b = 0 first, then the lesser index of each pair
-    phases = field.character_phases()[np.arange(q) <= field.digit_differences()[0]]
+    phases = field.character_phases[np.arange(q) <= field.digit_differences[0]]
     angle = 2.0 * math.pi / p * np.arange(p)
     m = len(phases)
     table = np.empty((q, q))
@@ -236,7 +236,7 @@ def _character_transform(S: SeidelMatrix) -> tuple[np.ndarray, np.ndarray, np.nd
         return None
     q = S.q
     field = field_of_order(q)
-    neg = field.digit_differences()[0]  # row 0 of the index is the negation map x -> -x
+    neg = field.digit_differences[0]  # row 0 of the index is the negation map x -> -x
     # the transform is real only for g even with symmetric values
     if not (np.array_equal(entries[:, :, neg], entries) and np.array_equal(entries[1, 0], entries[0, 1])):
         return None

@@ -125,9 +125,6 @@ class SeidelMatrix:
         """View of shape (q, q, 2, 2): blocks[i, j] is the 2x2 block at (i, j)."""
         return _blocks(self.dense)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
-
     @cached_property
     def block_column(self) -> np.ndarray | None:
         """g as entries[a, b, x] = g(a_x)[a, b] when S[i, j] = g(a_i - a_j) over GF(q), else None.
@@ -152,7 +149,7 @@ def build_seidel(field: GaloisField) -> SeidelMatrix:
     theta = critical_angle(k)
     # the angle theta * chi takes three values only: cos and sin of each, read at chi + 1
     ang = theta * np.array([-1.0, 0.0, 1.0])
-    at = np.add(field.chi_differences(), 1, dtype=np.intp)  # an intp index gathers faster than int8
+    at = np.add(field.chi_differences, 1, dtype=np.intp)  # an intp index gathers faster than int8
     dense = _reflection_blocks(np.cos(ang)[at], np.sin(ang)[at])
     return SeidelMatrix(k=k, dense=dense)
 

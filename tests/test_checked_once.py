@@ -147,7 +147,7 @@ def test_verify_checks_a_hadamard_record_once(monkeypatch, tmp_path, capsys):
 
 def scale_difference_class(f, V, factor=1.01):
     """V with every entry at a_i - a_j in {x, -x}, x = a_1, scaled: still group-developed and symmetric."""
-    sub = f.digit_differences()
+    sub = f.digit_differences
     V = V.copy()
     V[(sub == 1) | (sub == sub[0, 1])] *= factor
     return V

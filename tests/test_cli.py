@@ -648,6 +648,27 @@ def test_pipeline_frees_the_seidel_matrix_and_the_planes_before_doubling(monkeyp
     assert alive == [False, False]
 
 
+def test_pipeline_frees_the_seidel_matrix_before_the_plane_residuals(monkeypatch):
+    # no stage after the plane extraction reads S, so the residuals' products are not formed beside it
+    refs, alive = [], []
+    build_seidel, orthonormality_residual = cli.build_seidel, cli.orthonormality_residual
+
+    def kept(field):
+        S = build_seidel(field)
+        refs.append(weakref.ref(S))
+        return S
+
+    def checked(pt):
+        alive.extend(ref() is not None for ref in refs)
+        return orthonormality_residual(pt)
+
+    monkeypatch.setattr(cli, "build_seidel", kept)
+    monkeypatch.setattr(cli, "orthonormality_residual", checked)
+    rows = cli.run_pipeline(7, 1e-9)
+    assert [(name, ok) for name, ok, _ in rows] == [(name, True) for name in cli.STAGES]
+    assert alive == [False]
+
+
 def test_pipeline_rejects_inadmissible(capsys):
     code, _, stderr = run(capsys, ["pipeline", "--k", "4"])
     assert code == EXIT_PARAMS

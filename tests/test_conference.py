@@ -6,6 +6,7 @@ import cmath
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_build_with_omega_one_gives_j_minus_i():
     f = make_field(5)
     C = build_conference(f, 1.0)
     assert np.array_equal(C.values, np.ones((5, 5)) - np.eye(5))
-    assert C.k == 3 and C.q == 5 and C.has_symbolic
+    assert C.k == 3 and C.q == 5 and C.exponents is not None
 
 
 def test_build_rejects_q_3_mod_4():
@@ -251,7 +252,7 @@ def test_counts_detect_flipped_exponent():
 
 def test_counts_require_symbolic_layer():
     C = scale_row_col(build_conference(make_field(5), critical_omega(3)), 0, 1j)
-    assert not C.has_symbolic
+    assert C.exponents is None
     with pytest.raises(ValueError):
         gram_counts(C)
 
@@ -429,16 +430,16 @@ def test_equivalence_witnesses():
 
 
 def with_exponents(monkeypatch, E):
-    """A fresh GF(5) whose chi_differences() returns E."""
+    """A fresh GF(5) whose chi_differences is E."""
     f = GaloisField(5)
-    monkeypatch.setattr(f, "chi_differences", lambda: E)
+    monkeypatch.setattr(f, "chi_differences", E)
     return f
 
 
 @pytest.mark.parametrize("e", [0, 2, -2])
 def test_equivalence_witnesses_reject_an_even_exponent_off_the_diagonal(monkeypatch, e):
     # i i (-omega0)^e = omega0^e only for odd e: the scaling identity needs E = +-1 off the diagonal
-    E = make_field(5).chi_differences().copy()
+    E = make_field(5).chi_differences.copy()
     E[0, 1] = E[1, 0] = e
     with pytest.raises(WitnessMismatch, match="all-i scaling"):
         equivalence_witnesses(with_exponents(monkeypatch, E))
@@ -446,7 +447,7 @@ def test_equivalence_witnesses_reject_an_even_exponent_off_the_diagonal(monkeypa
 
 @pytest.mark.parametrize("e", [1, -1])
 def test_equivalence_witnesses_reject_a_nonzero_diagonal(monkeypatch, e):
-    E = make_field(5).chi_differences().copy()
+    E = make_field(5).chi_differences.copy()
     E[2, 2] = e
     # with a zero pair off the diagonal, E still holds q^2 - q entries of +-1
     swapped = E.copy()
@@ -598,7 +599,7 @@ def reference_mask_values(exponents, omega):
 def test_values_from_exponents_match_mask_reference_bytewise(p, alpha):
     f = make_field(p, alpha)
     k = (f.q + 1) // 2
-    E = f.chi_differences()
+    E = f.chi_differences
     for omega in (critical_omega(k), -critical_omega(k), 1j, cmath.exp(0.9j), 1.0):
         got = conference._values_from_exponents(E, omega)
         assert got.dtype == np.complex128
@@ -608,13 +609,16 @@ def test_values_from_exponents_match_mask_reference_bytewise(p, alpha):
 
 
 def reference_conference_residual(C):
-    """The full product C C*; an oracle for the one-column residual."""
-    return float(np.abs(C.values @ C.values.conj().T - (C.q - 1) * np.eye(C.q)).max())
+    """The full product C C*, its diagonal read entry by entry as _gram_deviation reads it; an oracle."""
+    V = C.values
+    dev = V @ V.conj().T
+    np.fill_diagonal(dev, (V.real * V.real + V.imag * V.imag - 1.0).sum(axis=1) + 1.0)
+    return float(np.abs(dev).max())
 
 
 def scale_difference_class(f, V, factor=1.01):
     """V with every entry at a_i - a_j in {x, -x}, x = a_1, scaled: still group-developed and symmetric."""
-    sub = f.digit_differences()
+    sub = f.digit_differences
     V = V.copy()
     V[(sub == 1) | (sub == sub[0, 1])] *= factor
     return V
@@ -664,6 +668,19 @@ def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
         assert conference_residual(T) == reference_conference_residual(T)
     assert conference_residual(scaled) <= 1e-11 and conference_residual(forged) <= 1e-11
     assert conference_residual(bad) > 1e-3
+
+
+@pytest.mark.parametrize("p,alpha", [(3, 6), (13, 3)])
+def test_gram_diagonal_is_read_entry_by_entry(p, alpha):
+    # the exact value of sum_j |c_0j|^2 - (q - 1) for the float C; a BLAS sum of |c|^2
+    # minus q - 1 is off from it by about 2.6e-12 at q = 729 and 2.2e-11 at q = 2197
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    row = C.values[0]
+    exact = sum(Fraction(x) ** 2 for x in (*row.real.tolist(), *row.imag.tolist())) - (f.q - 1)
+    assert C.gram_deviation.shape == (f.q, 1)
+    assert C.gram_deviation[0, 0].imag == 0.0
+    assert abs(C.gram_deviation[0, 0].real - exact) <= 1e-14
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)

@@ -196,7 +196,7 @@ def test_chi_balance(p, alpha):
 @pytest.mark.parametrize("p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3), (7, 1), (3, 3)])
 def test_chi_differences_matches_scalar_chi(p, alpha):
     f = make_field(p, alpha)
-    E = f.chi_differences()
+    E = f.chi_differences
     assert E.dtype == np.int8 and E.shape == (f.q, f.q)
     expected = [[f.chi(f.sub(a, b)) for b in f.elements] for a in f.elements]
     assert np.array_equal(E, np.array(expected))
@@ -243,8 +243,8 @@ def test_make_field_caches():
 
 def test_chi_differences_is_shared_and_read_only():
     f = make_field(5, 2)
-    E = f.chi_differences()
-    assert f.chi_differences() is E
+    E = f.chi_differences
+    assert f.chi_differences is E
     assert not E.flags.writeable
     with pytest.raises(ValueError):
         E[0, 1] = 0
@@ -277,7 +277,9 @@ def reference_chi_table(field):
 
 
 @pytest.mark.parametrize(
-    "p,alpha", sorted({(f.p, f.alpha) for f in FIELDS} | {(7, 1), (7, 2), (3, 4), (5, 3), (3, 5), (11, 2), (7, 3)})
+    "p,alpha",
+    # (3, 6) and (13, 3) are the fields of the q = 729 and q = 2197 pipelines
+    sorted({(f.p, f.alpha) for f in FIELDS} | {(7, 1), (7, 2), (3, 4), (5, 3), (3, 5), (11, 2), (7, 3), (3, 6), (13, 3)}),
 )
 def test_chi_table_matches_euler_criterion(p, alpha):
     f = make_field(p, alpha)
@@ -292,7 +294,7 @@ def test_chi_table_matches_euler_criterion(p, alpha):
 )
 def test_digit_differences_index_the_difference(p, alpha):
     f = make_field(p, alpha)
-    sub = f.digit_differences()
+    sub = f.digit_differences
     assert sub.shape == (f.q, f.q)
     assert sub.dtype == np.min_scalar_type(f.q - 1) and sub.dtype.itemsize < 8
     if f.q <= 125:
@@ -302,24 +304,24 @@ def test_digit_differences_index_the_difference(p, alpha):
         i = np.arange(f.q)
         assert np.array_equal(sub, (i[:, None] - i[None, :]) % p)
     # row 0 is negation
-    assert [f.element(int(j)) for j in sub[0]] == [f.neg(x) for x in f.elements]
-    assert np.array_equal(f.digit_array(), np.array(f.elements))
+    assert [f.elements[int(j)] for j in sub[0]] == [f.neg(x) for x in f.elements]
+    assert np.array_equal(f.digits, np.array(f.elements))
 
 
 def test_digit_differences_is_shared_and_read_only():
     f = make_field(3, 4)
-    sub = f.digit_differences()
-    assert f.digit_differences() is sub
+    sub = f.digit_differences
+    assert f.digit_differences is sub
     assert sub.dtype == np.uint8
     with pytest.raises(ValueError):
         sub[0, 1] = 0
-    assert make_field(257).digit_differences().dtype == np.uint16
+    assert make_field(257).digit_differences.dtype == np.uint16
 
 
 def test_digit_array_is_shared_and_read_only():
     f = make_field(5, 3)
-    digits = f.digit_array()
-    assert f.digit_array() is digits
+    digits = f.digits
+    assert f.digits is digits
     assert digits.shape == (125, 3) and np.array_equal(digits, np.array(f.elements))
     with pytest.raises(ValueError):
         digits[0, 0] = 1

@@ -20,7 +20,7 @@ from isoclinic import (
     make_field,
     scale_row_col,
 )
-from isoclinic import hadamard
+from isoclinic import conference, hadamard
 from isoclinic.gf import developed_column
 
 
@@ -176,15 +176,17 @@ def reference_form_residual(H):
         return hadamard._dense_residual(H)
     q = H.n2 // 2
     unimod = float(np.abs(np.abs(H.values[:q, :q]) - 1.0).max())
-    M = C @ C.conj().T
-    real = 2.0 * float(np.abs(M.real - (q - 1) * np.eye(q)).max())
-    imag = 2.0 * float(np.abs(M.imag).max())
+    # M - (q-1) I, its diagonal read entry by entry as conference._gram_deviation reads it
+    dev = C @ C.conj().T
+    np.fill_diagonal(dev, (C.real * C.real + C.imag * C.imag - 1.0).sum(axis=1) + 1.0)
+    real = 2.0 * float(np.abs(dev.real).max())
+    imag = 2.0 * float(np.abs(dev.imag).max())
     return max(unimod, real, imag)
 
 
 def scale_difference_class(f, V, factor=1.01):
     """V with every entry at a_i - a_j in {x, -x}, x = a_1, scaled: still group-developed and symmetric."""
-    sub = f.digit_differences()
+    sub = f.digit_differences
     V = V.copy()
     V[(sub == 1) | (sub == sub[0, 1])] *= factor
     return V
@@ -199,6 +201,27 @@ def test_row_residual_rejects_the_doubling_of_a_scaled_difference_class(p, alpha
     fast, form, dense = hadamard_residual(H), reference_form_residual(H), hadamard._dense_residual(H)
     assert min(fast, form, dense) > 1e-3
     assert abs(fast - form) <= 1e-12 and abs(fast - dense) <= 1e-12
+
+
+def whole_block_residual(H):
+    """hadamard_residual with unimodularity read on the whole q x q block C + I; an oracle for the m-column read."""
+    C = H.doubling_of
+    q = H.n2 // 2
+    dev = conference._gram_deviation(C)
+    unimod = float(np.abs(np.abs(H.values[:q, :q]) - 1.0).max())
+    return max(unimod, 2.0 * float(np.abs(dev.real).max()), 2.0 * float(np.abs(dev.imag).max()))
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_unimodularity_is_read_on_the_columns_of_the_deviation(p, alpha):
+    f = make_field(p, alpha)
+    C = build_conference(f, critical_omega((f.q + 1) // 2))
+    scaled_class = HadamardMatrix(values=reference_block_double(scale_difference_class(f, C.values)))
+    # group-developed, and not unimodular: |c| = 1.01 on one difference class
+    assert developed_column(scaled_class.doubling_of) is not None
+    assert hadamard_residual(scaled_class) > 1e-3
+    for H in (double(C), double(scale_row_col(C, 3, 1j)), scaled_class):
+        assert hadamard_residual(H) == whole_block_residual(H)
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)

@@ -405,7 +405,7 @@ def test_row_read_agrees_with_the_every_row_read_within_the_stated_bound(monkeyp
     assert addition_law_error(p) <= 40 * EPS
     # delta: two entries of X^T X at one difference a_i - a_j, against block row 0
     blocks = seidel._blocks(pt.basis.T @ pt.basis)
-    delta = float(np.abs(blocks - blocks[0][f.digit_differences().T]).max())
+    delta = float(np.abs(blocks - blocks[0][f.digit_differences.T]).max())
     assert delta <= (2 * f.q + 40) * EPS
     orth, iso = every_row_reading(monkeypatch, pt)
     assert abs(orthonormality_residual(pt) - orth) <= delta + EPS
