@@ -331,6 +331,6 @@ def equivalence_witnesses(field: GaloisField) -> EquivalenceWitnesses:
     idx = _product_indices(field, field.first_nonsquare())
     # exact: C(1/omega0) permuted by sigma is C(omega0) iff E[sigma, sigma] = -E,
     # because omega0^2 != 1; this is chi(a g) = -chi(a) for the non-square g
-    if not np.array_equal(E.take(idx, 0).take(idx, 1), -E):
+    if not (E.take(idx, 0).take(idx, 1) == -E).all():
         raise WitnessMismatch("non-square permutation does not map C(1/omega0) to C(omega0)")
     return EquivalenceWitnesses(permutation=tuple(idx.tolist()), scalings=(1j,) * q)

@@ -28,8 +28,9 @@ read back in base p: the Kronecker sum of alpha copies of the p x p table
 matrix M is group-developed over the additive group of GF(q) when
 M[i, j] = m(a_i - a_j), that is M == M[:, 0][digit_differences];
 `developed_column` is that one test, which the conference, Seidel and
-count checks make before they take their O(q^2) paths.  Row 0 of the index
-is the negation map: it holds the index of -a_j.
+count checks make before they take their O(q^2) paths: on scalar entries
+(E, C) and, with block = 2, on the 2 x 2 blocks of a Seidel matrix.  Row 0
+of the index is the negation map: it holds the index of -a_j.
 
 `GaloisField.chi_differences` is the exponent matrix E[i, j] =
 chi(a_i - a_j) that every construction reads: one lookup of the digit
@@ -244,17 +245,43 @@ def field_of_order(q: int) -> GaloisField | None:
     return make_field(*pa)
 
 
-def developed_column(M: np.ndarray) -> np.ndarray | None:
-    """Column 0 of M when every trailing q x q slice is group-developed over GF(q), else None.
+# the most bytes of M that developed_column compares at once, which bounds its temporaries
+_COMPARE_BYTES = 16 * 2**20
 
-    M has shape (..., q, q), and each slice must satisfy
-    M[..., i, j] = m(a_i - a_j), checked exactly as M == M[..., :, 0][..., sub]
-    with sub the digit-difference index of the field that the trailing
-    shape itself factors into.  A nan entry never compares equal.  The
-    result is the view M[..., :, 0], so m(a_x) = result[..., x].
+
+def developed_column(M: np.ndarray, block: int = 1) -> np.ndarray | None:
+    """Column 0 of M when M is group-developed over GF(q) in blocks of order `block` (1 or 2), else None.
+
+    block = 1: M has shape (..., q, q) and each trailing slice must satisfy
+    M[..., i, j] = m(a_i - a_j); the result is the view M[..., :, 0], so
+    m(a_x) = result[..., x].  block = 2: M is a 2-D array of even order 2q,
+    read in 2 x 2 blocks, and block (i, j) must equal block (d, 0) with
+    a_d = a_i - a_j; the result is the (2, 2, q) view
+    g[a, b, x] = M[2x + a, b], block column 0.  q is the order of the field
+    that M's shape factors into.
+
+    The check is exact: == against column 0 read through the
+    digit-difference index, so a nan entry never compares equal.  For
+    block = 2 it reads the (a, i, j, b) rows M[2i + a, 2j + b], whose last
+    two axes are one contiguous row of M.  It compares bands of at most
+    _COMPARE_BYTES of M's rows at a time, and a complex M through its float
+    view when its rows are contiguous: == on a complex number is == on
+    both parts.
     """
-    if M.ndim < 2 or M.shape[-2] != M.shape[-1] or (field := field_of_order(M.shape[-1])) is None:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1] or (field := field_of_order(M.shape[-1] // block)) is None:
         return None
-    column = M[..., :, 0]
-    # np.take gathers from a strided column about 4 times faster than fancy indexing does
-    return column if np.array_equal(M, np.take(column, field.digit_differences, axis=-1)) else None
+    if block == 1:
+        rows, column, axis = M, M[..., :, 0], M.ndim - 2
+    else:
+        rows = M.reshape(field.q, 2, field.q, 2).transpose(1, 0, 2, 3)
+        column, axis = rows[:, :, 0], 1
+    # compared as floats when the rows allow it (a complex dtype), else as they are
+    dtype = M.real.dtype if rows.strides[-1] == M.itemsize else M.dtype
+    band = max(1, _COMPARE_BYTES // max(1, M.nbytes // field.q))
+    for start in range(0, field.q, band):
+        x = rows[(slice(None),) * axis + (slice(start, start + band),)]
+        # np.take gathers from a strided column about 4 times faster than fancy indexing does
+        y = np.take(column, field.digit_differences[start : start + band], axis=axis)
+        if not (x.view(dtype) == y.view(dtype)).all():
+            return None
+    return column if block == 1 else column.transpose(0, 2, 1)

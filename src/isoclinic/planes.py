@@ -33,7 +33,7 @@ the sin of 2 pi b.a_i / p times v_b (planes_from_seidel).
 
 _character_transform reads g from block column 0 (g(a_i) = S[i, 0]) and
 checks the form exactly (SeidelMatrix.block_column: gf.developed_column
-on the (a, b, i, j) block view; then g(-x) = g(x) and g(x) symmetric); it
+on the (a, i, j, b) rows of S; then g(-x) = g(x) and g(x) symmetric); it
 then takes g^(b) from the cos rows of the real character table
 (_character_table), one batched 2 x 2 eigh, and nothing of order 2q.  An
 S that fails the check, such as normalize(S), permute_blocks by a
@@ -45,7 +45,10 @@ check and the S^2 residual that S keeps once computed (see
 seidel.SeidelMatrix), so extracting the planes of an S whose S^2 residual
 or spectrum was taken repeats neither.  The transform is not kept:
 planes_from_seidel, its one reader, computes it on each call from the
-phase index that the field keeps (gf.GaloisField.character_phases).
+phase index that the field keeps (gf.GaloisField.character_phases).  The
+table is kept, on the plane tuple it was built for (PlaneTuple.table), so
+the form check of the residuals reads it again instead of building a
+second one: a pipeline run builds the table once.
 
 Table form.  That basis is exactly X = table * w: entry (t, 2i + c) is
 table[t, i] * w[t, c], with table the real character table and w[t] the
@@ -54,8 +57,10 @@ _character_table fixes the layout of the table, and this module alone
 reads it: m = (q + 1) / 2 cos rows, the first (b = 0) a row of ones, then
 a sin row for each b != 0 in the order of the cos rows.  Column i = 0 of
 the table reads cos 0 = 1 on every cos row, so block column 0 of X
-returns w bit for bit, and _is_table_basis compares the whole of X with
-table * w by ==.
+returns w bit for bit, and PlaneTuple.gram_rows compares the whole of X
+with table * w by ==.  The table it reads is the one the shape of X
+selects (PlaneTuple.table, built from the shape unless planes_from_seidel
+stored it), so the check needs the basis alone.
 
 The m-row rule.  Both residuals read one product, PlaneTuple.gram_rows:
 block rows 0..m-1 of X^T X, the (2m, 2q) product X[:, :2m]^T X.  For any w,
@@ -68,7 +73,7 @@ block (i, j) of (table * w)^T (table * w) is
 addition law, so X^T X is block group-developed over GF(q): block
 row 0 holds every distinct block, the diagonal ones P_i^T P_i at (0, 0)
 and every B = P_i^T P_j, i != j, at (0, j') with a_j' = a_j - a_i.  On a
-basis that passes _is_table_basis, m = 1: the orthonormality residual
+basis that passes that check, m = 1: the orthonormality residual
 reads block (0, 0) and the isoclinic residual blocks (0, j), j >= 1, with
 no 2q x 2q product.  Any other basis is read on every block row, m = n:
 the eigh route of extract_bases, a record not in table form (a rotated QX,
@@ -135,9 +140,11 @@ class PlaneTuple:
     rational so tightness of the count bound can be decided without
     floating point.
 
-    Both residuals read one Gram product, kept on the object (gram_rows).
-    Do not change `basis` in place after a residual has read it: build a
-    new tuple instead (dataclasses.replace gives one with nothing cached).
+    Both residuals read one Gram product, kept on the object (gram_rows),
+    and its form check reads the character table that the shape of the
+    basis selects, kept too (table).  Do not change `basis` in place after
+    a residual has read it: build a new tuple instead (dataclasses.replace
+    gives one with nothing cached).
     """
 
     lam: Fraction
@@ -152,12 +159,29 @@ class PlaneTuple:
     def gram_rows(self) -> np.ndarray:
         """Block rows 0..m-1 of basis^T basis, the (2m, 2n) product basis[:, :2m]^T basis; computed once.
 
-        m = 1 when the basis passes the exact form check _is_table_basis, in
-        which case block row 0 holds every distinct block (see the module
-        docstring); m = n on any other basis.
+        m = 1 when the basis is exactly the table basis of planes_from_seidel
+        for the w that its block column 0 holds, in which case block row 0
+        holds every distinct block (see the module docstring); m = n on any
+        other basis.  The check needs nothing but the basis: its shape gives
+        the character table (table, None for any other shape), and its block
+        column 0 gives w bit for bit, since column 0 of the table reads
+        cos 0 = 1 on every cos row.  The whole basis is then compared with
+        _table_basis(table, w) by ==, so a sin row whose w differs from that
+        of its cos row fails too.
         """
-        m = 1 if _is_table_basis(self.basis) else self.n
-        return self.basis[:, : 2 * m].T @ self.basis
+        table, X = self.table, self.basis
+        m = 1 if table is not None and (X == _table_basis(table, X[: self.r // 2 + 1, :2])).all() else self.n
+        return X[:, : 2 * m].T @ X
+
+    @cached_property
+    def table(self) -> np.ndarray | None:
+        """_character_table of GF(q) when the basis has shape (q, 2q), q an odd prime power, else None; computed once.
+
+        planes_from_seidel stores here the table it built the basis on, the
+        value this would compute, so a pipeline run builds the table once.
+        """
+        field = field_of_order(self.r) if self.basis.shape[1] == 2 * self.r else None
+        return None if field is None else _character_table(field)
 
     @property
     def r(self) -> int:
@@ -238,7 +262,7 @@ def _character_transform(S: SeidelMatrix) -> tuple[np.ndarray, np.ndarray, np.nd
     field = field_of_order(q)
     neg = field.digit_differences[0]  # row 0 of the index is the negation map x -> -x
     # the transform is real only for g even with symmetric values
-    if not (np.array_equal(entries[:, :, neg], entries) and np.array_equal(entries[1, 0], entries[0, 1])):
+    if not ((entries[:, :, neg] == entries).all() and (entries[1, 0] == entries[0, 1]).all()):
         return None
     table = _character_table(field)
     return table, *np.linalg.eigh((table[: (q + 1) // 2] @ entries.reshape(4, q).T).reshape(-1, 2, 2))
@@ -276,7 +300,9 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     scale = np.full(len(v), 2.0 / math.sqrt(q))
     scale[0] = math.sqrt(2.0 / q)  # the cos row of b = 0 has no sin row
     w = v * np.copysign(scale, np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1]))[:, None]
-    return PlaneTuple(lam=lam, basis=_table_basis(table, w))
+    pt = PlaneTuple(lam=lam, basis=_table_basis(table, w))
+    vars(pt)["table"] = table  # the table PlaneTuple.table would build again from the shape
+    return pt
 
 
 def _table_basis(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -290,21 +316,6 @@ def _table_basis(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     for c in (0, 1):  # a strided column per c runs far faster than a broadcast over a last axis of 2
         np.multiply(table, w[:, c : c + 1], out=basis[:, c::2])
     return basis
-
-
-def _is_table_basis(basis: np.ndarray) -> bool:
-    """Whether basis is exactly the table basis of planes_from_seidel, for w read from basis itself.
-
-    The check needs nothing but the basis: its shape gives q, hence the
-    field and the character table, and its block column 0 gives w bit for
-    bit, since column 0 of the table reads cos 0 = 1 on every cos row.
-    Then the whole basis is compared with _table_basis(table, w) by ==, so
-    a sin row whose w differs from that of its cos row fails too.
-    """
-    q = basis.shape[0]
-    if basis.shape[1] != 2 * q or (field := field_of_order(q)) is None:
-        return False
-    return np.array_equal(basis, _table_basis(_character_table(field), basis[: (q + 1) // 2, :2]))
 
 
 def orthonormality_residual(pt: PlaneTuple) -> float:
@@ -352,8 +363,8 @@ def ls_bound(r: int, lam: Fraction | int, v: int) -> BoundCheck:
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError(f"lambda must lie strictly between 0 and 1, got {lam}")
-    denom = 2 - r * lam
-    if denom <= 0:
+    # in integers, with lam = a / b and b > 0: r (1 - lam) / (2 - r lam) = r (b - a) / (2b - r a)
+    if (denom := 2 * lam.denominator - r * lam.numerator) <= 0:
         return BoundCheck(math.inf, False)
-    bound = Fraction(r) * (1 - lam) / denom
+    bound = Fraction(r * (lam.denominator - lam.numerator), denom)
     return BoundCheck(bound, bound == v)

@@ -24,10 +24,11 @@ Layout: block (i, j) of the dense array holds rows 2i, 2i+1 and columns 2j,
 Group-developed form.  The canonical S is block group-developed over the
 additive group (Z_p)^alpha of GF(q): S[i, j] = g(a_i - a_j) with
 g(x) = s_{theta chi(x)} and g(0) = 0.  SeidelMatrix.block_column checks
-the form exactly (gf.developed_column on the (a, b, i, j) block view) and
-returns g, read from block column 0: g(a_i) = S[i, 0].  The planes module
-splits such an S by the additive characters into q blocks g^(b) of order
-2 (see its "Character transform").  `seidel_square_residual` needs the
+the form exactly (gf.developed_column on the (a, i, j, b) rows of the
+dense array, one contiguous row of S for each a and i) and returns g,
+read from block column 0: g(a_i) = S[i, 0].  The planes module splits
+such an S by the additive characters into q blocks g^(b) of order 2 (see
+its "Character transform").  `seidel_square_residual` needs the
 check only to pick how many rows of S^2 it reads: S^2 is block
 group-developed too, so its block row 0, rows 0 and 1, holds every
 distinct entry; any other S, such as normalize(S), permute_blocks by a
@@ -130,10 +131,10 @@ class SeidelMatrix:
         """g as entries[a, b, x] = g(a_x)[a, b] when S[i, j] = g(a_i - a_j) over GF(q), else None.
 
         Computed once.  The form is checked exactly by gf.developed_column
-        on the (a, b, i, j) block view, which returns its column j = 0:
-        g(a_x) = S[x, 0].
+        on the dense array in 2 x 2 blocks, read as (a, i, j, b) rows; it
+        returns block column 0 as a view: g(a_x) = S[x, 0].
         """
-        return developed_column(self.blocks.transpose(2, 3, 0, 1))
+        return developed_column(self.dense, 2)
 
     @cached_property
     def square_residual(self) -> float:
@@ -171,7 +172,7 @@ def _reflection_blocks(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     blocks[..., 0, 1] = s
     blocks[..., 1, 0] = s
     np.negative(c, out=blocks[..., 1, 1])  # -c would be one more q x q temporary
-    blocks[range(q), range(q)] = 0.0
+    np.einsum("iiab->iab", blocks)[...] = 0.0  # a writable view of the diagonal blocks
     return dense
 
 

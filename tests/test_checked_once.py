@@ -84,7 +84,7 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     products = count_calls(monkeypatch, conference, "_gram_deviation")
     doubled = count_calls(monkeypatch, hadamard, "_doubled")
     conferences = count_calls(monkeypatch, conference, "build_conference")
-    table_checks = count_calls(monkeypatch, planes, "_is_table_basis")
+    table_bases = count_calls(monkeypatch, planes, "_table_basis")
     built = [capture(monkeypatch, name) for name in ("build_conference", "build_seidel", "planes_from_seidel", "double")]
     rows = cli.run_pipeline((p**alpha + 1) // 2, TOL)
     (C,), (S,), (pt,), (H,) = built
@@ -94,14 +94,38 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     # one C: the witnesses read E, and the hadamard stage reads the C that H was doubled from
     assert len(conferences) == 1 and H.source is C
     # the form of E for the counts, then column 0 of C C* once: the gate of double and
-    # hadamard_residual read the deviation the conference-residual stage kept; then the
-    # (a, b, i, j) block view of S, once for seidel-square, spectrum and the planes
+    # hadamard_residual read the deviation the conference-residual stage kept; then S in
+    # 2 x 2 blocks, once for seidel-square, spectrum and the planes
     assert len(developed) == 3 and developed[0] is C.exponents and developed[1] is C.values
-    assert developed[2].shape == (2, 2, S.q, S.q) and np.shares_memory(developed[2], S.dense)
+    assert developed[2] is S.dense
     assert len(products) == 1 and products[0] is C.values
     assert len(doubled) <= 1 and H.doubling_of is C.values
-    # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals
-    assert table_checks == [pt.basis] and pt.gram_rows.shape == (2, 2 * S.q)
+    # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals; the
+    # table basis is formed twice on one character table, to build X and for its one form check
+    assert len(table_bases) == 2 and table_bases[0] is table_bases[1] is pt.table
+    assert pt.gram_rows.shape == (2, 2 * S.q)
+
+
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_pipeline_builds_one_character_table(monkeypatch, p, alpha):
+    tables = count_calls(monkeypatch, planes, "_character_table")
+    built = capture(monkeypatch, "planes_from_seidel")
+    cli.run_pipeline((p**alpha + 1) // 2, TOL)
+    (pt,) = built
+    f = make_field(p, alpha)
+    # the transform builds it, and the tuple keeps it for the form check of both plane residuals
+    assert tables == [f] and pt.gram_rows.shape == (2, 2 * f.q)
+    # a new tuple builds the table again from its shape, and reads a changed basis on every row
+    X = pt.basis.copy()
+    X[:, -2:] *= 1.01
+    scaled = replace(pt, basis=X)
+    assert scaled.table is not pt.table and np.array_equal(scaled.table, pt.table) and tables == [f, f]
+    assert scaled.gram_rows.shape == (2 * f.q, 2 * f.q)
+    # no table for a shape other than (q, 2q) with q an odd prime power: every row is read
+    for basis in (np.zeros((f.q, 2 * f.q + 2)), np.zeros((6, 12))):
+        other = replace(pt, basis=basis)
+        assert other.table is None and other.gram_rows.shape == (basis.shape[1], basis.shape[1])
+    assert tables == [f, f]
 
 
 def test_square_residual_forms_the_full_product_once_on_the_dense_path(monkeypatch):

@@ -17,12 +17,17 @@ from isoclinic import (
     GaloisField,
     InvalidExponent,
     InvalidPrime,
+    admissible_orders,
     build_conference,
     build_seidel,
     critical_omega,
     make_field,
+    normalize,
+    permute_blocks,
+    scale_row_col,
 )
-from isoclinic.gf import developed_column
+from isoclinic import gf
+from isoclinic.gf import developed_column, field_of_order
 
 FIELDS = [make_field(5), make_field(13), make_field(3, 2), make_field(5, 2), make_field(3, 3)]
 
@@ -350,3 +355,80 @@ def test_developed_column_needs_a_prime_power_order_and_a_matching_shape():
     broken = view.copy()
     broken[1, 0, 3, 4] += 1.0  # one entry of one slice
     assert developed_column(broken) is None
+
+
+def reference_column(M, block=1):
+    """The form check as one expression on the whole array: column 0 of M when it holds, else None.
+
+    For block = 2 it reads the strided (a, b, i, j) block view of the dense
+    2q x 2q M, whose column 0 is g[a, b, x] = M[2x + a, b].
+    """
+    if block == 2:
+        q = M.shape[0] // 2
+        M = M.reshape(q, 2, q, 2).transpose(1, 3, 0, 2)
+    index = field_of_order(M.shape[-1]).digit_differences
+    return M[..., :, 0] if np.array_equal(M, np.take(M[..., :, 0], index, axis=-1)) else None
+
+
+def form_check_inputs(f):
+    """(array, block) pairs that do and do not hold the group-developed form over f."""
+    q = f.q
+    C = build_conference(f, critical_omega((q + 1) // 2))
+    S = build_seidel(f)
+    inputs = [(C.exponents, 1), (C.values, 1), (C.values.T, 1), (S.dense, 2)]
+    inputs += [(normalize(S).dense, 2), (permute_blocks(S, [0, 2, 1] + list(range(3, q))).dense, 2)]
+    inputs.append((scale_row_col(C, 3, 1j).values, 1))
+    for a in (0, 1):
+        for b in (0, 1):  # one changed entry in each of the four positions of a 2 x 2 block
+            changed = S.dense.copy()
+            changed[2 * (q - 1) + a, 2 + b] += 1e-12
+            inputs.append((changed, 2))
+    nan = C.values.copy()
+    nan[q - 1, 1] = complex(nan[q - 1, 1].real, np.nan)  # the imaginary part alone
+    inputs.append((nan, 1))
+    nan = S.dense.copy()
+    nan[1, 2 * q - 1] = np.nan
+    inputs.append((nan, 2))
+    zero = S.dense.copy()
+    zero[2 * q - 2, 2 * q - 1] = -0.0  # block (q-1, q-1) is zero: -0.0 == 0.0, so the form holds
+    inputs.append((zero, 2))
+    zero = C.values.copy()
+    zero[q - 1, q - 1] = complex(-0.0, -0.0)
+    inputs.append((zero, 1))
+    return inputs
+
+
+def assert_agrees_with_reference(f):
+    outcomes = []
+    for M, block in form_check_inputs(f):
+        column, reference = developed_column(M, block), reference_column(M, block)
+        assert (column is None) == (reference is None)
+        if column is not None:
+            assert column.tobytes() == reference.tobytes() and np.shares_memory(column, M)
+        outcomes.append(column is not None)
+    # E, C, C^T, S pass; normalize(S), the swap, the scaled C, the four changed entries and both nans
+    # fail; both -0.0 pass
+    assert outcomes == [True] * 4 + [False] * 9 + [True] * 2
+
+
+@pytest.mark.parametrize("info", admissible_orders(125), ids=lambda info: str(info.q))
+def test_developed_column_agrees_with_the_whole_array_check(info):
+    assert_agrees_with_reference(make_field(info.p, info.alpha))
+
+
+def test_developed_column_compares_one_block_row_at_a_time(monkeypatch):
+    # a budget of one byte reads one (block) row per band: q = 25 bands, the last one included
+    monkeypatch.setattr(gf, "_COMPARE_BYTES", 1)
+    f = make_field(5, 2)
+    assert_agrees_with_reference(f)
+    S = build_seidel(f)
+    last = S.dense.copy()
+    last[-1, 2] += 1e-12  # block (24, 1), in the last band only
+    assert developed_column(last, 2) is None and developed_column(S.dense, 2) is not None
+
+
+def test_block_column_is_a_view_of_the_dense_seidel_matrix():
+    S = build_seidel(make_field(5, 3))
+    entries = S.block_column
+    assert entries.shape == (2, 2, S.q) and np.shares_memory(entries, S.dense)
+    assert np.array_equal(entries, S.dense.reshape(S.q, 2, S.q, 2)[:, :, 0].transpose(1, 2, 0))

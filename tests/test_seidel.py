@@ -6,6 +6,7 @@ import cmath
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +328,27 @@ def test_block_fill_matches_copy_reference_bitwise(p, alpha):
     assert np.array_equal(bits(from_conference(C).dense), bits(reference_reflection_blocks(ang)))
 
 
+def plane_symmetry_reference(ang):
+    """The dense matrix assembled block by block: plane_symmetry(ang[i, j]) off the diagonal, a zero block on it."""
+    q = ang.shape[0]
+    dense = np.zeros((2 * q, 2 * q))
+    for i in range(q):
+        for j in range(q):
+            if i != j:
+                dense[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = plane_symmetry(float(ang[i, j]))
+    return dense
+
+
+@pytest.mark.parametrize("p,alpha", BLOCK_FIELDS)
+def test_build_and_from_conference_match_plane_symmetry_blocks_bytewise(p, alpha):
+    # the diagonal blocks are zeroed through a writable einsum view of them: +0.0, as np.zeros gives
+    f = make_field(p, alpha)
+    S = build_seidel(f)
+    assert S.dense.tobytes() == plane_symmetry_reference(critical_angle(S.k) * f.chi_differences).tobytes()
+    C = scale_row_col(build_conference(f, critical_omega(S.k)), 1, cmath.exp(0.9j))
+    assert from_conference(C).dense.tobytes() == plane_symmetry_reference(np.angle(C.values)).tobytes()
+
+
 @pytest.mark.parametrize("p,alpha", BLOCK_FIELDS)
 def test_block_operations_match_dense_references(p, alpha):
     S = build_seidel(make_field(p, alpha))
@@ -523,6 +545,21 @@ def test_square_residual_reads_two_rows_of_a_group_developed_s(monkeypatch, p, a
     for T in (S, normalize(S)):
         seidel._square_residual(SeidelMatrix(k=T.k, dense=T.dense.view(MatmulShapes)))
     assert shapes == [((2, n), (n, n)), ((n, n), (n, n))]
+
+
+def test_square_diagonal_does_not_set_the_residual_at_q_729():
+    # the BLAS diagonal of S[:2] S minus 2k - 2 against the exact value for the float S (5.7e-15
+    # here): unlike the C C* diagonal, it lies within 1e-14, and the worst entry is off the diagonal
+    S = build_seidel(make_field(3, 6))
+    n = 2 * S.q
+    dev = S.dense[:2] @ S.dense
+    dev.flat[:: n + 1] -= 2 * S.k - 2
+    for i in (0, 1):
+        exact = sum(Fraction(x) ** 2 for x in S.dense[i].tolist()) - (2 * S.k - 2)
+        assert abs(dev[i, i] - exact) <= 1e-14
+    worst = np.unravel_index(np.argmax(np.abs(dev)), dev.shape)
+    assert worst[0] != worst[1]
+    assert seidel_square_residual(S) == np.abs(dev).max()
 
 
 def test_spectrum_rejects_a_nan_entry():
