@@ -31,7 +31,7 @@ import sys
 import time
 import tracemalloc
 from collections import defaultdict
-from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 
@@ -56,10 +56,8 @@ FUNCTIONS = (
 )
 
 
-@contextmanager
 def wrapped(before, after):
-    """Rebind each of FUNCTIONS in isoclinic.cli to call before(name), the function, then after(name)."""
-    originals = {name: getattr(cli, name) for name in FUNCTIONS}
+    """A patch of each of FUNCTIONS in isoclinic.cli that calls before(name), the function, then after(name)."""
 
     def wrap(name, fn):
         def stage(*args, **kwargs):
@@ -71,13 +69,7 @@ def wrapped(before, after):
 
         return stage
 
-    try:
-        for name, fn in originals.items():
-            setattr(cli, name, wrap(name, fn))
-        yield
-    finally:
-        for name, fn in originals.items():
-            setattr(cli, name, fn)
+    return patch.multiple(cli, **{name: wrap(name, getattr(cli, name)) for name in FUNCTIONS})
 
 
 def run(k: int) -> bool:

@@ -159,10 +159,9 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         return checks
     if exact:
         raise _ExactUnavailable("exact layer unavailable: only conference records carry one")
+    # the parser gives seidel, gram and planes records real float64 entries of even order or width
     if kind == "seidel":
-        if record.order % 2 != 0:
-            raise RecordParseError("seidel record order must be even")
-        S = SeidelMatrix(k=record.k, dense=record.entries.astype(np.float64))
+        S = SeidelMatrix(k=record.k, dense=record.entries)
         checks.append(_row("seidel-square", seidel_square_residual(S), tol))
         checks.append(_row("symmetry", _asymmetry(S.dense), tol))
         blocks = S.blocks
@@ -173,9 +172,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(_row("orthogonal-blocks", float(np.abs(gram[off] - np.eye(2)).max(initial=0.0)), tol))
         return checks
     if kind == "gram":
-        if record.order % 2 != 0:
-            raise RecordParseError("gram record order must be even")
-        A = record.entries.astype(np.float64)
+        A = record.entries
         checks.append(_row("symmetry", _asymmetry(A), tol))
         idem = float(np.abs(A @ A - 2.0 * A).max())
         checks.append(_row("eigenvalues-0-2", idem, max(tol, 1e-10) * A.shape[0], "|A^2-2A| = {:.3e}"))
@@ -187,7 +184,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(_row("isoclinic-blocks", iso, tol, f"{{:.3e}} at lambda = {lam}"))
         return checks
     if kind == "planes":
-        pt = PlaneTuple(lam=_metadata_lambda(record.metadata), basis=record.entries.astype(np.float64))
+        pt = PlaneTuple(lam=_metadata_lambda(record.metadata), basis=record.entries)
         checks.append(_row("orthonormal-pairs", orthonormality_residual(pt), tol))
         checks.append(_row("isoclinic", isoclinic_residual(pt), tol))
         # 2k - 1 planes in R^(2k - 1): as many planes as dimensions, and that

@@ -91,13 +91,6 @@ def _float_tokens(values: np.ndarray, render) -> np.ndarray:
     return strings[inverse].reshape(floats.shape)
 
 
-def _int_tokens(values: np.ndarray) -> np.ndarray:
-    """int.__repr__ of each entry of an integer array, called once per distinct value."""
-    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
-    strings = np.array([str(x) for x in distinct.tolist()], dtype=object)
-    return strings[inverse].reshape(values.shape)
-
-
 def _json_nested(tokens: np.ndarray, level: int) -> str:
     """The rendered scalars in tokens laid out as json.dumps(tokens.tolist(), indent=1).
 
@@ -131,7 +124,7 @@ def _json_nested(tokens: np.ndarray, level: int) -> str:
 
 
 def _exponent_tokens(exponents: np.ndarray) -> np.ndarray:
-    """_int_tokens of the exponents; ValueError unless their dtype is an integer one.
+    """int.__repr__ of each exponent, called once per distinct value; ValueError unless their dtype is an integer one.
 
     Only integer exponents parse back, so a float layer, even an integral
     one, is refused rather than written as a record its parser rejects or
@@ -140,7 +133,9 @@ def _exponent_tokens(exponents: np.ndarray) -> np.ndarray:
     exponents = np.asarray(exponents)
     if exponents.dtype.kind not in "iu":
         raise ValueError(f"exponents must have an integer dtype, got {exponents.dtype}")
-    return _int_tokens(exponents)
+    distinct, inverse = np.unique(exponents.ravel(), return_inverse=True)
+    strings = np.array([str(x) for x in distinct.tolist()], dtype=object)
+    return strings[inverse].reshape(exponents.shape)
 
 
 _BODY = '\n "entries": 0,\n "exponents": 0,\n'
@@ -217,26 +212,27 @@ def _validate_header(kind: str, order: int, k: int) -> None:
 _EXPONENT_RULE = "exponents must be integers in {-1, 0, 1}"
 
 
-def _metadata(value: Any) -> dict[str, Any]:
-    if not isinstance(value, dict):
-        raise RecordParseError(f"metadata must be a JSON object, got {value!r}")
-    return value
-
-
 def _validate_shapes(record: ExportRecord) -> None:
+    """RecordParseError unless the arrays are of the shape and kind of number that record.kind holds."""
     # the checks index entries by the header order, so a disagreement must
     # stop here rather than surface as a broadcast error downstream
-    shape, order = record.entries.shape, record.order
-    if record.kind == "planes":
+    kind, shape, order = record.kind, record.entries.shape, record.order
+    if kind == "planes":
         ok = len(shape) == 2 and shape[0] == order and shape[1] > 0 and shape[1] % 2 == 0
         expected = f"({order}, even)"
     else:
         ok = shape == (order, order)
         expected = f"({order}, {order})"
     if not ok:
-        raise RecordParseError(f"{record.kind} entries have shape {shape}, header implies {expected}")
+        raise RecordParseError(f"{kind} entries have shape {shape}, header implies {expected}")
     if record.exponents is not None and record.exponents.shape != shape:
         raise RecordParseError(f"exponents have shape {record.exponents.shape}, entries {shape}")
+    # the 2 x 2 diagonal blocks of S and A pair up rows and columns
+    if kind in ("seidel", "gram") and order % 2:
+        raise RecordParseError(f"{kind} record order must be even")
+    # the checks read S, A and the basis as float64, which would drop an imaginary part
+    if kind in ("seidel", "gram", "planes") and record.is_complex:
+        raise RecordParseError(f"{kind} entries must be real, got complex ones")
 
 
 def _json_typed(value: Any, types: tuple[type, ...], dtype: type, rule: str) -> tuple[np.ndarray, list]:
@@ -294,45 +290,33 @@ class _FloatTable(dict):
         return value
 
 
-def _parse_json(text: str) -> ExportRecord:
+def _parse_json(text: str) -> tuple:
+    """The ExportRecord fields of a JSON document, theta and metadata as read; see parse."""
     try:
         # a record holds few distinct floats, so most tokens are a dict hit, not a strtod
         doc = json.loads(text, parse_float=_FloatTable().__getitem__)
     # a JSONDecodeError is a ValueError, and so is an int token of more digits than int() converts
     except (ValueError, RecursionError) as exc:
         raise RecordParseError(f"invalid JSON: {exc}") from exc
-    try:
-        if doc["format"] != MAGIC:
-            raise RecordParseError(f"unexpected format tag {doc['format']!r}")
-        if type(doc["version"]) is not int or doc["version"] != VERSION:
-            raise RecordParseError(f"unsupported version {doc['version']!r}")
-        kind, order, k = doc["kind"], _json_int(doc, "order"), _json_int(doc, "k")
-        _validate_header(kind, order, k)
-        if type(doc["theta"]) not in (int, float):
-            raise RecordParseError(f"theta must be a number, got {doc['theta']!r}")
-        if type(doc["complex"]) is not bool:
-            raise RecordParseError(f"complex must be true or false, got {doc['complex']!r}")
-        entries = _json_entries(doc["entries"], doc["complex"])
-        exponents = None
-        if doc["exponents"] is not None:
-            values, scalars = _json_typed(doc["exponents"], (int,), np.int64, _EXPONENT_RULE)
-            values.reshape(-1)[:] = scalars  # an int past the int64 range raises OverflowError
-            if not np.isin(values, (-1, 0, 1)).all():
-                raise RecordParseError(_EXPONENT_RULE)
-            exponents = values.astype(np.int8)
-        return ExportRecord(
-            kind=kind,
-            order=order,
-            k=k,
-            theta=float(doc["theta"]),
-            entries=entries,
-            exponents=exponents,
-            metadata=_metadata(doc["metadata"]),
-        )
-    except RecordParseError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise RecordParseError(f"malformed record document: {exc}") from exc
+    if doc["format"] != MAGIC:
+        raise RecordParseError(f"unexpected format tag {doc['format']!r}")
+    if type(doc["version"]) is not int or doc["version"] != VERSION:
+        raise RecordParseError(f"unsupported version {doc['version']!r}")
+    kind, order, k = doc["kind"], _json_int(doc, "order"), _json_int(doc, "k")
+    _validate_header(kind, order, k)
+    if type(doc["theta"]) not in (int, float):
+        raise RecordParseError(f"theta must be a number, got {doc['theta']!r}")
+    if type(doc["complex"]) is not bool:
+        raise RecordParseError(f"complex must be true or false, got {doc['complex']!r}")
+    entries = _json_entries(doc["entries"], doc["complex"])
+    exponents = None
+    if doc["exponents"] is not None:
+        values, scalars = _json_typed(doc["exponents"], (int,), np.int64, _EXPONENT_RULE)
+        values.reshape(-1)[:] = scalars  # an int past the int64 range raises OverflowError
+        if not np.isin(values, (-1, 0, 1)).all():
+            raise RecordParseError(_EXPONENT_RULE)
+        exponents = values.astype(np.int8)
+    return kind, order, k, doc["theta"], entries, exponents, doc["metadata"]
 
 
 # the text tokens the writer produces, in ASCII; int() and float() alone
@@ -361,60 +345,61 @@ def _text_block(lines: list[str], rows: int, width: int, convert, pattern, dtype
     return np.fromiter(map(table.__getitem__, tokens), dtype=dtype, count=len(tokens)).reshape(rows, width)
 
 
-def _parse_text(text: str) -> ExportRecord:
+def _parse_text(text: str) -> tuple:
+    """The ExportRecord fields of a text record, theta and metadata as read; see parse."""
     # the writer separates lines by "\n" and tokens by " " only; splitlines()
     # and split() would also take other Unicode line breaks and spaces
     lines = text.split("\n")
-    try:
-        if lines[0] != f"{MAGIC} {VERSION}":
-            raise RecordParseError("missing or unsupported record header line")
-        header: dict[str, str] = {}
-        pos = 1
-        while pos < len(lines) and lines[pos] != "entries":
-            key, _, value = lines[pos].partition(" ")
-            header[key] = value
-            pos += 1
-        if pos == len(lines):
-            raise RecordParseError("no entries section")
+    if lines[0] != f"{MAGIC} {VERSION}":
+        raise RecordParseError("missing or unsupported record header line")
+    header: dict[str, str] = {}
+    pos = 1
+    while pos < len(lines) and lines[pos] != "entries":
+        key, _, value = lines[pos].partition(" ")
+        header[key] = value
         pos += 1
-        for key, pattern in _HEADER_TOKENS.items():
-            if not pattern.fullmatch(header[key]):
-                raise RecordParseError(f"header {key} must match {pattern.pattern}, got {header[key]!r}")
-        kind, order, k = header["kind"], int(header["order"]), int(header["k"])
-        _validate_header(kind, order, k)
-        rows, cols = int(header["rows"]), int(header["cols"])
-        is_complex = header["complex"] == "1"
-        width = 2 * cols if is_complex else cols
-        entries = _text_block(lines[pos : pos + rows], rows, width, float, _FLOAT, np.float64, "entry")
-        if is_complex:
-            entries = entries.view(np.complex128)
+    if pos == len(lines):
+        raise RecordParseError("no entries section")
+    pos += 1
+    for key, pattern in _HEADER_TOKENS.items():
+        if not pattern.fullmatch(header[key]):
+            raise RecordParseError(f"header {key} must match {pattern.pattern}, got {header[key]!r}")
+    kind, order, k = header["kind"], int(header["order"]), int(header["k"])
+    _validate_header(kind, order, k)
+    rows, cols = int(header["rows"]), int(header["cols"])
+    is_complex = header["complex"] == "1"
+    width = 2 * cols if is_complex else cols
+    entries = _text_block(lines[pos : pos + rows], rows, width, float, _FLOAT, np.float64, "entry")
+    if is_complex:
+        entries = entries.view(np.complex128)
+    pos += rows
+    exponents = None
+    if pos < len(lines) and lines[pos] == "exponents":
+        pos += 1
+        exponents = _text_block(lines[pos : pos + rows], rows, cols, int, _EXPONENT, np.int8, "exponent")
         pos += rows
-        exponents = None
-        if pos < len(lines) and lines[pos] == "exponents":
-            pos += 1
-            exponents = _text_block(lines[pos : pos + rows], rows, cols, int, _EXPONENT, np.int8, "exponent")
-            pos += rows
-        if pos >= len(lines) or lines[pos] != "end":
-            raise RecordParseError("missing end marker")
-        return ExportRecord(
-            kind=kind,
-            order=order,
-            k=k,
-            theta=float(header["theta"]),
-            entries=entries,
-            exponents=exponents,
-            metadata=_metadata(json.loads(header["metadata"])),
-        )
-    except RecordParseError:
-        raise
-    except (KeyError, ValueError, IndexError, OverflowError, RecursionError) as exc:
-        raise RecordParseError(f"malformed text record: {exc}") from exc
+    if pos >= len(lines) or lines[pos] != "end":
+        raise RecordParseError("missing end marker")
+    return kind, order, k, header["theta"], entries, exponents, json.loads(header["metadata"])
 
 
 def parse(text: str) -> ExportRecord:
-    """Parse either serialization, sniffing JSON by its leading brace."""
-    stripped = text.lstrip()
-    record = _parse_json(text) if stripped.startswith("{") else _parse_text(text)
+    """Parse either serialization, sniffing JSON by its leading brace.
+
+    Each reader returns the record's fields; an exception that is not a
+    RecordParseError becomes one here, named after the format, and the
+    arrays must then hold what the record's kind holds (_validate_shapes).
+    """
+    is_json = text.lstrip().startswith("{")
+    try:
+        kind, order, k, theta, entries, exponents, metadata = (_parse_json if is_json else _parse_text)(text)
+        if not isinstance(metadata, dict):
+            raise RecordParseError(f"metadata must be a JSON object, got {metadata!r}")
+        record = ExportRecord(kind, order, k, float(theta), entries, exponents, metadata)
+    except RecordParseError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
+        raise RecordParseError(f"malformed {'record document' if is_json else 'text record'}: {exc}") from exc
     _validate_shapes(record)
     return record
 

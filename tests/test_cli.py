@@ -505,6 +505,21 @@ def test_verify_odd_order_gram_is_parse_error(tmp_path, capsys):
         assert "even" in stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind", ["seidel", "gram", "planes"])
+def test_verify_real_kind_with_complex_entries_is_parse_error(tmp_path, kind, fmt):
+    # a cast to float64 would drop the imaginary parts with only a ComplexWarning, and PASS every row
+    record = build_record(kind, 7)
+    record.entries = record.entries + 0.5j
+    out = tmp_path / f"{kind}.{fmt}"
+    out.write_text(serialize(record, fmt))
+    for flags in ([], ["-W", "error"]):
+        argv = [sys.executable, *flags, "-m", "isoclinic", "verify", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert "Traceback" not in proc.stderr and f"{kind} entries must be real" in proc.stderr
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     out = tmp_path / "junk.txt"
     out.write_text("this is not a record\n")

@@ -587,6 +587,27 @@ def test_parse_json_strict_typing(case):
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind", ["seidel", "gram"])
+def test_parse_refuses_an_odd_order_seidel_or_gram_record(kind, fmt):
+    # square entries of the header's order, but 2 x 2 diagonal blocks need an even one
+    record = build_record(kind, 3)
+    record.order, record.entries = 9, record.entries[:9, :9]
+    with pytest.raises(RecordParseError, match=f"{kind} record order must be even"):
+        parse(serialize(record, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("kind", ["seidel", "gram", "planes"])
+def test_parse_gives_real_kinds_float64_entries_and_refuses_complex_ones(kind, fmt):
+    # the checks read these entries as they are, with no cast to float64
+    record = build_record(kind, 3)
+    assert parse(serialize(record, fmt)).entries.dtype == np.float64
+    record.entries = record.entries + 0.5j
+    with pytest.raises(RecordParseError, match=f"{kind} entries must be real"):
+        parse(serialize(record, fmt))
+
+
 def test_parse_json_refuses_an_int_past_the_digit_limit():
     # json.loads raises a plain ValueError, not a JSONDecodeError, for an int token of more digits
     # than Python converts (4300 by default)
@@ -791,7 +812,7 @@ def test_parse_json_memo_matches_plain_json_loads_bitwise(kind, k):
 # underflow to 0.0, and three spellings of 0.1
 EDGE_JSON = (
     '{"complex": false, "entries": [[-0.0, 0.0, 5e-324], [1E400, 3, -1e-400], [0.1, 0.10, 1e-1]],'
-    ' "exponents": null, "format": "isoclinic-record", "k": 3, "kind": "gram",'
+    ' "exponents": null, "format": "isoclinic-record", "k": 3, "kind": "conference",'
     ' "metadata": {"x": [-0.0, 0.0, 2.5]}, "order": 3, "theta": -0.0, "version": 1}'
 )
 
