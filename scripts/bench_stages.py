@@ -37,7 +37,7 @@ import numpy as np
 
 from isoclinic import cli, gf
 
-LADDER = (5, 9, 25, 121, 241, 529, 729, 2197)
+LADDER = (5, 9, 25, 121, 241, 529, 729, 2197, 4913)
 FUNCTIONS = (
     "make_field",
     "build_conference",

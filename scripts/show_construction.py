@@ -13,6 +13,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from isoclinic import (
     build_conference,
     build_seidel,
@@ -55,7 +57,14 @@ def main() -> int:
     for row in C.exponents:
         print("  " + "".join(SIGN[int(e)] for e in row))
     counts = gram_counts(C)
-    print(f"every off-diagonal count triple: {counts.entry(0, 1)}")
+    triple = counts.entry(0, 1)
+    differs = (np.stack([counts.r, counts.s, counts.t]) != np.array(triple)[:, None, None]).any(axis=0)
+    np.fill_diagonal(differs, False)
+    if differs.any():
+        i, j = (int(x) for x in np.argwhere(differs)[0])
+        print(f"count triple {counts.entry(i, j)} at ({i}, {j}) differs from {triple} at (0, 1)", file=sys.stderr)
+        return 1
+    print(f"every off-diagonal count triple: {triple}")
     print(f"numeric residual |C C* - (q-1) I|_max = {conference_residual(C):.2e}")
 
     S = build_seidel(field)

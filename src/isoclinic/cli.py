@@ -244,6 +244,7 @@ def _chain(field: GaloisField, k: int, tol: float):
     yield bound, bc.tight, f"v = {q} = bound {bc.bound}"
     del pt  # no later stage reads it, so the 2q x 2q H of the doubling does not sit beside it
     H = double(C)
+    del C  # H does not keep it, so the hadamard residual does not hold C beside H
     yield _row(hadamard, hadamard_residual(H), tol, f"order {H.n2}, residual {{:.3e}}")
 
 

@@ -32,9 +32,10 @@ their first row or column holds every distinct entry.  So
 read on m leading rows or columns: the exact form check
 gf.developed_column picks m = 1 for a group-developed input and m = q for
 any other, such as scale_row_col(C, ...), a permuted C or a record.  The
-deviation of C C* is computed once per ConferenceMatrix and kept on it:
-the gate of hadamard.double and hadamard_residual(double(C)) read it
-too; its diagonal is read entry by entry (see _gram_deviation).  The
+residual of C C* is computed once per ConferenceMatrix and kept on it,
+and the gate of hadamard.double reads it too; its diagonal is read entry
+by entry (see _gram_deviation).  hadamard_residual forms the deviation
+again, from the C it copies out of H, so H need not keep C.  The
 equivalence witnesses are integer identities on E and build no C(omega).
 """
 
@@ -129,14 +130,9 @@ class ConferenceMatrix:
         return self.values.shape[0]
 
     @cached_property
-    def gram_deviation(self) -> np.ndarray:
-        """_gram_deviation(values): the columns of C C* - (q-1) I that hold every distinct entry; computed once."""
-        return _gram_deviation(self.values)
-
-    @cached_property
     def gram_residual(self) -> float:
         """Max-abs entry of C C* - (q-1) I (see conference_residual), computed once."""
-        return float(np.abs(self.gram_deviation).max())
+        return float(np.abs(_gram_deviation(self.values)).max())
 
 
 class ExponentCounts(NamedTuple):

@@ -13,10 +13,9 @@ form, and from column 0 of C C* alone when C is also group-developed over
 GF(q), as the construction is; otherwise it forms the full product.  The
 form check runs once per HadamardMatrix and is kept on it, so the residual
 and the doubling-form row of a verified record share it.  The gate of
-`double` reads the residual its ConferenceMatrix keeps, and `double` records
-that C on H as a hint (`source`): when H is exactly its doubling (==), the
-residual reads the deviation C keeps, with no copy of C and no second
-product.  Any other H, such as a record, has its C copied out of H.
+`double` reads the residual its ConferenceMatrix keeps.  H does not keep
+the C it was doubled from: the residual reads the C that the form check
+copies out of H, so a caller may drop C once H is built.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class HadamardMatrix:
     """
 
     values: np.ndarray
-    source: ConferenceMatrix | None = None  # the C that double() built H from, a hint checked with ==
 
     def __post_init__(self) -> None:
         shape = self.values.shape
@@ -58,8 +56,8 @@ class HadamardMatrix:
 
     @cached_property
     def doubling_of(self) -> np.ndarray | None:
-        """_doubled(values, source.values): the C that H is the doubling of, or None; computed once."""
-        return _doubled(self.values, None if self.source is None else self.source.values)
+        """_doubled(values): the C that H is the doubling of, or None; computed once."""
+        return _doubled(self.values)
 
 
 def double(C: ConferenceMatrix) -> HadamardMatrix:
@@ -82,7 +80,7 @@ def double(C: ConferenceMatrix) -> HadamardMatrix:
     diag[0, 0] += 1.0
     diag[0, 1] -= 1.0
     diag[1] -= 1.0
-    return HadamardMatrix(values=H, source=C)
+    return HadamardMatrix(values=H)
 
 
 def hadamard_residual(H: HadamardMatrix) -> float:
@@ -92,14 +90,13 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     (checked entry by entry with ==, see _doubled), the blocks of
     H H* - 2q I follow from M = C C*: the diagonal blocks are
     2 Re(M - (q-1) I) and the off-diagonal blocks 2i Im M, since
-    C~ C^T = conj(M).  M - (q-1) I is read as ConferenceMatrix.gram_deviation
+    C~ C^T = conj(M).  M - (q-1) I is read as ConferenceMatrix.gram_residual
     reads it: its column 0 when C is group-developed over GF(q) (see
     conference._gram_deviation), else the full q x q M, 8 times fewer flops
-    than H H*.  When C is the values of H's source, that is the array the
-    source keeps, not formed again.  Unimodularity is read on the same m
-    columns of C + I: column 0 of a group-developed C + I holds every
-    off-diagonal value of C, and 1 at (0, 0), so its maximum deviation is
-    that of the whole block.  Any other H takes the dense product H H*.
+    than H H*.  Unimodularity is read on the same m columns of C + I:
+    column 0 of a group-developed C + I holds every off-diagonal value of
+    C, and 1 at (0, 0), so its maximum deviation is that of the whole
+    block.  Any other H takes the dense product H H*.
     """
     V = H.values
     C = H.doubling_of
@@ -107,7 +104,7 @@ def hadamard_residual(H: HadamardMatrix) -> float:
         return _dense_residual(H)
     q = H.n2 // 2
     # M - (q-1) I, or its column 0
-    dev = H.source.gram_deviation if H.source is not None and C is H.source.values else _gram_deviation(C)
+    dev = _gram_deviation(C)
     # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere; read on the m columns of dev
     unimod = float(np.abs(np.abs(V[:q, : dev.shape[1]]) - 1.0).max())
     real = 2.0 * float(np.abs(dev.real).max())
@@ -117,14 +114,14 @@ def hadamard_residual(H: HadamardMatrix) -> float:
 
 def _dense_residual(H: HadamardMatrix) -> float:
     """The dense path of hadamard_residual: the full product H H*."""
-    n2 = H.n2
     V = H.values
     unimod = float(np.abs(np.abs(V) - 1.0).max())
-    gram = float(np.abs(V @ V.conj().T - n2 * np.eye(n2)).max())
-    return max(unimod, gram)
+    gram = V @ V.conj().T
+    gram.flat[:: H.n2 + 1] -= H.n2
+    return max(unimod, float(np.abs(gram).max()))
 
 
-def _doubled(V: np.ndarray, source: np.ndarray | None = None) -> np.ndarray | None:
+def _doubled(V: np.ndarray) -> np.ndarray | None:
     """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None.
 
     Compared block against block with ==, with no identity and no complex
@@ -132,8 +129,7 @@ def _doubled(V: np.ndarray, source: np.ndarray | None = None) -> np.ndarray | No
     V00 = V10 + 2I, V01 = conj(V10) and V11 = -conj(V00).  The last two
     hold on the whole block, read through the .real and .imag views; the
     first is a diagonal of 1 and exactly q mismatches with V10, all on the
-    diagonal.  The result is a copy of V10 with a zero diagonal, or `source`
-    itself when that is equal to it (==, so a signed zero may differ).
+    diagonal.  The result is a copy of V10 with a zero diagonal.
     """
     q, odd = divmod(V.shape[0], 2)
     if odd:
@@ -151,9 +147,6 @@ def _doubled(V: np.ndarray, source: np.ndarray | None = None) -> np.ndarray | No
     )
     if not form:
         return None
-    if source is not None and source.shape == (q, q) and not source.diagonal().any():
-        if np.count_nonzero(V10 != source) == q:  # on the diagonal of -1 only
-            return source
     C = V10.copy()
     np.fill_diagonal(C, 0.0)
     return C
