@@ -32,7 +32,7 @@ from .conference import (
     verify_counts,
 )
 from .errors import IsoclinicError, RecordParseError
-from .export import KINDS, ExportRecord, read_record, serialize, write_record
+from .export import KINDS, ExportRecord, read_record, record_pieces, write_record
 from .gf import GaloisField, make_field
 from .hadamard import HadamardMatrix, double, hadamard_residual
 from .orders import OrderInfo, classify_order
@@ -277,7 +277,7 @@ def cmd_generate(args) -> int:
         return EXIT_PARAMS
     record = build_record(args.kind, args.k, info)
     if args.out is None:
-        sys.stdout.write(serialize(record, args.format))
+        sys.stdout.writelines(record_pieces(record, args.format))
         return EXIT_OK
     try:
         write_record(record, args.out, args.format)

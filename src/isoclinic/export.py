@@ -11,7 +11,9 @@ Two formats are supported: `json` (a single JSON document) and `text`
 (key/value header lines followed by whitespace-separated rows, with the
 metadata dict as one embedded JSON line).  Both round-trip losslessly.
 A record holds few distinct floats, so the writer renders and the parser
-converts each distinct number once; a text record's parse error names its
+converts each distinct number once.  The writer produces the document as
+row-sized pieces, which serialize joins and write_record writes one by one;
+the text reader converts row by row.  A text record's parse error names its
 first bad token in file order.
 """
 
@@ -23,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -91,18 +93,20 @@ def _float_tokens(values: np.ndarray, render) -> np.ndarray:
     return strings[inverse].reshape(floats.shape)
 
 
-def _json_nested(tokens: np.ndarray, level: int) -> str:
-    """The rendered scalars in tokens laid out as json.dumps(tokens.tolist(), indent=1).
+def _json_nested(tokens: np.ndarray, level: int) -> Iterator[str]:
+    """The rendered scalars in tokens laid out as json.dumps(tokens.tolist(), indent=1), one piece per row.
 
-    level is the indent level of the line the opening bracket sits on.  The
-    layout is one join: between two consecutive scalars, j lists close and
-    j open again, where j counts the trailing dimensions whose boundary lies
-    between them, so only ndim distinct separators occur.
+    level is the indent level of the line the opening bracket sits on.
+    Between two consecutive scalars, j lists close and j open again, where j
+    counts the trailing dimensions whose boundary lies between them, so only
+    ndim distinct separators occur.  Every stride divides the row length, so
+    all rows of the first axis share one row of separators, and only the last
+    row closes the array.
     """
     shape = tokens.shape
     if tokens.size == 0:  # empty lists print as [], which the separators do not model
-        text = json.dumps(tokens.tolist(), indent=1)
-        return text.replace("\n", "\n" + " " * level)
+        yield json.dumps(tokens.tolist(), indent=1).replace("\n", "\n" + " " * level)
+        return
     m = len(shape)
     depth = level + m  # indent of the scalars
 
@@ -113,14 +117,18 @@ def _json_nested(tokens: np.ndarray, level: int) -> str:
         return "".join("[\n" + " " * (depth - j + 1 + t) for t in range(j))
 
     separators = np.array([closing(j) + ",\n" + " " * (depth - j) + opening(j) for j in range(m)], dtype=object)
-    flat = np.arange(1, tokens.size)
-    crossed = np.zeros(tokens.size - 1, dtype=np.intp)
+    width = tokens.size // shape[0]
+    crossed = np.zeros(width, dtype=np.intp)
     for stride in np.cumprod(shape[:0:-1]):
-        crossed += flat % stride == 0
-    out = np.empty(2 * tokens.size - 1, dtype=object)
-    out[0::2] = tokens.ravel()
-    out[1::2] = separators[crossed]
-    return opening(m) + "".join(out.tolist()) + closing(m)
+        crossed += np.arange(1, width + 1) % stride == 0
+    out = np.empty(2 * width, dtype=object)
+    out[1::2] = separators[crossed]  # the last one crosses into the next row
+    yield opening(m)
+    for i, row in enumerate(tokens.reshape(shape[0], width)):
+        if i == shape[0] - 1:
+            out[-1] = closing(m)
+        out[0::2] = row
+        yield "".join(out.tolist())
 
 
 def _exponent_tokens(exponents: np.ndarray) -> np.ndarray:
@@ -141,7 +149,22 @@ def _exponent_tokens(exponents: np.ndarray) -> np.ndarray:
 _BODY = '\n "entries": 0,\n "exponents": 0,\n'
 
 
-def to_json(record: ExportRecord) -> str:
+def record_pieces(record: ExportRecord, fmt: str) -> Iterator[str]:
+    """The record serialized as fmt, in pieces of at most one array row each.
+
+    Every check that can refuse the record (an unknown format, an exponent
+    layer whose dtype is not an integer one, metadata that json.dumps cannot
+    write) raises before the first piece, so a writer that takes the first
+    piece before it opens its target never leaves a partial document.
+    """
+    if fmt not in ("json", "text"):
+        raise ValueError(f"unknown format {fmt!r}")
+    entries = _float_tokens(record.entries, _json_float if fmt == "json" else float.__repr__)
+    exponents = None if record.exponents is None else _exponent_tokens(record.exponents)
+    yield from (_json_pieces if fmt == "json" else _text_pieces)(record, entries, exponents)
+
+
+def _json_pieces(record: ExportRecord, entries: np.ndarray, exponents: np.ndarray | None) -> Iterator[str]:
     """json.dumps(doc, indent=1, sort_keys=True) of the record, byte for byte.
 
     The header comes from json.dumps with placeholders; the two arrays are
@@ -162,18 +185,20 @@ def to_json(record: ExportRecord) -> str:
         "exponents": 0,
     }
     head, _, tail = json.dumps(doc, indent=1, sort_keys=True).partition(_BODY)
-    entries = _json_nested(_float_tokens(record.entries, _json_float), 1)
-    exponents = "null" if record.exponents is None else _json_nested(_exponent_tokens(record.exponents), 1)
-    return f'{head}\n "entries": {entries},\n "exponents": {exponents},\n{tail}\n'
+    yield head + '\n "entries": '
+    yield from _json_nested(entries, 1)
+    yield ',\n "exponents": '
+    if exponents is None:
+        yield "null"
+    else:
+        yield from _json_nested(exponents, 1)
+    yield f",\n{tail}\n"
 
 
-def _text_rows(tokens: np.ndarray) -> list[str]:
-    return [" ".join(row.ravel().tolist()) for row in tokens]
-
-
-def to_text(record: ExportRecord) -> str:
+def _text_pieces(record: ExportRecord, entries: np.ndarray, exponents: np.ndarray | None) -> Iterator[str]:
+    """The text record, one line per piece after the header, each ending in a newline."""
     rows, cols = record.entries.shape
-    lines = [
+    header = [
         f"{MAGIC} {VERSION}",
         f"kind {record.kind}",
         f"order {record.order}",
@@ -185,20 +210,18 @@ def to_text(record: ExportRecord) -> str:
         f"cols {cols}",
         "entries",
     ]
-    lines += _text_rows(_float_tokens(record.entries, float.__repr__))
-    if record.exponents is not None:
-        lines.append("exponents")
-        lines += _text_rows(_exponent_tokens(record.exponents))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(header) + "\n"
+    for row in entries:
+        yield " ".join(row.ravel().tolist()) + "\n"
+    if exponents is not None:
+        yield "exponents\n"
+        for row in exponents:
+            yield " ".join(row.tolist()) + "\n"
+    yield "end\n"
 
 
 def serialize(record: ExportRecord, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(record)
-    if fmt == "text":
-        return to_text(record)
-    raise ValueError(f"unknown format {fmt!r}")
+    return "".join(record_pieces(record, fmt))
 
 
 def _validate_header(kind: str, order: int, k: int) -> None:
@@ -278,15 +301,25 @@ def _json_entries(value: Any, is_complex: bool) -> np.ndarray:
     return values.view(np.complex128).reshape(values.shape[:2]) if is_complex else values
 
 
-class _FloatTable(dict):
-    """float(token) for each JSON number token, converted on its first lookup only.
+class _TokenTable(dict):
+    """convert(token) for each number token, converted on its first lookup only.
 
-    The decoder hands parse_float the very string it would give float, so the
-    values are the same bit for bit (-0.0 stays apart from 0.0, 1E400 is inf).
+    With a pattern, a token that does not fully match it raises a
+    RecordParseError naming the token and what it stands for; a text record
+    is read in file order, so the first bad token is the one named.  As the
+    JSON parse_float hook it takes the very string the decoder would give
+    float, so the values are the same bit for bit (-0.0 stays apart from 0.0,
+    1E400 is inf).
     """
 
-    def __missing__(self, token: str) -> float:
-        value = self[token] = float(token)
+    def __init__(self, convert, pattern: re.Pattern | None = None, what: str = "") -> None:
+        super().__init__()
+        self.convert, self.pattern, self.what = convert, pattern, what
+
+    def __missing__(self, token: str):
+        if self.pattern is not None and not self.pattern.fullmatch(token):
+            raise RecordParseError(f"malformed {self.what} token {token!r}")
+        value = self[token] = self.convert(token)
         return value
 
 
@@ -294,7 +327,7 @@ def _parse_json(text: str) -> tuple:
     """The ExportRecord fields of a JSON document, theta and metadata as read; see parse."""
     try:
         # a record holds few distinct floats, so most tokens are a dict hit, not a strtod
-        doc = json.loads(text, parse_float=_FloatTable().__getitem__)
+        doc = json.loads(text, parse_float=_TokenTable(float).__getitem__)
     # a JSONDecodeError is a ValueError, and so is an int token of more digits than int() converts
     except (ValueError, RecursionError) as exc:
         raise RecordParseError(f"invalid JSON: {exc}") from exc
@@ -328,21 +361,21 @@ _HEADER_TOKENS = dict(order=_DIGITS, k=_DIGITS, rows=_DIGITS, cols=_DIGITS, thet
 
 
 def _text_block(lines: list[str], rows: int, width: int, convert, pattern, dtype, what: str) -> np.ndarray:
-    """rows lines of width tokens as one array, checking and converting each distinct token once."""
+    """rows lines of width tokens as one array, read row by row with each distinct token checked and converted once.
+
+    Every row's token count is checked before any token is, so a short or
+    long row is named even when an earlier row holds a bad token.
+    """
     if len(lines) != rows:
         raise RecordParseError(f"{what} section ends after {len(lines)} of {rows} rows")
-    tokens: list[str] = []
     for line in lines:
-        row = line.split(" ")
-        if len(row) != width:
-            raise RecordParseError(f"{what} row has {len(row)} tokens, expected {width}")
-        tokens += row
-    table = {}
-    for token in dict.fromkeys(tokens):  # file order, so the first bad token is named
-        if not pattern.fullmatch(token):
-            raise RecordParseError(f"malformed {what} token {token!r}")
-        table[token] = convert(token)
-    return np.fromiter(map(table.__getitem__, tokens), dtype=dtype, count=len(tokens)).reshape(rows, width)
+        if (count := line.count(" ") + 1) != width:
+            raise RecordParseError(f"{what} row has {count} tokens, expected {width}")
+    values = np.empty((rows, width), dtype)
+    lookup = _TokenTable(convert, pattern, what).__getitem__
+    for i, line in enumerate(lines):
+        values[i] = np.fromiter(map(lookup, line.split(" ")), dtype, width)
+    return values
 
 
 def _parse_text(text: str) -> tuple:
@@ -414,5 +447,9 @@ def read_record(path: str) -> ExportRecord:
 
 
 def write_record(record: ExportRecord, path: str, fmt: str) -> None:
+    """Write the record to path piece by piece; a record it refuses leaves path untouched."""
+    pieces = record_pieces(record, fmt)
+    head = next(pieces)  # every check runs before the first piece
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(record, fmt))
+        fh.write(head)
+        fh.writelines(pieces)

@@ -62,6 +62,16 @@ def test_generate_stdout_parses(capsys):
     assert record.kind == "conference" and record.order == 5
 
 
+@pytest.mark.parametrize("kind", ["conference", "seidel", "gram", "planes", "hadamard"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_generate_writes_the_same_bytes_to_stdout_as_to_out(tmp_path, capsys, kind, fmt):
+    out = tmp_path / f"{kind}.{fmt}"
+    run(capsys, ["generate", "--kind", kind, "--k", "7", "--format", fmt, "--out", str(out)])
+    code, stdout, _ = run(capsys, ["generate", "--kind", kind, "--k", "7", "--format", fmt])
+    assert code == EXIT_OK
+    assert stdout == out.read_text(encoding="utf-8") == serialize(build_record(kind, 7), fmt)
+
+
 def test_generate_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, ["generate", "--kind", "seidel", "--k", "7", "--out", str(a)])

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -500,6 +501,32 @@ def test_writer_matches_per_entry_reference(case, fmt):
     assert serialize(record, fmt) == reference
 
 
+def _unwritable_metadata():
+    record = build_record("conference", 3)
+    record.metadata = {"field": object()}
+    return record
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "make,write_fmt,error",
+    [
+        pytest.param(_float_exponents, None, ValueError, id="float-exponents"),
+        pytest.param(_integral_float_exponents, None, ValueError, id="integral-float-exponents"),
+        pytest.param(_unwritable_metadata, None, TypeError, id="unwritable-metadata"),
+        pytest.param(lambda: build_record("conference", 3), "yaml", ValueError, id="unknown-format"),
+    ],
+)
+def test_write_record_refuses_before_it_opens_the_target(tmp_path, fmt, make, write_fmt, error):
+    # the target keeps the record written before, rather than an empty or a half-written document
+    path = tmp_path / "record"
+    write_record(build_record("seidel", 3), str(path), fmt)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_record(make(), str(path), write_fmt or fmt)
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("case", list(ROUND_TRIP))
 def test_roundtrip_bitwise(case, fmt):
@@ -845,3 +872,40 @@ def test_parse_text_names_the_first_bad_token_in_file_order(section, what, bad):
     with pytest.raises(RecordParseError) as exc:
         parse("\n".join(lines))
     assert str(exc.value) == f"malformed {what} token {bad[0]!r}"
+
+
+@pytest.mark.parametrize("section,what", [("entries", "entry"), ("exponents", "exponent")])
+def test_parse_text_checks_every_row_count_before_any_token(section, what):
+    # a bad token in row 0 and an extra token in row 2: the row count is named, as every count is checked first
+    lines = serialize(build_record("conference", 3), "text").split("\n")
+    first = lines.index(section) + 1
+    width = len(lines[first].split(" "))
+    lines[first] = "x" + lines[first][lines[first].index(" ") :]
+    lines[first + 2] += " 0"
+    with pytest.raises(RecordParseError) as exc:
+        parse("\n".join(lines))
+    assert str(exc.value) == f"{what} row has {width + 1} tokens, expected {width}"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the q = 121 hadamard record: 242 x 242 complex entries, 3.3 MiB as json and 2.2 MiB as text
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_write_record_peak_stays_below_two_and_a_half_documents(tmp_path, fmt):
+    # the writers emit one row at a time, so no copy of the whole document or its bytes is built
+    record, path = _record("hadamard", 61), tmp_path / f"hadamard.{fmt}"
+    peak = _traced_peak(write_record, record, str(path), fmt)
+    assert peak < 2.5 * path.stat().st_size
+
+
+def test_parse_text_peak_stays_below_two_documents():
+    # the text reader converts row by row into the array and keeps no list of every token
+    text = serialize(_record("hadamard", 61), "text")
+    assert _traced_peak(parse, text) < 2 * len(text)
