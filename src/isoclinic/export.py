@@ -12,9 +12,11 @@ Two formats are supported: `json` (a single JSON document) and `text`
 metadata dict as one embedded JSON line).  Both round-trip losslessly.
 A record holds few distinct floats, so the writer renders and the parser
 converts each distinct number once.  The writer produces the document as
-row-sized pieces, which serialize joins and write_record writes one by one;
-the text reader converts row by row.  A text record's parse error names its
-first bad token in file order.
+row-sized pieces, which serialize joins and write_record writes one by one.
+Both readers convert row by row: the text reader splits one line at a time,
+and the JSON reader walks each array row as soon as it is scanned, keeping
+only its scalars.  A text record's parse error names its first bad token in
+file order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
+from json.decoder import JSONArray, JSONObject
 from typing import Any, Iterator
 
 import numpy as np
@@ -258,46 +261,64 @@ def _validate_shapes(record: ExportRecord) -> None:
         raise RecordParseError(f"{kind} entries must be real, got complex ones")
 
 
-def _json_typed(value: Any, types: tuple[type, ...], dtype: type, rule: str) -> tuple[np.ndarray, list]:
-    """An empty array of dtype in the shape of a nested JSON list, and the list's scalars in order.
+def _json_walk(value: Any) -> tuple[tuple[int, ...], set[type], list]:
+    """The shape numpy finds for a nested JSON list, the types of its scalars, and the scalars in order.
 
     The lists are walked one level at a time, as numpy finds a shape: a
     level of lists that all have one length adds an axis, and the first
-    level that is not all lists holds the scalars.  RecordParseError(rule)
-    unless every scalar has one of types (type, not isinstance, so a bool
-    is not a number here); a ragged list leaves a list or a second length
-    at some level, and more axes than numpy has fail too.  The caller fills
-    the array with the scalars, after any check of its shape.
+    level that is not all lists holds the scalars.  A ragged list stops the
+    walk at a level of lists of two lengths, or of lists beside scalars, so
+    list stays among the types.
     """
     shape, level = [], [value]
-    while (kinds := set(map(type, level))) == {list}:
-        lengths = set(map(len, level))
-        if len(lengths) > 1:
-            raise RecordParseError(rule)
+    while (kinds := set(map(type, level))) == {list} and len(lengths := set(map(len, level))) == 1:
         shape.append(lengths.pop())
         level = list(chain.from_iterable(level))
-    if not kinds <= set(types):
+    return tuple(shape), kinds, level
+
+
+def _json_typed(value: Any, types: tuple[type, ...], dtype: type, rule: str) -> tuple[np.ndarray, tuple[list, ...]]:
+    """An empty array of dtype in the shape of a JSON value, and the value's scalars row by row.
+
+    _parse_json reads a JSON array as the list of its rows' _json_walk;
+    the rows must share one shape, and their number is the first axis.  Any
+    other value is walked whole, as one row of no axis of its own.
+    RecordParseError(rule) unless every scalar has one of types (type, not
+    isinstance, so a bool is not a number here); a ragged list, and more
+    axes than numpy has, fail too.  The caller fills the array with
+    _json_fill, after any check of its shape.
+    """
+    # an empty array has no row to walk, but walked whole it has the shape (0,)
+    rows, lead = (value, (len(value),)) if value and type(value) is list else ([_json_walk(value)], ())
+    shapes, kinds, scalars = zip(*rows)
+    if len(set(shapes)) > 1 or not set().union(*kinds) <= set(types):
         raise RecordParseError(rule)
     try:
-        return np.empty(shape, dtype), level
+        return np.empty(lead + shapes[0], dtype), scalars
     except ValueError as exc:  # past numpy's maximum number of axes
         raise RecordParseError(rule) from exc
 
 
+def _json_fill(values: np.ndarray, rows: tuple[list, ...]) -> np.ndarray:
+    """values filled row by row with the scalars that _json_typed gives; OverflowError for an int past dtype's range."""
+    for target, scalars in zip(values.reshape(len(rows), values.size // len(rows)), rows):
+        target[:] = scalars
+    return values
+
+
 def _json_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if type(value) is not int:
-        raise RecordParseError(f"{key} must be an integer, got {value!r}")
-    return value
+    if type(doc[key]) is not int:
+        raise RecordParseError(f"{key} must be an integer, got {doc[key]!r}")
+    return doc[key]
 
 
 def _json_entries(value: Any, is_complex: bool) -> np.ndarray:
-    values, scalars = _json_typed(value, (int, float), np.float64, "entries must be equal-length lists of JSON numbers")
+    values, rows = _json_typed(value, (int, float), np.float64, "entries must be equal-length lists of JSON numbers")
     if is_complex and (values.ndim != 3 or values.shape[2] != 2):
         raise RecordParseError(f"complex entries must be rows of [re, im] pairs, got shape {values.shape}")
     if not is_complex and values.ndim != 2:
         raise RecordParseError(f"real entries must be rows of numbers, got shape {values.shape}")
-    values.reshape(-1)[:] = scalars  # an int past the float range raises OverflowError
+    _json_fill(values, rows)  # an int past the float range raises OverflowError
     return values.view(np.complex128).reshape(values.shape[:2]) if is_complex else values
 
 
@@ -323,11 +344,47 @@ class _TokenTable(dict):
         return value
 
 
+class _KeyMemo(dict):
+    """The key memo of json.decoder.JSONObject, which also keeps the key it was handed last."""
+
+    def setdefault(self, key, default=None):
+        self.key = key
+        return super().setdefault(key, default)
+
+
 def _parse_json(text: str) -> tuple:
-    """The ExportRecord fields of a JSON document, theta and metadata as read; see parse."""
+    """The ExportRecord fields of a JSON document, theta and metadata as read; see parse.
+
+    The stdlib's own parts decode the document, so every value and every
+    error is the one json.loads gives: JSONObject walks the top-level
+    object, JSONArray the entries and exponents arrays, and the C scanner
+    reads each of their rows and every other value.  Each row is walked
+    (_json_walk) as soon as it is read and its nested lists dropped, so no
+    array is held as nested lists.  Only the recursion limit can tell the two
+    apart: the scanner starts a row at another stack depth than json.loads
+    would, so for a row nested within a few levels of the limit one of them
+    may raise RecursionError where the other reaches the entries rule; both
+    are parse errors.
+    """
+    # a record holds few distinct floats, so most tokens are a dict hit, not a strtod
+    decoder = json.JSONDecoder(parse_float=_TokenTable(float).__getitem__)
+    scan, memo = decoder.scan_once, _KeyMemo()
+
+    def row(s: str, end: int) -> tuple:
+        value, end = scan(s, end)
+        return _json_walk(value), end
+
+    def member(s: str, end: int) -> tuple:  # the value of the key the memo saw last
+        if memo.key in ("entries", "exponents") and s.startswith("[", end):
+            return JSONArray((s, end + 1), row)
+        return scan(s, end)
+
+    # the document: JSONObject reads an object, and the C scanner anything else, as json.loads does
+    decoder.scan_once = lambda s, end: (
+        JSONObject((s, end + 1), decoder.strict, member, None, None, memo) if s.startswith("{", end) else scan(s, end)
+    )
     try:
-        # a record holds few distinct floats, so most tokens are a dict hit, not a strtod
-        doc = json.loads(text, parse_float=_TokenTable(float).__getitem__)
+        doc = decoder.decode(text)
     # a JSONDecodeError is a ValueError, and so is an int token of more digits than int() converts
     except (ValueError, RecursionError) as exc:
         raise RecordParseError(f"invalid JSON: {exc}") from exc
@@ -344,8 +401,8 @@ def _parse_json(text: str) -> tuple:
     entries = _json_entries(doc["entries"], doc["complex"])
     exponents = None
     if doc["exponents"] is not None:
-        values, scalars = _json_typed(doc["exponents"], (int,), np.int64, _EXPONENT_RULE)
-        values.reshape(-1)[:] = scalars  # an int past the int64 range raises OverflowError
+        # an int past the int64 range raises OverflowError
+        values = _json_fill(*_json_typed(doc["exponents"], (int,), np.int64, _EXPONENT_RULE))
         if not np.isin(values, (-1, 0, 1)).all():
             raise RecordParseError(_EXPONENT_RULE)
         exponents = values.astype(np.int8)
@@ -450,6 +507,7 @@ def write_record(record: ExportRecord, path: str, fmt: str) -> None:
     """Write the record to path piece by piece; a record it refuses leaves path untouched."""
     pieces = record_pieces(record, fmt)
     head = next(pieces)  # every check runs before the first piece
-    with open(path, "w", encoding="utf-8") as fh:
+    # TextIOWrapper hands on about 8 KiB at a time; the larger buffer batches them into fewer writes
+    with open(path, "w", encoding="utf-8", buffering=1 << 16) as fh:
         fh.write(head)
         fh.writelines(pieces)

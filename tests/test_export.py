@@ -6,8 +6,14 @@ import functools
 import hashlib
 import json
 import math
+import random
+import re
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +34,7 @@ from isoclinic import (
     write_record,
 )
 from isoclinic import export, planes
-from isoclinic.cli import build_record
+from isoclinic.cli import EXIT_PARSE, build_record, main
 from isoclinic.export import KINDS, records_equal
 
 ALL_KINDS = list(KINDS)
@@ -660,13 +666,17 @@ def _outcome(decode, value):
     return array.dtype.str, array.shape, array.tobytes()
 
 
+def _as_read(value):
+    """value as export._parse_json hands it to export._json_typed: an array as the walks of its rows."""
+    return [export._json_walk(row) for row in value] if type(value) is list else value
+
+
 def _typed_entries(value, is_complex):
-    values, scalars = export._json_typed(value, (int, float), np.float64, "rule")
+    values, rows = export._json_typed(_as_read(value), (int, float), np.float64, "rule")
     shape_ok = values.ndim == 3 and values.shape[2] == 2 if is_complex else values.ndim == 2
     if not shape_ok:
         raise RecordParseError(f"shape {values.shape}")
-    values.reshape(-1)[:] = scalars
-    return values
+    return export._json_fill(values, rows)
 
 
 def _reference_entries(value, is_complex):
@@ -678,9 +688,7 @@ def _reference_entries(value, is_complex):
 
 
 def _typed_exponents(value):
-    values, scalars = export._json_typed(value, (int,), np.int64, "rule")
-    values.reshape(-1)[:] = scalars
-    return values
+    return export._json_fill(*export._json_typed(_as_read(value), (int,), np.int64, "rule"))
 
 
 def _reference_exponents(value):
@@ -909,3 +917,235 @@ def test_parse_text_peak_stays_below_two_documents():
     # the text reader converts row by row into the array and keeps no list of every token
     text = serialize(_record("hadamard", 61), "text")
     assert _traced_peak(parse, text) < 2 * len(text)
+
+
+def test_parse_json_peak_stays_below_one_document():
+    # the JSON reader walks each row as it reads it and keeps the row's scalars, not its nested lists
+    text = serialize(_record("hadamard", 61), "json")
+    assert _traced_peak(parse, text) < len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_write_record_writes_the_bytes_of_serialize_past_its_buffer(tmp_path, fmt):
+    # the q = 121 hadamard record fills many of the writer's 64 KiB buffers
+    record, path = _record("hadamard", 61), tmp_path / f"hadamard.{fmt}"
+    write_record(record, str(path), fmt)
+    assert path.read_bytes() == serialize(record, fmt).encode()
+
+
+def _whole_json_typed(value, types, dtype, rule):
+    """The walk of a whole nested list that the JSON reader made before it read rows one at a time."""
+    shape, level = [], [value]
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise RecordParseError(rule)
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if not kinds <= set(types):
+        raise RecordParseError(rule)
+    try:
+        return np.empty(shape, dtype), level
+    except ValueError as exc:
+        raise RecordParseError(rule) from exc
+
+
+def _whole_parse_json(text):
+    """The JSON reader before it read rows one at a time, json.loads and then _whole_json_typed: the oracle of the row reader."""
+    try:
+        doc = json.loads(text, parse_float=export._TokenTable(float).__getitem__)
+    except (ValueError, RecursionError) as exc:
+        raise RecordParseError(f"invalid JSON: {exc}") from exc
+    if doc["format"] != export.MAGIC:
+        raise RecordParseError(f"unexpected format tag {doc['format']!r}")
+    if type(doc["version"]) is not int or doc["version"] != export.VERSION:
+        raise RecordParseError(f"unsupported version {doc['version']!r}")
+    kind, order, k = doc["kind"], export._json_int(doc, "order"), export._json_int(doc, "k")
+    export._validate_header(kind, order, k)
+    if type(doc["theta"]) not in (int, float):
+        raise RecordParseError(f"theta must be a number, got {doc['theta']!r}")
+    if type(doc["complex"]) is not bool:
+        raise RecordParseError(f"complex must be true or false, got {doc['complex']!r}")
+    is_complex = doc["complex"]
+    values, scalars = _whole_json_typed(doc["entries"], (int, float), np.float64, "entries must be equal-length lists of JSON numbers")
+    if is_complex and (values.ndim != 3 or values.shape[2] != 2):
+        raise RecordParseError(f"complex entries must be rows of [re, im] pairs, got shape {values.shape}")
+    if not is_complex and values.ndim != 2:
+        raise RecordParseError(f"real entries must be rows of numbers, got shape {values.shape}")
+    values.reshape(-1)[:] = scalars
+    entries = values.view(np.complex128).reshape(values.shape[:2]) if is_complex else values
+    exponents = None
+    if doc["exponents"] is not None:
+        values, scalars = _whole_json_typed(doc["exponents"], (int,), np.int64, export._EXPONENT_RULE)
+        values.reshape(-1)[:] = scalars
+        if not np.isin(values, (-1, 0, 1)).all():
+            raise RecordParseError(export._EXPONENT_RULE)
+        exponents = values.astype(np.int8)
+    return kind, order, k, doc["theta"], entries, exponents, doc["metadata"]
+
+
+def _parse_outcome(text, parse_json=None):
+    """The fields parse(text) gives, arrays as bytes, or its RecordParseError message; parse_json stands in for the JSON reader."""
+    with mock.patch.object(export, "_parse_json", parse_json or export._parse_json):
+        try:
+            record = parse(text)
+        except RecordParseError as exc:
+            return str(exc)
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (record.entries, record.exponents) if a is not None]
+    theta = np.float64(record.theta).tobytes()
+    return record.kind, record.order, record.k, theta, repr(record.metadata), arrays, record.exponents is None
+
+
+_JSON_TOKEN = re.compile(r'-?(?:Infinity|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)|true|false|null|NaN|"[^"\\]*"')
+# values that are JSON but not a number, numbers past the float or int64 range, and arrays of other shapes
+_JSON_VALUES = (
+    ["true", "false", "null", '"x"', "{}", '{"a": [1]}', "NaN", "-Infinity", "1e400", "-0.0", "1E5", "0", "2", "-1"]
+    + ["1" + "0" * 400, str(2**63), str(-(2**63) - 1)]
+    + ["[]", "[[]]", "[1.0]", "[0.5, 0.5]", "[[0.5, 0.5]]", "[1, [2]]", "[0.5, 0.5, 0.5]"]
+)
+_JSON_KEYS = ['"entries"', '"exponents"', '"metadata"', '"format"', '"complex"', '"order"', '"k"']
+
+
+def _mutate_json(text, rng):
+    """text with one to three random edits: of characters, of value tokens, of array items, of keys or of its ends."""
+    for _ in range(rng.randint(1, 3)):
+        op, pos = rng.randrange(9), rng.randrange(len(text) + 1)
+        token = rng.choice(list(_JSON_TOKEN.finditer(text)) or [None])
+        comma = text.find(",", pos)
+        after = text.find(",", comma + 1) if comma >= 0 else -1
+        if op == 0:
+            text = text[:pos] + text[pos + 1 :]
+        elif op == 1:
+            text = text[:pos] + rng.choice('[]{},:"-.019eE tfnul\n\\') + text[pos:]
+        elif op in (2, 3) and token:
+            text = text[: token.start()] + rng.choice(_JSON_VALUES) + text[token.end() :]
+        elif op == 4 and token:
+            text = text[: token.start()] + "[" + token.group() + "]" + text[token.end() :]
+        elif op == 5 and after >= 0:  # drop one item at some depth
+            text = text[:comma] + text[after:]
+        elif op == 6 and after >= 0:  # repeat one item
+            text = text[:after] + text[comma:after] + text[after:]
+        elif op == 7:
+            text = text.replace(rng.choice(_JSON_KEYS), rng.choice(_JSON_KEYS), 1)
+        elif op == 8:
+            text = rng.choice([text[:pos], text + rng.choice([" x", "{}", " ", ",", "]"]), rng.choice(" \n\x0c\xa0") + text])
+    return text
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_parse_json_rows_match_the_whole_document_reader(kind):
+    # 1000 seeded mutations of the kind's records at k = 3 and 5, 5000 over the five kinds: the
+    # same record bit for bit, or the same RecordParseError message
+    texts = [serialize(build_record(kind, k), "json") for k in (3, 5)]
+    reached = Counter()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        text = _mutate_json(rng.choice(texts), rng)
+        outcome = _parse_outcome(text)
+        assert outcome == _parse_outcome(text, _whole_parse_json), seed
+        if type(outcome) is tuple:
+            reached["record"] += 1
+        else:
+            reached[outcome.partition(":")[0] if outcome.startswith("invalid JSON") else "checks"] += 1
+        reached["entries rule"] += outcome == "entries must be equal-length lists of JSON numbers"
+    # the edits reach the JSON errors, the record checks, the entries rule and whole records alike
+    assert min(reached[key] for key in ("record", "invalid JSON", "checks", "entries rule")) >= 25, reached
+
+
+def _json_text(kind, **changes):
+    doc = json.loads(serialize(build_record(kind, 3), "json"))
+    doc.update(changes)
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+_ENTRIES_RULE = "entries must be equal-length lists of JSON numbers"
+_CONFERENCE_JSON = serialize(build_record("conference", 3), "json")
+HAND_JSON = {
+    # arrays under other keys are read whole, and a message prints them
+    "format-list": (_json_text("conference", format=[1]), "unexpected format tag [1]"),
+    "metadata-list": (_json_text("conference", metadata=[[1]]), "metadata must be a JSON object, got [[1]]"),
+    "theta-list": (_json_text("seidel", theta=[[0.5]]), "theta must be a number, got [[0.5]]"),
+    "entries-empty": (_json_text("seidel", entries=[]), r"real entries must be rows of numbers, got shape (0,)"),
+    "entries-empty-rows": (_json_text("seidel", entries=[[], []]), "seidel entries have shape (2, 0)"),
+    "entries-flat": (_json_text("seidel", entries=[1.0, 2.0]), "real entries must be rows of numbers, got shape (2,)"),
+    "entries-scalar": (_json_text("seidel", entries=1.5), "real entries must be rows of numbers, got shape ()"),
+    "entries-object": (_json_text("seidel", entries={"a": [1]}), _ENTRIES_RULE),
+    "entries-string": (_json_text("seidel", entries="[1]"), _ENTRIES_RULE),
+    "entries-ragged": (_json_text("seidel", entries=[[1.0], [1.0, 2.0]]), _ENTRIES_RULE),
+    "entries-mixed": (_json_text("seidel", entries=[[1.0], 2.0]), _ENTRIES_RULE),
+    "rows-deeper-later": (_json_text("seidel", entries=[[1.0, 2.0], [[1.0], [2.0]]]), _ENTRIES_RULE),
+    "rows-deeper-first": (_json_text("seidel", entries=[[[1.0], [2.0]], [1.0, 2.0]]), _ENTRIES_RULE),
+    "rows-ragged-inside": (_json_text("conference", entries=[[[1.0, 0.0]], [[1.0]]]), _ENTRIES_RULE),
+    "row-true": (_json_text("seidel", entries=[[1.0, True]]), _ENTRIES_RULE),
+    "row-null": (_json_text("seidel", entries=[[None, 1.0]]), _ENTRIES_RULE),
+    "row-string": (_json_text("seidel", entries=[[1.0], ["1.0"]]), _ENTRIES_RULE),
+    "exponent-row-true": (_json_text("conference", exponents=[[0, 1], [True, 0]]), "exponents must be integers"),
+    "exponents-empty": (_json_text("conference", exponents=[]), "exponents have shape (0,), entries (5, 5)"),
+    "exponents-scalar": (_json_text("conference", exponents=1), "exponents have shape (), entries (5, 5)"),
+    # a row past numpy's axes; an int past the float range in a row and past int64 in an exponent row
+    "row-past-numpy-axes": (_json_text("seidel", entries=[functools.reduce(lambda x, _: [x], range(70), 0.5)]), _ENTRIES_RULE),
+    "entry-past-float": (_json_text("seidel", entries=[[0.5, 0.5], [0.5, 10**400]]), "int too large to convert to float"),
+    "exponent-past-int64": (_json_text("conference", exponents=[[0, 1], [0, 2**63]]), "too large to convert"),
+    "exponent-below-int64": (_json_text("conference", exponents=[[-(2**63) - 1]]), "too large to convert"),
+    "complex-shape-before-overflow": (_json_text("conference", entries=[[10**400]]), "[re, im] pairs, got shape (1, 1)"),
+    # duplicate keys: the last one holds, whichever of them is bad
+    "entries-twice-bad-first": (_CONFERENCE_JSON.replace('"entries": ', '"entries": [[true]],\n "entries": '), None),
+    "entries-twice-bad-last": (_CONFERENCE_JSON.replace('"exponents": ', '"entries": [[true]],\n "exponents": '), _ENTRIES_RULE),
+    "exponents-twice": (_CONFERENCE_JSON.replace('"entries": ', '"exponents": [[7]],\n "entries": '), None),
+    "trailing-data": (_CONFERENCE_JSON + "x", "invalid JSON: Extra data"),
+    "trailing-object": (_CONFERENCE_JSON + "{}", "invalid JSON: Extra data"),
+    "trailing-comma-in-row": (_CONFERENCE_JSON.replace("]\n  ],", "],\n  ],", 1), "invalid JSON: Expecting value"),
+    "unclosed-rows": (_CONFERENCE_JSON[: _CONFERENCE_JSON.index('"exponents"')], "invalid JSON"),
+    # a space JSON does not allow, before the object
+    "non-json-space": ("\xa0" + _CONFERENCE_JSON, "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_JSON))
+def test_parse_json_rows_match_the_whole_document_reader_by_hand(case):
+    text, message = HAND_JSON[case]
+    outcome = _parse_outcome(text)
+    assert outcome == _parse_outcome(text, _whole_parse_json)
+    if message is None:
+        assert type(outcome) is tuple
+    else:
+        assert message in outcome
+
+
+@pytest.mark.parametrize("text", ["[1]", "[[1.0]]", "1", "null", '"entries"', "", "[1] x"])
+def test_parse_json_reads_a_document_that_is_not_an_object_as_json_loads(text):
+    # parse sends only text that starts with a brace here, but the reader reads any document as before
+    def outcome(reader):
+        try:
+            return reader(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(export._parse_json) == outcome(_whole_parse_json)
+
+
+def _nested_entries(depth):
+    text = serialize(build_record("seidel", 3), "json")
+    start, end = text.index('"entries": ') + len('"entries": '), text.index(',\n "exponents"')
+    return text[:start] + "[" * depth + "0.5" + "]" * depth + text[end:]
+
+
+def test_parse_json_near_the_recursion_limit_is_a_parse_error_either_way(tmp_path):
+    # How deep the C scanner nests depends on the caller's stack.  The row reader scans a row from
+    # other Python frames than json.loads did, so in a window of a few depths one reader names the
+    # recursion limit where the other goes on to the entries rule.  Both are parse errors (exit 4).
+    limit, recursion = sys.getrecursionlimit(), "invalid JSON: maximum recursion depth exceeded"
+    differ, whole_limit = [], None
+    for depth in range(limit // 2, limit + 10):
+        text = _nested_entries(depth)
+        rows, whole = _parse_outcome(text), _parse_outcome(text, _whole_parse_json)
+        assert all(outcome == _ENTRIES_RULE or outcome.startswith(recursion) for outcome in (rows, whole))
+        differ += [depth] if rows != whole else []
+        whole_limit = whole_limit or (depth if whole.startswith(recursion) else None)
+    assert whole_limit is not None and len(differ) <= 10, differ
+    path = tmp_path / "nested.json"
+    for depth in range(whole_limit - 30, whole_limit + 10):
+        path.write_text(_nested_entries(depth))
+        for reader in (export._parse_json, _whole_parse_json):
+            with mock.patch.object(export, "_parse_json", reader):
+                assert main(["verify", str(path)]) == EXIT_PARSE
