@@ -26,7 +26,6 @@ from .conference import (
     verify_counts,
 )
 from .errors import (
-    DivisionByZero,
     InvalidExponent,
     InvalidOrder,
     InvalidPermutation,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCheck",
     "ConferenceMatrix",
-    "DivisionByZero",
     "EquivalenceWitnesses",
     "ExponentCounts",
     "ExportRecord",

@@ -13,10 +13,6 @@ class InvalidExponent(IsoclinicError):
     """Field extension degree is not a positive integer."""
 
 
-class DivisionByZero(IsoclinicError, ZeroDivisionError):
-    """Multiplicative inverse of the zero element was requested."""
-
-
 class InvalidOrder(IsoclinicError):
     """Construction parameter k lies outside its valid range, or an array's shape implies no valid order."""
 

@@ -9,7 +9,9 @@ entry exactly and repeated exports are byte-identical.
 
 Two formats are supported: `json` (a single JSON document) and `text`
 (key/value header lines followed by whitespace-separated rows, with the
-metadata dict as one embedded JSON line).  Both round-trip losslessly.
+metadata dict as one embedded JSON line).  Both round-trip losslessly: a
+parsed record equals the written one field by field, its arrays bit for bit,
+which the tests compare with their own helper.
 A record holds few distinct floats, so the writer renders and the parser
 converts each distinct number once.  The writer produces the document as
 row-sized pieces, which serialize joins and write_record writes one by one.
@@ -53,20 +55,6 @@ class ExportRecord:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.entries)
-
-
-def records_equal(a: ExportRecord, b: ExportRecord) -> bool:
-    return (
-        a.kind == b.kind
-        and a.order == b.order
-        and a.k == b.k
-        and a.theta == b.theta
-        and a.metadata == b.metadata
-        and a.entries.shape == b.entries.shape
-        and bool(np.array_equal(a.entries, b.entries))
-        and (a.exponents is None) == (b.exponents is None)
-        and (a.exponents is None or bool(np.array_equal(a.exponents, b.exponents)))
-    )
 
 
 def _json_float(x: float) -> str:

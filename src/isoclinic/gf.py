@@ -1,16 +1,22 @@
-"""Arithmetic in GF(p^alpha) for odd primes p, and the quadratic character.
+"""GF(p^alpha) for odd primes p, read through index tables, and the quadratic character.
 
 Elements are coefficient tuples of length alpha, constant term first, with
-coefficients reduced mod p; products are reduced mod a fixed monic
-irreducible modulus of degree alpha, by the one polynomial remainder that
-the modulus search also uses.  The modulus is the first irreducible in a
-walk over the monic polynomials of degree alpha that counts their
-non-leading coefficients in base p, constant term least significant
-(itertools.product over range(p), each tuple reversed); each candidate is
-tested by trial division.  The canonical element order is by
-base-p digits: element i carries the digits of i as coefficients, so
-elements[0] is zero, elements[1] is one, and for prime fields element i is
-the residue i itself.
+coefficients reduced mod p.  The canonical element order is by base-p
+digits: element i carries the digits of i as coefficients, so elements[0]
+is zero, elements[1] is one, and for prime fields element i is the residue
+i itself.
+
+The package has one field arithmetic: the index arrays below give every
+difference, character value and additive phase by element index, so
+element lookups and sums go through them (a + b is a - (-b), and row 0 of
+`digit_differences` is the negation map).  The one scalar operation is
+`mul`, which builds the chi table; `chi` reads that table for one element.
+Products are reduced mod a fixed monic irreducible modulus of degree alpha,
+by the one polynomial remainder that the modulus search also uses.  The
+modulus is the first irreducible in a walk over the monic polynomials of
+degree alpha that counts their non-leading coefficients in base p, constant
+term least significant (itertools.product over range(p), each tuple
+reversed); each candidate is tested by trial division.
 
 The quadratic character chi maps zero to 0, nonzero squares to +1 and
 non-squares to -1 (by Euler's criterion, the field element x^((q-1)/2)).
@@ -53,7 +59,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DivisionByZero, InvalidExponent, InvalidPrime
+from .errors import InvalidExponent, InvalidPrime
 from .orders import factor_prime_power
 
 Element = tuple[int, ...]
@@ -128,21 +134,6 @@ class GaloisField:
     def __repr__(self) -> str:
         return f"GaloisField(p={self.p}, alpha={self.alpha})"
 
-    def index(self, x: Element) -> int:
-        return self._index[x]
-
-    def add(self, x: Element, y: Element) -> Element:
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def neg(self, x: Element) -> Element:
-        p = self.p
-        return tuple(-a % p for a in x)
-
-    def sub(self, x: Element, y: Element) -> Element:
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
-
     def mul(self, x: Element, y: Element) -> Element:
         p, alpha = self.p, self.alpha
         prod = [0] * (2 * alpha - 1)
@@ -151,23 +142,6 @@ class GaloisField:
                 prod[i + j] += a * b
         # _poly_rem reduces only the coefficients it subtracts from
         return tuple(c % p for c in _poly_rem(prod, self.modulus, p)[:alpha])
-
-    def pow(self, x: Element, n: int) -> Element:
-        """x**n by square and multiply, n >= 0."""
-        result = self.one
-        base = x
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def inv(self, x: Element) -> Element:
-        """Multiplicative inverse via x**(q-2)."""
-        if x == self.zero:
-            raise DivisionByZero("inverse of the zero element")
-        return self.pow(x, self.q - 2)
 
     def chi(self, x: Element) -> int:
         """Quadratic character: 0 on zero, +1 on squares, -1 on non-squares."""

@@ -191,9 +191,6 @@ class PlaneTuple:
     def n(self) -> int:
         return self.basis.shape[1] // 2
 
-    def plane(self, i: int) -> np.ndarray:
-        return self.basis[:, 2 * i : 2 * i + 2]
-
 
 def build_gram(S: SeidelMatrix) -> np.ndarray:
     """A = I + S / sqrt(2k-2); PSD with eigenvalues {0, 2}."""

@@ -216,16 +216,19 @@ def rotation_sum(field: GaloisField, theta: float, b: Element) -> np.ndarray:
 
     Direct evaluation of the character-sum identity: the result equals
     (k - 2 + (k - 1) cos(2 theta)) I_2 for every nonzero shift b, hence the
-    zero matrix at the critical angle.
+    zero matrix at the critical angle.  It reads the field tables in O(q):
+    chi(a_x) is E[x, 0] and, as a + b = a - (-b), chi(a_x + b) is E[x, c]
+    for the index c of -b, which row 0 of digit_differences (the negation
+    map) gives.
     """
     if b == field.zero:
         raise InvalidShift("shift b must be a nonzero field element")
-    total = np.zeros((2, 2))
-    for a in field.elements:
-        if a == field.zero or field.add(a, b) == field.zero:
-            continue
-        total += plane_rotation(theta * (field.chi(a) - field.chi(field.add(a, b))))
-    return total
+    E, c = field.chi_differences, field.digit_differences[0, field.elements.index(b)]
+    keep = np.ones(field.q, dtype=bool)
+    keep[[0, c]] = False  # a = 0 and a = -b
+    phi = theta * (E[keep, 0] - E[keep, c])
+    cos, sin = np.cos(phi).sum(), np.sin(phi).sum()
+    return np.array([[cos, -sin], [sin, cos]])
 
 
 def spectrum(S: SeidelMatrix) -> list[tuple[float, int]]:

@@ -27,6 +27,7 @@ from isoclinic import (
     cli,
     extract_bases,
     make_field,
+    normalize,
     parse,
     serialize,
 )
@@ -296,6 +297,44 @@ def test_verify_generated_gram_and_hadamard_pass_the_new_rows(tmp_path, capsys, 
         code, stdout, _ = run(capsys, ["verify", str(out)])
         assert code == EXIT_OK
         assert f"{row:<22} PASS" in stdout
+
+
+@pytest.mark.parametrize("kind,residual", [("conference", "conference_residual"), ("hadamard", "hadamard_residual")])
+def test_verify_checks_the_parsed_complex_entries_without_a_copy(monkeypatch, kind, residual):
+    # the parser gives complex128 entries, and the matrix the checks read is that array itself
+    record = parse(serialize(build_record(kind, 61), "json"))
+    read = []
+    check = getattr(cli, residual)
+    monkeypatch.setattr(cli, residual, lambda M: read.append(M) or check(M))
+    assert all(ok for _, ok, _ in cli._record_checks(record, 1e-9, False))
+    assert len(read) == 1 and read[0].values is record.entries
+
+
+def gram_row_value(monkeypatch, A, k):
+    """The value the eigenvalues-0-2 row of a gram record with entries A reads."""
+    values = {}
+    row = cli._row
+
+    def recording_row(name, value, *rest):
+        values[name] = value
+        return row(name, value, *rest)
+
+    monkeypatch.setattr(cli, "_row", recording_row)
+    record = ExportRecord("gram", A.shape[0], k, critical_angle(k), A, None, build_record("gram", k).metadata)
+    assert all(ok for _, ok, _ in cli._record_checks(record, 1e-9, False))
+    return values["eigenvalues-0-2"]
+
+
+@pytest.mark.parametrize("k", [3, 5, 13, 61, 97])  # q = 5, 9, 25, 121, 193
+def test_verify_gram_reads_two_rows_on_the_developed_form_and_every_row_off_it(monkeypatch, k):
+    info = cli.classify_order(k)
+    S = build_seidel(make_field(info.p, info.alpha))
+    # the canonical A is block group-developed: rows 0 and 1 of A^2 - 2A hold every distinct entry
+    A = build_gram(S)
+    assert gram_row_value(monkeypatch, A, k) == float(np.abs(A[:2] @ A - 2.0 * A[:2]).max())
+    # normalize(S) has no such form, and the row is the full product, bit for bit
+    N = build_gram(normalize(S))
+    assert gram_row_value(monkeypatch, N, k) == float(np.abs(N @ N - 2.0 * N).max())
 
 
 def test_verify_order_row_names_the_expected_order(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from field_oracle import add, index
 from isoclinic import (
     ConferenceMatrix,
     GaloisField,
@@ -300,9 +301,9 @@ def test_direct_character_sum():
             for b in f.elements[1:]:
                 total = 0j
                 for a in f.elements:
-                    if a == f.zero or f.add(a, b) == f.zero:
+                    if a == f.zero or add(f, a, b) == f.zero:
                         continue
-                    total += w ** (f.chi(a) - f.chi(f.add(a, b)))
+                    total += w ** (f.chi(a) - f.chi(add(f, a, b)))
                 c = gram_constant(k, w)
                 assert abs(total - c) <= 1e-10
                 assert abs(total.imag) <= 1e-10
@@ -488,7 +489,7 @@ FAST_PATH_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
 def test_witness_sigma_matches_multiplication_loop(p, alpha):
     f = make_field(p, alpha)
     g = f.first_nonsquare()
-    loop = tuple(f.index(f.mul(a, g)) for a in f.elements)
+    loop = tuple(index(f, f.mul(a, g)) for a in f.elements)
     sigma = equivalence_witnesses(f).permutation
     assert sigma == loop
     assert all(type(i) is int for i in sigma)

@@ -132,9 +132,14 @@ def rows_read(pt):
     return len(pt.gram_rows) // 2
 
 
+def plane(pt, i):
+    """The (r, 2) basis of plane i: columns 2i and 2i + 1."""
+    return pt.basis[:, 2 * i : 2 * i + 2]
+
+
 def reference_orthonormality_residual(pt, rows=None):
     """Plane-by-plane loop over the first rows planes (all by default); an oracle for the block-Gram residual."""
-    return max(float(np.abs(pt.plane(i).T @ pt.plane(i) - np.eye(2)).max()) for i in range(rows or pt.n))
+    return max(float(np.abs(plane(pt, i).T @ plane(pt, i) - np.eye(2)).max()) for i in range(rows or pt.n))
 
 
 def reference_isoclinic_residual(pt, rows=None):
@@ -143,7 +148,7 @@ def reference_isoclinic_residual(pt, rows=None):
     worst = 0.0
     for i in range(rows or pt.n):
         for j in range(i + 1, pt.n):
-            b = pt.plane(i).T @ pt.plane(j)
+            b = plane(pt, i).T @ plane(pt, j)
             worst = max(worst, float(np.abs(b.T @ b - lam * np.eye(2)).max()))
     return worst
 
@@ -173,7 +178,7 @@ def test_pairwise_angles_are_equal():
     expected = math.sqrt(float(pt.lam))
     for i in range(pt.n):
         for j in range(i + 1, pt.n):
-            sv = np.linalg.svd(pt.plane(i).T @ pt.plane(j), compute_uv=False)
+            sv = np.linalg.svd(plane(pt, i).T @ plane(pt, j), compute_uv=False)
             assert np.abs(sv - expected).max() <= 1e-9
 
 

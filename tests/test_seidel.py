@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_oracle
 from isoclinic import (
     InvalidOrder,
     InvalidShift,
@@ -87,7 +88,7 @@ def reference_seidel_dense(field):
     for i, a in enumerate(field.elements):
         for j, b in enumerate(field.elements):
             if i != j:
-                chi[i, j] = field.chi(field.sub(a, b))
+                chi[i, j] = field.chi(field_oracle.sub(field, a, b))
     ang = theta * chi
     c, s = np.cos(ang), np.sin(ang)
     dense = np.zeros((2 * q, 2 * q))
@@ -151,6 +152,26 @@ def test_rotation_sum_matches_scalar_formula():
         expected = (k - 2 + (k - 1) * math.cos(2 * theta)) * np.eye(2)
         for b in f.elements[1:]:
             assert np.abs(rotation_sum(f, theta, b) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 4), (11, 2), (5, 3)])
+def test_rotation_sum_matches_the_element_loop(p, alpha):
+    # GF(5), GF(13) and every field of degree >= 2 on the ladder q <= 125: the table read against the
+    # scalar loop over the elements, for every nonzero shift
+    f = make_field(p, alpha)
+    for theta in (critical_angle((f.q + 1) // 2), 0.0, 0.37):
+        for b in f.elements[1:]:
+            assert np.abs(rotation_sum(f, theta, b) - field_oracle.rotation_sum(f, theta, b)).max() <= 1e-12
+
+
+def test_rotation_sum_at_q_2197():
+    # 13^3: each shift is one O(q) read of two columns of E
+    f = make_field(13, 3)
+    theta = critical_angle((f.q + 1) // 2)
+    for b in (f.one, f.first_nonsquare(), f.elements[-1]):
+        got = rotation_sum(f, theta, b)
+        assert np.abs(got - field_oracle.rotation_sum(f, theta, b)).max() <= 1e-12
+        assert np.abs(got).max() <= 1e-10
 
 
 def test_rotation_sum_rejects_zero_shift():
@@ -521,7 +542,7 @@ def test_square_residual_is_the_full_product_off_the_developed_form(p, alpha):
         assert T.block_column is None
         assert seidel_square_residual(T) == reference_square_residual(T)
     # an affine relabelling x -> g x + 1 keeps the form
-    sigma = [f.index(f.add(f.mul(a, f.first_nonsquare()), f.one)) for a in f.elements]
+    sigma = [field_oracle.index(f, field_oracle.add(f, f.mul(a, f.first_nonsquare()), f.one)) for a in f.elements]
     assert permute_blocks(S, sigma).block_column is not None
 
 
