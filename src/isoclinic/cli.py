@@ -125,12 +125,29 @@ def _row(name: str, value: float, limit: float, detail: str = "{:.3e}") -> tuple
     return name, value <= limit, detail.format(value)
 
 
-def _asymmetry(M: np.ndarray) -> float:
-    return float(np.abs(M - M.T).max())
+def _asymmetry(M: np.ndarray, m: int) -> float:
+    """Max-abs entry of M[:, :m] - M[:m]^T: the asymmetry of M read on its m leading columns.
+
+    At m = n this is the whole M - M^T.  When M is group-developed, M[i, j]
+    = f(a_i - a_j), column 0 against row 0 holds every f(x) - f(-x), so
+    m = 1 reads the same maximum; in 2 x 2 blocks g(a_i - a_j), m = 2
+    (block column 0 against block row 0) holds every g(x) - g(-x)^T.
+    """
+    return float(np.abs(M[:, :m] - M[:m].T).max())
 
 
 def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[str, bool, str]]:
-    """Kind-appropriate checks as (name, ok, detail) rows."""
+    """Kind-appropriate checks as (name, ok, detail) rows.
+
+    Every form row reads the m leading rows of the entries, or m / 2
+    leading block rows, with one m per record taken from the form check
+    the record passes through: m = 1 for a conference record whose values,
+    and exponents when present, are group-developed (gf.developed_column),
+    m = 2 for a seidel or gram record that is block group-developed, and
+    every row otherwise.  A group-developed matrix holds every distinct
+    entry, or block, in row 0, or block row 0, so both reads give the same
+    row; at m = n each read is the whole matrix.
+    """
     kind = record.kind
     # conference and planes records have order q = 2k - 1, the others 2q
     if kind in ("conference", "planes"):
@@ -144,12 +161,14 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         values = record.entries.astype(np.complex128, copy=False)
         C = ConferenceMatrix(k=record.k, exponents=record.exponents, values=values)
         checks.append(_row("conference-residual", conference_residual(C), tol))
+        # row 0 of a group-developed C, with its exponents when present, holds every distinct entry
+        m = 1 if all(developed_column(M) is not None for M in (values, C.exponents) if M is not None) else C.q
         checks.append(_row("zero-diagonal", float(np.abs(values.diagonal()).max()), tol))
-        off = ~np.eye(C.q, dtype=bool)
-        checks.append(_row("unimodular", float(np.abs(np.abs(values[off]) - 1.0).max(initial=0.0)), tol))
-        checks.append(_row("symmetry", _asymmetry(values), tol))
+        off = ~np.eye(m, C.q, dtype=bool)
+        checks.append(_row("unimodular", float(np.abs(np.abs(values[:m][off]) - 1.0).max(initial=0.0)), tol))
+        checks.append(_row("symmetry", _asymmetry(values, m), tol))
         if C.exponents is not None:
-            dev = float(np.abs(values - _values_from_exponents(C.exponents, omega)).max())
+            dev = float(np.abs(values[:m] - _values_from_exponents(C.exponents[:m], omega)).max())
             checks.append(_row("exponent-values", dev, tol))
         if exact:
             if record.exponents is None:
@@ -163,26 +182,28 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     if kind == "seidel":
         S = SeidelMatrix(k=record.k, dense=record.entries)
         checks.append(_row("seidel-square", seidel_square_residual(S), tol))
-        checks.append(_row("symmetry", _asymmetry(S.dense), tol))
-        blocks = S.blocks
-        checks.append(_row("zero-diagonal-blocks", float(np.abs(np.einsum("iiab->iab", blocks)).max()), tol))
+        # block row 0 (rows 0 and 1) of a block group-developed S holds every distinct block
+        m = 2 if S.block_column is not None else 2 * S.q
+        checks.append(_row("symmetry", _asymmetry(S.dense, m), tol))
+        blocks = _blocks(S.dense[:m])
+        checks.append(_row("zero-diagonal-blocks", float(np.abs(blocks.diagonal()).max()), tol))
         # B B^T = I for every off-diagonal block B
         gram = np.einsum("ijab,ijcb->ijac", blocks, blocks)
-        off = ~np.eye(S.q, dtype=bool)
+        off = ~np.eye(m // 2, S.q, dtype=bool)
         checks.append(_row("orthogonal-blocks", float(np.abs(gram[off] - np.eye(2)).max(initial=0.0)), tol))
         return checks
     if kind == "gram":
         A = record.entries
-        checks.append(_row("symmetry", _asymmetry(A), tol))
-        # a block group-developed A^2 holds every distinct entry in block row 0, rows 0 and 1; else read every row
+        # block row 0 (rows 0 and 1) of a block group-developed A, and so of A^2, holds every distinct block
         m = 2 if developed_column(A, 2) is not None else A.shape[0]
+        checks.append(_row("symmetry", _asymmetry(A, m), tol))
         idem = float(np.abs(A[:m] @ A - 2.0 * A[:m]).max())
         checks.append(_row("eigenvalues-0-2", idem, max(tol, 1e-10) * A.shape[0], "|A^2-2A| = {:.3e}"))
-        diag = float(np.abs(np.einsum("iiab->iab", _blocks(A)) - np.eye(2)).max())
+        diag = float(np.abs(np.einsum("iiab->iab", _blocks(A[:m, :m])) - np.eye(2)).max())
         checks.append(_row("unit-diagonal-blocks", diag, tol))
         # A_ij^T A_ij = lambda I for i < j, at the lambda of the record's k
         lam = Fraction(1, 2 * record.k - 2)
-        iso = _isoclinic_deviation(_blocks(A), lam)
+        iso = _isoclinic_deviation(_blocks(A[:m]), lam)
         checks.append(_row("isoclinic-blocks", iso, tol, f"{{:.3e}} at lambda = {lam}"))
         return checks
     if kind == "planes":

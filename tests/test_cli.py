@@ -11,7 +11,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +24,11 @@ from hypothesis import strategies as st
 from isoclinic import (
     ExportRecord,
     NotSymmetrizable,
+    build_conference,
     build_gram,
     build_seidel,
     cli,
+    critical_omega,
     extract_bases,
     make_field,
     normalize,
@@ -34,6 +38,7 @@ from isoclinic import (
 from isoclinic.cli import EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_PARSE, EXIT_VERIFY, build_record, main
 from isoclinic.conference import critical_angle
 from isoclinic.export import KINDS
+from isoclinic.gf import developed_column
 
 OPEN_K = [11, 17, 23, 29, 33, 35, 39, 43, 47]
 
@@ -335,6 +340,83 @@ def test_verify_gram_reads_two_rows_on_the_developed_form_and_every_row_off_it(m
     # normalize(S) has no such form, and the row is the full product, bit for bit
     N = build_gram(normalize(S))
     assert gram_row_value(monkeypatch, N, k) == float(np.abs(N @ N - 2.0 * N).max())
+
+
+def _developed_forgeries(k):
+    """Group-developed conference and seidel records, built from field arrays, that fail a form row.
+
+    The conference record's generator entry c(x0) is turned by 0.01 rad and
+    c(-x0) is not, so C is no longer symmetric; the seidel record's generator
+    blocks g(x0) and g(-x0) are scaled by 1.01, so they are no longer orthogonal.
+    """
+    info = cli.classify_order(k)
+    field = make_field(info.p, info.alpha)
+    index, x0, q = field.digit_differences, 1, field.q
+    c = build_conference(field, critical_omega(k)).values[:, 0].copy()
+    c[x0] *= np.exp(0.01j)
+    g = build_seidel(field).blocks[:, 0].copy()  # g[x] is block (x, 0), g(a_x)
+    g[[x0, index[0, x0]]] *= 1.01  # a_0 - a_x0 = -a_x0
+    S = g[index].transpose(0, 2, 1, 3).reshape(2 * q, 2 * q)
+    return replace(build_record("conference", k), entries=c[index]), replace(build_record("seidel", k), entries=S)
+
+
+def _swap_1_2(M, block):
+    """M under the simultaneous swap of its indices 1 and 2, or of its block indices for block = 2."""
+    index = np.arange(M.shape[0])
+    index[block : 3 * block] = np.roll(index[block : 3 * block], block)
+    return M[np.ix_(index, index)]
+
+
+# rows whose value is a BLAS product: its roundoff digits depend on the kernel, and a matrix-vector
+# product of column 0 sums in another order than the matrix-matrix product of every column
+PRODUCT_ROWS = ("conference-residual", "seidel-square", "eigenvalues-0-2")
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 13, 61])  # q = 5, 9, 13, 25, 121
+def test_verify_reads_the_same_rows_on_row_0_as_on_every_row(k):
+    forged_c, forged_s = _developed_forgeries(k)
+    for record in [build_record(kind, k) for kind in ("conference", "seidel", "gram")] + [forged_c, forged_s]:
+        block = 1 if record.kind == "conference" else 2
+        exponents = None if record.exponents is None else _swap_1_2(record.exponents, 1)
+        swapped = replace(record, entries=_swap_1_2(record.entries, block), exponents=exponents)
+        # the record passes the form check and its rows read m = block rows; the swap keeps every deviation
+        # of the record but fails the form check, so its copy's rows read every row
+        assert developed_column(record.entries, block) is not None
+        assert developed_column(swapped.entries, block) is None
+        rows, every_row = cli._record_checks(record, 1e-9, False), cli._record_checks(swapped, 1e-9, False)
+        assert [row[:2] for row in rows] == [row[:2] for row in every_row]
+        assert [row for row in rows if row[0] not in PRODUCT_ROWS] == [
+            row for row in every_row if row[0] not in PRODUCT_ROWS
+        ]
+    if k == 61:
+        assert ("symmetry", False, "1.000e-02") in cli._record_checks(forged_c, 1e-9, False)
+        assert ("orthogonal-blocks", False, "2.010e-02") in cli._record_checks(forged_s, 1e-9, False)
+
+
+@pytest.mark.parametrize("k", [3, 61])
+def test_verify_reads_every_row_when_only_the_values_are_developed(k):
+    # group-developed values with exponents that are not, flipped at (2, 3) and (3, 2) only: row 0 of E
+    # agrees with the values, so only the every-row read finds the pair
+    record = build_record("conference", k)
+    record.exponents = record.exponents.copy()
+    record.exponents[[2, 3], [3, 2]] *= -1
+    assert developed_column(record.entries) is not None and developed_column(record.exponents) is None
+    assert ("exponent-values", False) in [row[:2] for row in cli._record_checks(record, 1e-9, False)]
+
+
+@pytest.mark.parametrize("kind,bound", [("conference", 1.6), ("seidel", 1.5), ("gram", 1.5)])
+def test_verify_checks_of_a_developed_record_trace_little_beyond_its_entries(kind, bound):
+    # every form row reads the m leading rows of a group-developed record, so no check holds a copy of
+    # the whole entries; at q = 729 the peak is the banded form check (gf.developed_column)
+    record = build_record(kind, 365)
+    tracemalloc.start()
+    try:
+        rows = cli._record_checks(record, 1e-9, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ok for _, ok, _ in rows)
+    assert peak <= bound * record.entries.nbytes
 
 
 def test_verify_order_row_names_the_expected_order(tmp_path, capsys):
