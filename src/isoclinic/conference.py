@@ -32,11 +32,14 @@ their first row or column holds every distinct entry.  So
 read on m leading rows or columns: the exact form check
 gf.developed_column picks m = 1 for a group-developed input and m = q for
 any other, such as scale_row_col(C, ...), a permuted C or a record.  The
-residual of C C* is computed once per ConferenceMatrix and kept on it,
-and the gate of hadamard.double reads it too; its diagonal is read entry
-by entry (see _gram_deviation).  hadamard_residual forms the deviation
-again, from the C it copies out of H, so H need not keep C.  The
-equivalence witnesses are integer identities on E and build no C(omega).
+form check of the values and the residual of C C* are computed once per
+ConferenceMatrix and kept on it (the cached properties column and
+gram_residual), and the gate of hadamard.double reads the residual too.
+The diagonal of C C* is read entry by entry (see _gram_deviation).
+hadamard_residual forms the deviation again, from the ConferenceMatrix
+that the doubling-form check of H builds, so H need not keep the C it was
+doubled from.  The equivalence witnesses are integer identities on E and
+build no C(omega).
 """
 
 from __future__ import annotations
@@ -108,10 +111,11 @@ class ConferenceMatrix:
     k is an input: a record's header states it, and its checks hold the
     array against it.
 
-    The residual of C C* - (q-1) I is computed on first use and kept on the
-    object.  Do not change `values` in place after a check has read it:
-    build a new matrix instead (dataclasses.replace gives one with nothing
-    cached).
+    The form check of `values` (column) and the residual of C C* - (q-1) I
+    are computed on first use and kept on the object, so every read of C
+    takes its m from one check.  Do not change `values` in place after a
+    check has read it: build a new matrix instead (dataclasses.replace
+    gives one with nothing cached).
     """
 
     k: int
@@ -130,9 +134,18 @@ class ConferenceMatrix:
         return self.values.shape[0]
 
     @cached_property
+    def column(self) -> np.ndarray | None:
+        """c as column[x] = c(a_x) when C[i, j] = c(a_i - a_j) over GF(q), else None.
+
+        Computed once: gf.developed_column(values), exact, which returns
+        column 0 as a view.
+        """
+        return developed_column(self.values)
+
+    @cached_property
     def gram_residual(self) -> float:
         """Max-abs entry of C C* - (q-1) I (see conference_residual), computed once."""
-        return float(np.abs(_gram_deviation(self.values)).max())
+        return float(np.abs(_gram_deviation(self)).max())
 
 
 class ExponentCounts(NamedTuple):
@@ -227,11 +240,11 @@ def conference_residual(C: ConferenceMatrix) -> float:
     return C.gram_residual
 
 
-def _gram_deviation(V: np.ndarray) -> np.ndarray:
-    """Columns 0..m-1 of C C* - (q-1) I for the q x q C = V, shape (q, m).
+def _gram_deviation(C: ConferenceMatrix) -> np.ndarray:
+    """Columns 0..m-1 of C C* - (q-1) I, shape (q, m).
 
-    When C is group-developed over GF(q) (checked exactly by
-    gf.developed_column), so is C C*:
+    When C is group-developed over GF(q) (checked exactly by the kept
+    ConferenceMatrix.column), so is C C*:
 
         (C C*)[i, j] = sum_x c(x) conj(c(x + a_j - a_i))
 
@@ -240,7 +253,7 @@ def _gram_deviation(V: np.ndarray) -> np.ndarray:
     other C, such as scale_row_col(C, ...) or a record with one changed
     entry, is read on every column, m = q: the full O(q^3) product.
     Column j of C C* is the conjugate of its row j; reading columns spares
-    the q x q conjugate of V.
+    the q x q conjugate of C.
 
     The diagonal entry (i, i), i < m, is read entry by entry as
     sum_j (|c_ij|^2 - 1) + 1, a pairwise sum over row i, not as the BLAS
@@ -248,9 +261,9 @@ def _gram_deviation(V: np.ndarray) -> np.ndarray:
     scale of q - 1 (2.2e-11 at q = 2197, where the exact value for the
     float C is 1.2e-13), which measures the summation and not C.
     """
-    m = V.shape[0] if developed_column(V) is None else 1
-    rows = V[:m]
-    dev = V @ rows.conj().T
+    m = 1 if C.column is not None else C.q
+    rows = C.values[:m]
+    dev = C.values @ rows.conj().T
     dev[:m].flat[:: m + 1] = (rows.real * rows.real + rows.imag * rows.imag - 1.0).sum(axis=1) + 1.0
     return dev
 

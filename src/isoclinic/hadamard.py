@@ -12,10 +12,12 @@ information; this module only builds and verifies them.
 form, and from column 0 of C C* alone when C is also group-developed over
 GF(q), as the construction is; otherwise it forms the full product.  The
 form check runs once per HadamardMatrix and is kept on it, so the residual
-and the doubling-form row of a verified record share it.  The gate of
-`double` reads the residual its ConferenceMatrix keeps.  H does not keep
-the C it was doubled from: the residual reads the C that the form check
-copies out of H, so a caller may drop C once H is built.
+and the doubling-form row of a verified record share it.  It copies C out
+of H as a ConferenceMatrix, whose one kept form check (column) picks the m
+columns that both the symmetry read and the deviation of C C* take.  The
+gate of `double` reads the residual its ConferenceMatrix keeps.  H does
+not keep the C it was doubled from, so a caller may drop C once H is
+built.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ class HadamardMatrix:
     doubling.
 
     The doubling-form check (_doubled) is computed on first use and kept on
-    the object.  Do not change `values` in place after a check has read
-    it: build a new matrix instead (dataclasses.replace gives one with
-    nothing cached).
+    the object, with the ConferenceMatrix C it finds.  Do not change
+    `values` in place after a check has read it: build a new matrix instead
+    (dataclasses.replace gives one with nothing cached).
     """
 
     values: np.ndarray
@@ -55,8 +57,8 @@ class HadamardMatrix:
         return self.values.shape[0]
 
     @cached_property
-    def doubling_of(self) -> np.ndarray | None:
-        """_doubled(values): the C that H is the doubling of, or None; computed once."""
+    def doubling_of(self) -> ConferenceMatrix | None:
+        """_doubled(values): the ConferenceMatrix C that H is the doubling of, or None; computed once."""
         return _doubled(self.values)
 
 
@@ -91,22 +93,22 @@ def hadamard_residual(H: HadamardMatrix) -> float:
     H H* - 2q I follow from M = C C*: the diagonal blocks are
     2 Re(M - (q-1) I) and the off-diagonal blocks 2i Im M, since
     C~ C^T = conj(M).  M - (q-1) I is read as ConferenceMatrix.gram_residual
-    reads it: its column 0 when C is group-developed over GF(q) (see
-    conference._gram_deviation), else the full q x q M, 8 times fewer flops
-    than H H*.  Unimodularity is read on the same m columns of C + I:
-    column 0 of a group-developed C + I holds every off-diagonal value of
-    C, and 1 at (0, 0), so its maximum deviation is that of the whole
-    block.  Any other H takes the dense product H H*.
+    reads it, through the form check that C keeps: its column 0 when C is
+    group-developed over GF(q) (see conference._gram_deviation), else the
+    full q x q M, 8 times fewer flops than H H*.  Unimodularity is read on
+    the same m columns of C + I: column 0 of a group-developed C + I holds
+    every off-diagonal value of C, and 1 at (0, 0), so its maximum
+    deviation is that of the whole block.  Any other H takes the dense
+    product H H*.
     """
     V = H.values
     C = H.doubling_of
     if C is None:
         return _dense_residual(H)
-    q = H.n2 // 2
     # M - (q-1) I, or its column 0
     dev = _gram_deviation(C)
     # the entries of H are +-1 on the block diagonals and +-C, +-C~ elsewhere; read on the m columns of dev
-    unimod = float(np.abs(np.abs(V[:q, : dev.shape[1]]) - 1.0).max())
+    unimod = float(np.abs(np.abs(V[: C.q, : dev.shape[1]]) - 1.0).max())
     real = 2.0 * float(np.abs(dev.real).max())
     imag = 2.0 * float(np.abs(dev.imag).max())
     return max(unimod, real, imag)
@@ -121,7 +123,7 @@ def _dense_residual(H: HadamardMatrix) -> float:
     return max(unimod, float(np.abs(gram).max()))
 
 
-def _doubled(V: np.ndarray) -> np.ndarray | None:
+def _doubled(V: np.ndarray) -> ConferenceMatrix | None:
     """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None.
 
     Compared block against block with ==, with no identity and no complex
@@ -129,7 +131,12 @@ def _doubled(V: np.ndarray) -> np.ndarray | None:
     V00 = V10 + 2I, V01 = conj(V10) and V11 = -conj(V00).  The last two
     hold on the whole block, read through the .real and .imag views; the
     first is a diagonal of 1 and exactly q mismatches with V10, all on the
-    diagonal.  The result is a copy of V10 with a zero diagonal.
+    diagonal.  C is a ConferenceMatrix on a copy of V10 with a zero
+    diagonal, and no check on it reads its k.  Its symmetry is read with ==
+    on the m columns that its kept form check picks, as cli._asymmetry
+    reads a record: for a group-developed C, C[i, j] = c(a_i - a_j),
+    column 0 against row 0 holds every c(x) - c(-x), so m = 1; any other C
+    is compared whole, m = q.
     """
     q, odd = divmod(V.shape[0], 2)
     if odd:
@@ -143,10 +150,10 @@ def _doubled(V: np.ndarray) -> np.ndarray | None:
         and (V01.imag == -V10.imag).all()
         and (V11.real == -V00.real).all()
         and (V11.imag == V00.imag).all()
-        and (V10 == V10.T).all()
     )
     if not form:
         return None
-    C = V10.copy()
-    np.fill_diagonal(C, 0.0)
-    return C
+    C = ConferenceMatrix(k=(q + 1) // 2, exponents=None, values=V10.copy())
+    np.fill_diagonal(C.values, 0.0)  # before anything reads C.column
+    m = 1 if C.column is not None else q
+    return C if (C.values[:, :m] == C.values[:m].T).all() else None

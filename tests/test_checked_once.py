@@ -94,13 +94,13 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     assert len(eighs) == 1
     # one C: the witnesses read E, and H keeps no C, so the hadamard stage reads the C copied out of H
     assert len(conferences) == 1
-    # the form of E for the counts, then column 0 of C C* for the conference residual, which the
-    # gate of double reads; then S in 2 x 2 blocks, once for seidel-square, spectrum and the planes;
-    # then column 0 of C C* again, for hadamard_residual, on the C copied out of H
+    # the form of E for the counts, then the form of C for column 0 of C C*, the conference residual
+    # that the gate of double reads; then S in 2 x 2 blocks, once for seidel-square, spectrum and the
+    # planes; then the form of the C copied out of H, once for its symmetry and for hadamard_residual
     assert len(developed) == 4 and developed[0] is C.exponents and developed[1] is C.values
-    assert developed[2] is S.dense and developed[3] is H.doubling_of
-    assert len(products) == 2 and products[0] is C.values and products[1] is H.doubling_of
-    assert len(doubled) == 1 and np.array_equal(H.doubling_of, C.values)
+    assert developed[2] is S.dense and developed[3] is H.doubling_of.values
+    assert len(products) == 2 and products[0] is C and products[1] is H.doubling_of
+    assert len(doubled) == 1 and np.array_equal(H.doubling_of.values, C.values)
     # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals; the
     # table basis is formed twice on one character table, to build X and for its one form check
     assert len(table_bases) == 2 and table_bases[0] is table_bases[1] is pt.table
@@ -148,7 +148,7 @@ def test_conference_residual_forms_the_full_product_once_on_the_dense_path(monke
     products = count_calls(monkeypatch, conference, "_gram_deviation")
     assert conference_residual(scaled) <= TOL
     H = double(scaled)
-    assert products == [scaled.values]
+    assert products == [scaled]
     assert hadamard_residual(H) <= TOL
 
 
@@ -168,6 +168,16 @@ def test_verify_checks_a_hadamard_record_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["verify", str(path)]) == cli.EXIT_OK
     assert "doubling-form          PASS" in capsys.readouterr().out
     assert len(doubled) == 1
+
+
+def test_verify_checks_the_form_of_a_conference_record_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "conference.json"
+    assert cli.main(["generate", "--kind", "conference", "--k", "31", "--out", str(path)]) == cli.EXIT_OK
+    columns = count_calls(monkeypatch, gf, "developed_column")
+    assert cli.main(["verify", str(path), "--exact"]) == cli.EXIT_OK
+    assert "exact-counts           PASS" in capsys.readouterr().out
+    # the residual checks the form of the complex values, and C keeps it for the m of the form rows
+    assert len([M for M in columns if np.iscomplexobj(M)]) == 1
 
 
 def scale_difference_class(f, V, factor=1.01):
@@ -239,7 +249,7 @@ def test_the_doubling_residual_reads_the_deviation_of_c_bit_for_bit(p, alpha):
     _, C, _ = canonical(p, alpha)
     for c in (C, scale_row_col(C, 3, 1j)):  # one column of C C* and every column
         H = double(c)
-        dev = conference._gram_deviation(c.values)
+        dev = conference._gram_deviation(c)
         unimod = float(np.abs(np.abs(H.values[: c.q, : dev.shape[1]]) - 1.0).max())
         want = max(unimod, 2.0 * float(np.abs(dev.real).max()), 2.0 * float(np.abs(dev.imag).max()))
         assert hadamard_residual(H).hex() == want.hex()

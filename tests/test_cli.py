@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from isoclinic import (
     ExportRecord,
+    HadamardMatrix,
     NotSymmetrizable,
     build_conference,
     build_gram,
@@ -369,7 +370,7 @@ def _swap_1_2(M, block):
 
 # rows whose value is a BLAS product: its roundoff digits depend on the kernel, and a matrix-vector
 # product of column 0 sums in another order than the matrix-matrix product of every column
-PRODUCT_ROWS = ("conference-residual", "seidel-square", "eigenvalues-0-2")
+PRODUCT_ROWS = ("conference-residual", "seidel-square", "eigenvalues-0-2", "hadamard-residual")
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 13, 61])  # q = 5, 9, 13, 25, 121
@@ -391,6 +392,33 @@ def test_verify_reads_the_same_rows_on_row_0_as_on_every_row(k):
     if k == 61:
         assert ("symmetry", False, "1.000e-02") in cli._record_checks(forged_c, 1e-9, False)
         assert ("orthogonal-blocks", False, "2.010e-02") in cli._record_checks(forged_s, 1e-9, False)
+
+
+@pytest.mark.parametrize("k", [3, 5, 13, 61])  # q = 5, 9, 25, 121
+def test_the_doubling_reads_the_symmetry_of_a_developed_c_on_column_0(tmp_path, capsys, k):
+    # H by the block formula from the group-developed C whose c(x0) is turned and c(-x0) is not: every
+    # block relation of the doubling holds and only the symmetry of C fails, read on column 0 against row 0
+    forged_c, _ = _developed_forgeries(k)
+    C, eye, q = forged_c.entries, np.eye(forged_c.order), forged_c.order
+    H = np.block([[C + eye, C.conj() - eye], [C - eye, -C.conj() - eye]])
+    assert developed_column(C) is not None and HadamardMatrix(values=H).doubling_of is None
+    record = replace(build_record("hadamard", k), entries=H)
+    out = tmp_path / "turned-generator-hadamard.json"
+    out.write_text(serialize(record, "json"))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY and f"{'doubling-form':<22} FAIL" in stdout
+    # the swap of indices 1 and 2 in both block halves keeps the doubling, and C's asymmetry, but fails
+    # the form check of C, so the copy's symmetry is read on every column
+    index = np.arange(2 * q)
+    index[[1, 2, q + 1, q + 2]] = [2, 1, q + 2, q + 1]
+    swapped = replace(record, entries=H[np.ix_(index, index)])
+    assert developed_column(_swap_1_2(C, 1)) is None
+    rows, every_row = cli._record_checks(record, 1e-9, False), cli._record_checks(swapped, 1e-9, False)
+    assert [row[:2] for row in rows] == [row[:2] for row in every_row]
+    assert ("hadamard-residual", False) in [row[:2] for row in rows]
+    assert [row for row in rows if row[0] not in PRODUCT_ROWS] == [
+        row for row in every_row if row[0] not in PRODUCT_ROWS
+    ]
 
 
 @pytest.mark.parametrize("k", [3, 61])

@@ -679,7 +679,7 @@ def test_gram_diagonal_is_read_entry_by_entry(p, alpha):
     C = build_conference(f, critical_omega((f.q + 1) // 2))
     row = C.values[0]
     exact = sum(Fraction(x) ** 2 for x in (*row.real.tolist(), *row.imag.tolist())) - (f.q - 1)
-    dev = conference._gram_deviation(C.values)
+    dev = conference._gram_deviation(C)
     assert dev.shape == (f.q, 1)
     assert dev[0, 0].imag == 0.0
     assert abs(dev[0, 0].real - exact) <= 1e-14
@@ -689,8 +689,12 @@ def test_gram_diagonal_is_read_entry_by_entry(p, alpha):
 def test_gram_deviation_reads_one_column_of_a_group_developed_c(p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
-    assert conference._gram_deviation(C.values).shape == (f.q, 1)
-    assert conference._gram_deviation(scale_row_col(C, 3, 1j).values).shape == (f.q, f.q)
+    scaled = scale_row_col(C, 3, 1j)
+    assert conference._gram_deviation(C).shape == (f.q, 1)
+    assert conference._gram_deviation(scaled).shape == (f.q, f.q)
+    # the m of both reads is the kept form check: column 0 as a view, or None
+    assert np.shares_memory(C.column, C.values) and np.array_equal(C.column, C.values[:, 0])
+    assert scaled.column is None
 
 
 def test_unit_gate_rejects_nan():

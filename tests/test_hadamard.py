@@ -21,7 +21,6 @@ from isoclinic import (
     scale_row_col,
 )
 from isoclinic import conference, hadamard
-from isoclinic.gf import developed_column
 
 
 def test_double_q5_structure():
@@ -90,8 +89,8 @@ def test_doubling_form_residual_matches_dense(p, alpha):
     q = H.n2 // 2
     C = hadamard._doubled(H.values)
     assert C is not None
-    assert np.array_equal(C, H.values[q:, :q] + np.eye(q))
-    assert developed_column(C) is not None  # so the residual reads column 0 of C C* only
+    assert np.array_equal(C.values, H.values[q:, :q] + np.eye(q)) and C.exponents is None
+    assert C.column is not None  # so the residual reads column 0 of C C* only
     fast, dense = hadamard_residual(H), hadamard._dense_residual(H)
     assert fast <= 1e-11
     assert abs(fast - dense) <= 1e-12
@@ -216,7 +215,7 @@ def test_row_residual_rejects_the_doubling_of_a_scaled_difference_class(p, alpha
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
     H = HadamardMatrix(values=reference_block_double(scale_difference_class(f, C.values)))
-    assert developed_column(hadamard._doubled(H.values)) is not None
+    assert hadamard._doubled(H.values).column is not None
     fast, form, dense = hadamard_residual(H), reference_form_residual(H), hadamard._dense_residual(H)
     assert min(fast, form, dense) > 1e-3
     assert abs(fast - form) <= 1e-12 and abs(fast - dense) <= 1e-12
@@ -237,7 +236,7 @@ def test_unimodularity_is_read_on_the_columns_of_the_deviation(p, alpha):
     C = build_conference(f, critical_omega((f.q + 1) // 2))
     scaled_class = HadamardMatrix(values=reference_block_double(scale_difference_class(f, C.values)))
     # group-developed, and not unimodular: |c| = 1.01 on one difference class
-    assert developed_column(scaled_class.doubling_of) is not None
+    assert scaled_class.doubling_of.column is not None
     assert hadamard_residual(scaled_class) > 1e-3
     for H in (double(C), double(scale_row_col(C, 3, 1j)), scaled_class):
         assert hadamard_residual(H) == whole_block_residual(H)
@@ -249,7 +248,7 @@ def test_residual_is_the_full_product_off_the_developed_form(p, alpha):
     q = f.q
     C = build_conference(f, critical_omega((q + 1) // 2))
     scaled = double(scale_row_col(C, 3, 1j))
-    assert developed_column(hadamard._doubled(scaled.values)) is None
+    assert hadamard._doubled(scaled.values).column is None
     assert hadamard_residual(scaled) == reference_form_residual(scaled) <= 1e-11
     # sqrt(q - 1) U for a random unitary U is not symmetric, so its doubling takes H H*
     rng = np.random.default_rng(q)
@@ -280,7 +279,7 @@ def _same_verdict(V, n2):
     new, old = hadamard._doubled(V), reference_doubled(V, n2)
     assert (new is None) == (old is None)
     if new is not None:
-        assert np.array_equal(new, old)
+        assert np.array_equal(new.values, old)
     return new is not None
 
 
@@ -340,7 +339,7 @@ def test_doubled_matches_the_eye_reference_on_signed_zeros():
             V = reference_block_double(C)
             assert _same_verdict(V, 4)
             np.fill_diagonal(C, 0.0)
-            assert hadamard._doubled(V).tobytes() == C.tobytes()
+            assert hadamard._doubled(V).values.tobytes() == C.tobytes()
 
 
 def test_double_rejects_a_nan_entry():
