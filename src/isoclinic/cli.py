@@ -162,8 +162,8 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         C = ConferenceMatrix(k=record.k, exponents=record.exponents, values=values)
         checks.append(_row("conference-residual", conference_residual(C), tol))
         # row 0 of a group-developed C, with its exponents when present, holds every distinct entry; the
-        # residual above has checked the form of the values already and C keeps the verdict
-        m = 1 if C.column is not None and (C.exponents is None or developed_column(C.exponents) is not None) else C.q
+        # residual above has checked the form of the values already, and C keeps both verdicts
+        m = 1 if C.column is not None and (C.exponents is None or C.exponent_column is not None) else C.q
         checks.append(_row("zero-diagonal", float(np.abs(values.diagonal()).max()), tol))
         off = ~np.eye(m, C.q, dtype=bool)
         checks.append(_row("unimodular", float(np.abs(np.abs(values[:m][off]) - 1.0).max(initial=0.0)), tol))

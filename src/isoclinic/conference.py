@@ -32,9 +32,10 @@ their first row or column holds every distinct entry.  So
 read on m leading rows or columns: the exact form check
 gf.developed_column picks m = 1 for a group-developed input and m = q for
 any other, such as scale_row_col(C, ...), a permuted C or a record.  The
-form check of the values and the residual of C C* are computed once per
-ConferenceMatrix and kept on it (the cached properties column and
-gram_residual), and the gate of hadamard.double reads the residual too.
+form checks of the values and of the exponents and the residual of C C*
+are computed once per ConferenceMatrix and kept on it (the cached
+properties column, exponent_column and gram_residual), and the gate of
+hadamard.double reads the residual too.
 The diagonal of C C* is read entry by entry (see _gram_deviation).
 hadamard_residual forms the deviation again, from the ConferenceMatrix
 that the doubling-form check of H builds, so H need not keep the C it was
@@ -111,10 +112,11 @@ class ConferenceMatrix:
     k is an input: a record's header states it, and its checks hold the
     array against it.
 
-    The form check of `values` (column) and the residual of C C* - (q-1) I
-    are computed on first use and kept on the object, so every read of C
-    takes its m from one check.  Do not change `values` in place after a
-    check has read it: build a new matrix instead (dataclasses.replace
+    The form checks of `values` (column) and of `exponents`
+    (exponent_column) and the residual of C C* - (q-1) I are computed on
+    first use and kept on the object, so every read of C takes its m from
+    one check.  Do not change `values` or `exponents` in place after a
+    check has read them: build a new matrix instead (dataclasses.replace
     gives one with nothing cached).
     """
 
@@ -141,6 +143,11 @@ class ConferenceMatrix:
         column 0 as a view.
         """
         return developed_column(self.values)
+
+    @cached_property
+    def exponent_column(self) -> np.ndarray | None:
+        """column for the exponent layer: gf.developed_column(exponents), computed once; None without a layer."""
+        return None if self.exponents is None else developed_column(self.exponents)
 
     @cached_property
     def gram_residual(self) -> float:
@@ -225,7 +232,7 @@ def verify_counts(C: ConferenceMatrix) -> bool:
     """
     k, q = C.k, C.q
     want = (k - 2, (k - 1) // 2, (k - 1) // 2)
-    m = q if C.exponents is None or developed_column(C.exponents) is None else 1
+    m = 1 if C.exponent_column is not None else q
     counts = _exponent_counts(C, m)
     for rows, w in zip(counts, want):
         rows.flat[:: q + 1] = w  # the diagonal of the top m x m block counts nothing

@@ -13,8 +13,10 @@ metadata dict as one embedded JSON line).  Both round-trip losslessly: a
 parsed record equals the written one field by field, its arrays bit for bit,
 which the tests compare with their own helper.
 A record holds few distinct floats, so the writer renders and the parser
-converts each distinct number once.  The writer produces the document as
-row-sized pieces, which serialize joins and write_record writes one by one.
+converts each distinct number once; the writer finds them with one sort
+(_distinct).  The writer produces the document as row-sized pieces, which
+serialize joins and write_record writes one by one, over the target's old
+bytes rather than into a truncated file.
 Both readers convert row by row: the text reader splits one line at a time,
 and the JSON reader walks each array row as soon as it is scanned, keeping
 only its scalars.  A text record's parse error names its first bad token in
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -68,6 +72,19 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a 1-d integer array and the index of each entry among them.
+
+    What np.unique(values, return_inverse=True) gives, by one sort of the
+    values instead of an argsort: the first sorted entry and each one that
+    differs from its neighbour are the distinct ones, and a binary search
+    finds each entry's index.
+    """
+    ordered = np.sort(values)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _float_tokens(values: np.ndarray, render) -> np.ndarray:
     """render applied to each float64 entry, called once per distinct bit pattern.
 
@@ -79,7 +96,7 @@ def _float_tokens(values: np.ndarray, render) -> np.ndarray:
         floats = floats.reshape(values.shape + (2,))
     else:
         floats = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(floats.view(np.uint64).ravel(), return_inverse=True)
+    bits, inverse = _distinct(floats.view(np.uint64).ravel())
     strings = np.array([render(x) for x in bits.view(np.float64).tolist()], dtype=object)
     return strings[inverse].reshape(floats.shape)
 
@@ -132,7 +149,7 @@ def _exponent_tokens(exponents: np.ndarray) -> np.ndarray:
     exponents = np.asarray(exponents)
     if exponents.dtype.kind not in "iu":
         raise ValueError(f"exponents must have an integer dtype, got {exponents.dtype}")
-    distinct, inverse = np.unique(exponents.ravel(), return_inverse=True)
+    distinct, inverse = _distinct(exponents.ravel())
     strings = np.array([str(x) for x in distinct.tolist()], dtype=object)
     return strings[inverse].reshape(exponents.shape)
 
@@ -492,10 +509,24 @@ def read_record(path: str) -> ExportRecord:
 
 
 def write_record(record: ExportRecord, path: str, fmt: str) -> None:
-    """Write the record to path piece by piece; a record it refuses leaves path untouched."""
+    """Write the record to path piece by piece, over what path held; a record it refuses leaves path untouched.
+
+    The target is not truncated when it is opened: the record is written
+    over its old bytes, and only then is a regular file cut at the record's
+    end.  Truncating a written file to zero first frees all its blocks,
+    and closing it then starts writeback, which costs more than the write
+    on some file systems.  Opened like this, an existing target keeps its
+    inode, mode bits and hard links, and a symlink is followed, as with
+    O_TRUNC.  A device or a pipe, such as /dev/null, gets the bytes and no
+    cut.  Nothing is synced, so no complete file is promised after a write
+    that fails halfway: it leaves the new bytes over the old document's
+    tail, where a truncating open left only the new bytes written so far.
+    """
     pieces = record_pieces(record, fmt)
     head = next(pieces)  # every check runs before the first piece
     # TextIOWrapper hands on about 8 KiB at a time; the larger buffer batches them into fewer writes
-    with open(path, "w", encoding="utf-8", buffering=1 << 16) as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", buffering=1 << 16) as fh:
         fh.write(head)
         fh.writelines(pieces)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()  # the old document's tail, when it was longer

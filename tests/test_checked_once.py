@@ -176,8 +176,10 @@ def test_verify_checks_the_form_of_a_conference_record_once(monkeypatch, tmp_pat
     columns = count_calls(monkeypatch, gf, "developed_column")
     assert cli.main(["verify", str(path), "--exact"]) == cli.EXIT_OK
     assert "exact-counts           PASS" in capsys.readouterr().out
-    # the residual checks the form of the complex values, and C keeps it for the m of the form rows
+    # the residual checks the form of the complex values, and C keeps it for the m of the form rows; the
+    # exact counts check the form of the int8 exponents, and C keeps that verdict for the form rows too
     assert len([M for M in columns if np.iscomplexobj(M)]) == 1
+    assert len([M for M in columns if M.dtype == np.int8]) == 1
 
 
 def scale_difference_class(f, V, factor=1.01):

@@ -6,8 +6,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import stat
 import sys
 import tracemalloc
 from collections import Counter
@@ -946,6 +948,74 @@ def test_write_record_writes_the_bytes_of_serialize_past_its_buffer(tmp_path, fm
     record, path = _record("hadamard", 61), tmp_path / f"hadamard.{fmt}"
     write_record(record, str(path), fmt)
     assert path.read_bytes() == serialize(record, fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_write_record_over_a_longer_record_leaves_exactly_the_new_one(tmp_path, fmt):
+    # the target is written over, not truncated on open, so the old document's tail must be cut
+    record, path = build_record("conference", 3), tmp_path / f"record.{fmt}"
+    write_record(_record("hadamard", 31), str(path), fmt)
+    write_record(record, str(path), fmt)
+    assert path.read_bytes() == serialize(record, fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_generate_writes_to_a_device_that_cannot_be_truncated(fmt):
+    # only a regular file is cut at the record's end; ftruncate on /dev/null fails with EINVAL
+    assert main(["generate", "--k", "3", "--format", fmt, "--out", os.devnull]) == 0
+
+
+def test_write_record_keeps_the_targets_inode_mode_and_links(tmp_path):
+    path, link, symlink = tmp_path / "record", tmp_path / "link", tmp_path / "symlink"
+    write_record(_record("hadamard", 31), str(path), "json")
+    path.chmod(0o600)
+    os.link(path, link)
+    symlink.symlink_to(path)
+    inode = path.stat().st_ino
+    record = build_record("conference", 3)
+    write_record(record, str(symlink), "text")  # a symlink is followed
+    assert symlink.is_symlink() and path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert link.read_bytes() == path.read_bytes() == serialize(record, "text").encode()
+
+
+def _distinct_cases():
+    floats = {
+        "empty": np.empty((3, 0)),
+        "one": np.full((2, 3), 1.5),
+        "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0]),
+        "nan-payloads": np.array([np.nan, NAN_PAYLOAD, np.nan, NEGATIVE_NAN, NAN_PAYLOAD]),
+        "infinities": np.array([np.inf, 1.0, -np.inf, np.inf]),
+        "subnormals": np.array([1.5e-323, 5e-324, -5e-324, 5e-324]),
+        "mixed": np.random.default_rng(0).choice(SPECIAL + [NAN_PAYLOAD, NEGATIVE_NAN, 1.5e-323], 40),
+    }
+    cases = {}
+    for name, values in floats.items():
+        cases[f"float64-{name}"] = values
+        # the floats paired in turn as (re, im), an odd last one dropped
+        cases[f"complex128-{name}"] = values.ravel()[: values.size // 2 * 2].view(np.complex128)
+    for dtype in (np.int8, np.int64):
+        cases[f"{dtype.__name__}-empty"] = np.empty((0, 0), dtype)
+        cases[f"{dtype.__name__}-one"] = np.ones((3, 3), dtype)
+        cases[f"{dtype.__name__}-exponents"] = build_record("conference", 7).exponents.astype(dtype)
+        info = np.iinfo(dtype)
+        cases[f"{dtype.__name__}-extremes"] = np.array([info.max, info.min, 0, -1, info.max, 1], dtype)
+    return cases
+
+
+DISTINCT = _distinct_cases()
+
+
+@pytest.mark.parametrize("case", list(DISTINCT))
+def test_distinct_values_match_numpy_unique(case):
+    values = DISTINCT[case]
+    if values.dtype.kind in "fc":  # the writer tells floats apart by their bits, as _float_tokens does
+        values = np.ascontiguousarray(values).view(np.float64).view(np.uint64)
+    flat = values.ravel()
+    distinct, inverse = export._distinct(flat)
+    want, want_inverse = np.unique(flat, return_inverse=True)
+    assert distinct.dtype == want.dtype and distinct.tobytes() == want.tobytes()
+    assert inverse.tolist() == want_inverse.ravel().tolist()
 
 
 def _whole_json_typed(value, types, dtype, rule):
