@@ -12,15 +12,12 @@ matrix of order 2q.
 from .conference import (
     ConferenceMatrix,
     EquivalenceWitnesses,
-    ExponentCounts,
-    GramCounts,
     build_conference,
     conference_residual,
     critical_angle,
     critical_omega,
     equivalence_witnesses,
     gram_constant,
-    gram_counts,
     permute,
     scale_row_col,
     verify_counts,
@@ -74,10 +71,8 @@ __all__ = [
     "BoundCheck",
     "ConferenceMatrix",
     "EquivalenceWitnesses",
-    "ExponentCounts",
     "ExportRecord",
     "GaloisField",
-    "GramCounts",
     "HadamardMatrix",
     "InvalidExponent",
     "InvalidOrder",
@@ -109,7 +104,6 @@ __all__ = [
     "factor_prime_power",
     "from_conference",
     "gram_constant",
-    "gram_counts",
     "hadamard_residual",
     "isoclinic_residual",
     "ls_bound",

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,24 +155,6 @@ class ConferenceMatrix:
         return float(np.abs(_gram_deviation(self)).max())
 
 
-class ExponentCounts(NamedTuple):
-    r: int  # products equal to 1
-    s: int  # products equal to omega^2
-    t: int  # products equal to omega^-2
-
-
-@dataclass(frozen=True, eq=False)
-class GramCounts:
-    """Exact per-entry counts of exponent differences 0 / +2 / -2."""
-
-    r: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-
-    def entry(self, i: int, j: int) -> ExponentCounts:
-        return ExponentCounts(int(self.r[i, j]), int(self.s[i, j]), int(self.t[i, j]))
-
-
 def build_conference(field: GaloisField, omega: complex) -> ConferenceMatrix:
     """C(omega) over the given field; requires q = 1 (mod 4) for symmetry."""
     q = field.q
@@ -191,23 +173,15 @@ def _values_from_exponents(exponents: np.ndarray, omega: complex) -> np.ndarray:
     return table[np.add(exponents, 1, dtype=np.intp)]  # an intp index gathers faster than int8
 
 
-def gram_counts(C: ConferenceMatrix) -> GramCounts:
-    """Count exponent differences E[i, g] - E[g, j] over inner indices g.
-
-    With P = [E = 1] and N = [E = -1], the difference is +2 for P[i, g] N[g, j],
-    -2 for N[i, g] P[g, j] and 0 for equal signs, so s = P N, t = N P and
-    r = P P + N N.  The zero diagonal of E keeps g = i and g = j out of every
-    count.  The diagonal of the result is meaningless and set to -1.
-    """
-    # the float64 counts are exact integers (see _exponent_counts), so the cast to int64 loses nothing
-    r, s, t = (counts.astype(np.int64) for counts in _exponent_counts(C, C.q))
-    for m in (r, s, t):
-        np.fill_diagonal(m, -1)
-    return GramCounts(r=r, s=s, t=t)
-
-
 def _exponent_counts(C: ConferenceMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows 0..m-1 of the counts (r, s, t) of gram_counts, as float64 arrays of shape (m, q).
+    """Rows 0..m-1 of the counts (r, s, t) of exponent differences, as float64 arrays of shape (m, q).
+
+    The product C[i, g] * conj(C[g, j]) is omega ** (E[i, g] - E[g, j]).
+    With P = [E = 1] and N = [E = -1], the difference is +2 for
+    P[i, g] N[g, j], -2 for N[i, g] P[g, j] and 0 for equal signs, so
+    s = P N, t = N P and r = P P + N N.  The zero diagonal of E keeps g = i
+    and g = j out of every count.  The entries (i, i) are no count of the
+    certificate: verify_counts overwrites them before it compares.
 
     Every entry is a sum of at most q ones, far below 2^53, so the float64
     (BLAS) products are exact.

@@ -120,6 +120,26 @@ def test_verify_exact_passes(tmp_path, capsys):
     assert "exact-counts" in stdout and "result PASS" in stdout
 
 
+def flipped_exponent_pair(k):
+    """The conference record of k with E[0, 1] = E[1, 0] negated and its values omega0**e of the flipped e."""
+    record = build_record("conference", k)
+    exponents, entries = record.exponents.copy(), record.entries.copy()
+    exponents[0, 1] = exponents[1, 0] = -exponents[0, 1]
+    entries[0, 1] = entries[1, 0] = critical_omega(k) ** int(exponents[0, 1])
+    return replace(record, exponents=exponents, entries=entries)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_exact_fails_a_flipped_exponent_pair(tmp_path, capsys, fmt):
+    out = tmp_path / f"flipped.{fmt}"
+    out.write_text(serialize(flipped_exponent_pair(3), fmt))
+    code, stdout, _ = run(capsys, ["verify", str(out), "--exact"])
+    assert code == EXIT_VERIFY
+    assert "exact-counts           FAIL counts differ\n" in stdout
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == EXIT_VERIFY and "exact-counts" not in stdout
+
+
 def test_verify_exact_needs_exponents(tmp_path, capsys):
     out = tmp_path / "c.json"
     run(capsys, ["generate", "--kind", "conference", "--k", "5", "--out", str(out)])

@@ -27,7 +27,6 @@ from isoclinic import (
     critical_omega,
     equivalence_witnesses,
     gram_constant,
-    gram_counts,
     make_field,
     permute,
     permute_blocks,
@@ -161,12 +160,13 @@ def test_counts_frozen_and_brute_force(p, alpha, expected):
     q = p**alpha
     k = (q + 1) // 2
     C = build_conference(make_field(p, alpha), critical_omega(k))
-    counts = gram_counts(C)
+    # the float64 counts are exact integers, so the cast to int64 loses nothing
+    r, s, t = (counts.astype(np.int64) for counts in conference._exponent_counts(C, q))
     for i in range(q):
         for j in range(q):
             if i == j:
                 continue
-            triple = counts.entry(i, j)
+            triple = (int(r[i, j]), int(s[i, j]), int(t[i, j]))
             assert triple == expected
             assert triple == brute_counts(C.exponents, i, j)
             assert sum(triple) == q - 2
@@ -212,11 +212,9 @@ def _flip_one(e):
 def test_counts_match_tensor_reference(p, alpha):
     q = p**alpha
     C = build_conference(make_field(p, alpha), critical_omega((q + 1) // 2))
-    counts = gram_counts(C)
     off = ~np.eye(q, dtype=bool)
-    for got, want in zip((counts.r, counts.s, counts.t), reference_gram_counts(C)):
+    for got, want in zip(conference._exponent_counts(C, q), reference_gram_counts(C)):
         assert np.array_equal(got[off], want[off])
-        assert (got.diagonal() == -1).all()
     assert verify_counts(C) and reference_verify_counts(C)
     for corrupt in (_flip_pair, _flip_one):
         tampered = replace(C, exponents=corrupt(C.exponents))
@@ -249,13 +247,6 @@ def test_counts_detect_flipped_exponent():
     tampered = ConferenceMatrix(k=3, exponents=e, values=values)
     assert not verify_counts(tampered)
     assert brute_counts(e, 0, 2) != (1, 1, 1)
-
-
-def test_counts_require_symbolic_layer():
-    C = scale_row_col(build_conference(make_field(5), critical_omega(3)), 0, 1j)
-    assert C.exponents is None
-    with pytest.raises(ValueError):
-        gram_counts(C)
 
 
 def test_residual_at_critical_omega():
@@ -523,17 +514,6 @@ def test_equivalence_witnesses_build_no_conference_matrix(monkeypatch, p, alpha)
     assert built == []
 
 
-def _verdict_from_gram_counts(C):
-    counts = gram_counts(C)
-    k = C.k
-    off = ~np.eye(C.q, dtype=bool)
-    return bool(
-        (counts.r[off] == k - 2).all()
-        and (counts.s[off] == (k - 1) // 2).all()
-        and (counts.t[off] == (k - 1) // 2).all()
-    )
-
-
 def rows_read(monkeypatch) -> list:
     """Patch conference._exponent_counts to append the number of rows m of every call to the returned list."""
     seen: list = []
@@ -551,16 +531,18 @@ def rows_read(monkeypatch) -> list:
 def test_row_counts_verdict_matches_gram_counts(monkeypatch, p, alpha):
     f = make_field(p, alpha)
     C = build_conference(f, critical_omega((f.q + 1) // 2))
-    counts = gram_counts(C)
-    for got, full in zip(conference._exponent_counts(C, 1), (counts.r, counts.s, counts.t)):
-        assert got.shape == (1, f.q) and np.array_equal(got[0, 1:], full[0, 1:])
+    full, off = reference_gram_counts(C), ~np.eye(f.q, dtype=bool)
+    for got, want in zip(conference._exponent_counts(C, 1), full):
+        assert got.shape == (1, f.q) and np.array_equal(got[0, 1:], want[0, 1:])
+    for got, want in zip(conference._exponent_counts(C, f.q), full):
+        assert np.array_equal(got[off], want[off])
     # -E, the exponents of C(1/omega0), is group-developed too
     negated = replace(C, exponents=-C.exponents)
     rows = rows_read(monkeypatch)
-    assert verify_counts(C) is _verdict_from_gram_counts(C) is True
-    assert verify_counts(negated) is _verdict_from_gram_counts(negated) is True
-    # verify_counts reads row 0 of a group-developed E, gram_counts every row
-    assert rows == [1, f.q, 1, f.q]
+    assert verify_counts(C) is reference_verify_counts(C) is True
+    assert verify_counts(negated) is reference_verify_counts(negated) is True
+    # verify_counts reads row 0 of a group-developed E; the reference reads the tensor and no row
+    assert rows == [1, 1]
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
@@ -574,18 +556,21 @@ def test_counts_fall_back_when_not_group_developed(monkeypatch, p, alpha):
         rows.clear()
         assert verify_counts(tampered) is verdict
         assert rows == [f.q]  # every row
-        assert _verdict_from_gram_counts(tampered) is verdict
+        assert reference_verify_counts(tampered) is verdict
 
 
 def test_row_counts_need_a_prime_power_order_and_a_matching_shape(monkeypatch):
     C = build_conference(make_field(5), critical_omega(3))
     rows = rows_read(monkeypatch)
-    with pytest.raises(ValueError, match="exponent layer absent"):
-        verify_counts(replace(C, exponents=None))
+    scaled = scale_row_col(C, 0, 1j)  # scaling drops the exponent layer
+    assert scaled.exponents is None
+    for absent in (replace(C, exponents=None), scaled):
+        with pytest.raises(ValueError, match="exponent layer absent"):
+            verify_counts(absent)
     for q in (6, 4):  # 6 is no prime power, 4 is even
         zeros = ConferenceMatrix(k=3, exponents=np.zeros((q, q), dtype=np.int8), values=np.zeros((q, q), complex))
         assert verify_counts(zeros) is False
-    assert rows == [5, 6, 4]  # every row, the absent exponents included
+    assert rows == [5, 5, 6, 4]  # every row, the absent exponents included
 
 
 def reference_mask_values(exponents, omega):
