@@ -249,6 +249,13 @@ def test_counts_detect_flipped_exponent():
     assert brute_counts(e, 0, 2) != (1, 1, 1)
 
 
+def test_counts_require_symbolic_layer():
+    C = scale_row_col(build_conference(make_field(5), critical_omega(3)), 0, 1j)
+    assert C.exponents is None
+    with pytest.raises(ValueError, match="exponent layer absent"):
+        verify_counts(C)
+
+
 def test_residual_at_critical_omega():
     for p, alpha in [(5, 1), (3, 2)]:
         q = p**alpha
@@ -562,15 +569,12 @@ def test_counts_fall_back_when_not_group_developed(monkeypatch, p, alpha):
 def test_row_counts_need_a_prime_power_order_and_a_matching_shape(monkeypatch):
     C = build_conference(make_field(5), critical_omega(3))
     rows = rows_read(monkeypatch)
-    scaled = scale_row_col(C, 0, 1j)  # scaling drops the exponent layer
-    assert scaled.exponents is None
-    for absent in (replace(C, exponents=None), scaled):
-        with pytest.raises(ValueError, match="exponent layer absent"):
-            verify_counts(absent)
+    with pytest.raises(ValueError, match="exponent layer absent"):
+        verify_counts(replace(C, exponents=None))
     for q in (6, 4):  # 6 is no prime power, 4 is even
         zeros = ConferenceMatrix(k=3, exponents=np.zeros((q, q), dtype=np.int8), values=np.zeros((q, q), complex))
         assert verify_counts(zeros) is False
-    assert rows == [5, 5, 6, 4]  # every row, the absent exponents included
+    assert rows == [5, 6, 4]  # every row, the absent exponents included
 
 
 def reference_mask_values(exponents, omega):
