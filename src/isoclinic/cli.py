@@ -54,14 +54,19 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 
 
+def _admissible(k: int, info: OrderInfo | None = None) -> OrderInfo:
+    """The classification of k (info, when given); ValueError unless k is admissible."""
+    info = classify_order(k) if info is None else info
+    if info.status != "admissible":
+        raise ValueError(f"k={k} is not admissible: {info.reason}")
+    return info
+
+
 def build_record(kind: str, k: int, info: OrderInfo | None = None) -> ExportRecord:
     """Build the requested family member at the critical scalar for order k."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if info is None:
-        info = classify_order(k)
-    if info.status != "admissible":
-        raise ValueError(f"k={k} is not admissible: {info.reason}")
+    info = _admissible(k, info)
     field = make_field(info.p, info.alpha)
     theta = critical_angle(k)
     omega0 = critical_omega(k)
@@ -273,8 +278,11 @@ def _chain(field: GaloisField, k: int, tol: float):
 
 
 def run_pipeline(k: int, tol: float) -> list[tuple[str, bool, str]]:
-    """Construction and verification chain for one admissible k, up to its first FAIL."""
-    info = classify_order(k)
+    """Construction and verification chain for one admissible k, up to its first FAIL.
+
+    ValueError, before any field is built, unless k is admissible.
+    """
+    info = _admissible(k)
     chain = _chain(make_field(info.p, info.alpha), k, tol)
     rows: list[tuple[str, bool, str]] = []
     for name in STAGES:

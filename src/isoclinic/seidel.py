@@ -14,6 +14,15 @@ eigenprojectors P = (I +- S/sqrt(2k-2)) / 2 then each have rank 2k - 1, and
 the column span pairs of 2 P_+ form the equi-isoclinic plane tuples
 extracted in the planes module.
 
+build_seidel writes S from its block formula.  Off the diagonal
+chi = +-1 and cos is even, so block (i, j) is s_{theta chi} =
+[[cos theta, chi sin theta], [chi sin theta, -cos theta]] with
+chi = E[i, j] = chi(a_i - a_j), and
+
+    S = cos theta (J - I) (x) diag(1, -1) + sin theta E (x) [[0, 1], [1, 0]]:
+
+one cosine shared by every block, and the q x q array sin theta E.
+
 Reflection algebra used throughout: s_a s_b = r_{a-b} (a plane rotation),
 r_b s_a = s_a r_{-b} = s_{a+b}, hence r_{eta/2} s_a r_{-eta/2} = s_{a+eta}.
 
@@ -144,14 +153,10 @@ class SeidelMatrix:
 
 def build_seidel(field: GaloisField) -> SeidelMatrix:
     """Canonical Seidel matrix at the critical angle over the given field."""
-    q = field.q
-    _require_symmetrizable(q)
-    k = (q + 1) // 2
+    _require_symmetrizable(field.q)
+    k = (field.q + 1) // 2
     theta = critical_angle(k)
-    # the angle theta * chi takes three values only: cos and sin of each, read at chi + 1
-    ang = theta * np.array([-1.0, 0.0, 1.0])
-    at = np.add(field.chi_differences, 1, dtype=np.intp)  # an intp index gathers faster than int8
-    dense = _reflection_blocks(np.cos(ang)[at], np.sin(ang)[at])
+    dense = _reflection_blocks(math.cos(theta), math.sin(theta) * field.chi_differences)
     return SeidelMatrix(k=k, dense=dense)
 
 
@@ -160,12 +165,13 @@ def _blocks(dense: np.ndarray) -> np.ndarray:
     return dense.reshape(dense.shape[0] // 2, 2, dense.shape[1] // 2, 2).swapaxes(1, 2)
 
 
-def _reflection_blocks(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _reflection_blocks(c: np.ndarray | float, s: np.ndarray) -> np.ndarray:
     """Dense 2q x 2q matrix with block [[c, s], [s, -c]][i, j] off the diagonal, zero on it.
 
-    c and s are the q x q cosines and sines of the block angles.
+    s is the q x q array of the sines of the block angles; c is the q x q
+    array of their cosines, or one cosine that every block shares.
     """
-    q = c.shape[0]
+    q = s.shape[0]
     dense = np.empty((2 * q, 2 * q))
     blocks = _blocks(dense)
     blocks[..., 0, 0] = c

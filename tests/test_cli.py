@@ -869,6 +869,18 @@ def test_pipeline_rejects_inadmissible(capsys):
     assert "not admissible" in stderr
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_run_pipeline_and_build_record_refuse_an_inadmissible_k(monkeypatch, k):
+    # both raise the one admissibility error before any field is built
+    monkeypatch.setattr(cli, "make_field", lambda *args: pytest.fail("a field was built"))
+    message = f"k={k} is not admissible: {cli.classify_order(k).reason}"
+    with pytest.raises(ValueError) as pipeline:
+        cli.run_pipeline(k, 1e-9)
+    with pytest.raises(ValueError) as record:
+        build_record("seidel", k)
+    assert str(pipeline.value) == str(record.value) == message
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "isoclinic", "enumerate", "--k-min", "3", "--k-max", "5"],

@@ -21,6 +21,7 @@ from isoclinic import (
     NotSymmetrizable,
     NotUnimodular,
     SeidelMatrix,
+    admissible_orders,
     build_conference,
     build_gram,
     build_seidel,
@@ -414,6 +415,32 @@ def test_build_seidel_peak_memory_at_q729():
     finally:
         tracemalloc.stop()
     assert peak < 2 * dense_bytes, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_build_seidel_holds_s_and_one_sine_array():
+    # S is 32 q^2 bytes and sin theta * E 8 q^2 more; gathering a cos and a
+    # sin table through an intp index of E would hold 56 q^2
+    f = make_field(241)
+    f.chi_differences  # cached here, outside the traced window
+    tracemalloc.start()
+    try:
+        build_seidel(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * f.q**2, f"peak {peak / f.q**2:.1f} bytes per q^2"
+
+
+def test_cos_is_even_and_sin_odd_bitwise_at_every_critical_angle():
+    # build_seidel writes cos theta and sin theta * chi for the blocks s_{theta chi}; its bytes
+    # are those of the plane symmetries only while cos(-theta) and sin(-theta) agree bitwise
+    for info in admissible_orders(6561):
+        theta = critical_angle(info.k)
+        c, s = math.cos(theta), math.sin(theta)
+        pm = theta * np.array([-1.0, 1.0])
+        assert bits(np.cos(pm)).tolist() == bits(np.array([c, c])).tolist(), info.q
+        assert bits(np.sin(pm)).tolist() == bits(np.array([-s, s])).tolist(), info.q
+        assert bits(np.array([math.cos(-theta), math.sin(-theta)])).tolist() == bits(np.array([c, -s])).tolist(), info.q
 
 
 FAST_PATH_FIELDS = [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3)]
