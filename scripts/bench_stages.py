@@ -9,11 +9,17 @@ The field cache is cleared before every run, so each run builds its field.
 
 For each q of the ladder, in ascending order, the file holds the median
 seconds of each stage and of the whole `run_pipeline` call over the
-repeats, and the process's peak RSS (`ru_maxrss`) once that q is done.
+repeats, and the peak RSS (`ru_maxrss`) of one child process
+`python -m isoclinic pipeline --k K`, read from that child's own rusage,
+so no earlier q and no allocator state of this process sets it.  Linux
+carries the peak RSS of the spawning process into the child's ru_maxrss
+at exec, so every child runs first, while this process holds only its
+imports (about 36 MB with numpy): a reading near that floor says only
+that the child peaked no higher.
 One more run at the largest q is traced with `tracemalloc` (this process
 only) for the peak of traced memory during each stage.  The numpy and
 Python versions and the CPU count are recorded beside them.  The script
-exits 1 unless every stage of every run passes.
+exits 1 unless every stage of every run passes and every child exits 0.
 
     python3 scripts/bench_stages.py --out BENCH_18.json
     python3 scripts/bench_stages.py --q-max 25 --repeats 1 --out /tmp/stages.json
@@ -25,7 +31,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import statistics
 import sys
 import time
@@ -79,6 +84,18 @@ def run(k: int) -> bool:
     return len(rows) == len(cli.STAGES) and all(ok for _, ok, _ in rows)
 
 
+def child_rss_mb(k: int) -> tuple[float, bool]:
+    """ru_maxrss in MB of one child `python -m isoclinic pipeline --k k`, and whether it exited 0.
+
+    os.wait4 returns the rusage of that child alone, where RUSAGE_CHILDREN
+    is the maximum over every child this process has waited for.
+    """
+    argv = [sys.executable, "-m", "isoclinic", "pipeline", "--k", str(k)]
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]  # the report goes nowhere
+    _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet), 0)
+    return usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status) == 0  # ru_maxrss is in KB on Linux
+
+
 def timed(q: int, repeats: int) -> tuple[dict, bool]:
     """Median seconds per stage and of the whole run at order q over repeats runs, and whether all passed."""
     starts: dict[str, float] = {}
@@ -129,11 +146,13 @@ def main() -> int:
     if not ladder or args.repeats < 1:
         ap.error(f"need --q-max >= {min(LADDER)} and --repeats >= 1")
 
+    children = {q: child_rss_mb((q + 1) // 2) for q in ladder}  # before any run here raises this process's peak
     orders, passed = [], True
     for q in ladder:
         reading, ok = timed(q, args.repeats)
+        rss_mb, child_ok = children[q]
+        ok &= child_ok
         passed &= ok
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB on Linux
         orders.append({"q": q, "k": (q + 1) // 2, **reading, "ru_maxrss_mb": rss_mb})
         print(f"q = {q}: {reading['total_s']:.4f} s{'' if ok else ' FAIL'}", file=sys.stderr)
     peaks, ok = traced_peaks(ladder[-1])

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module of the package, without docstrings.
+"""Count the code lines of each module of the package and of each script, without docstrings.
 
 A line counts when it is not blank, not a comment and not part of a
 docstring (of a module, class or function, as ast finds them).  Prints one
-line per module under src/isoclinic and the total.
+line per module under src/isoclinic and their total, then one line per
+script under scripts/ and their total.
 
     python3 scripts/code_size.py
 """
@@ -14,7 +15,8 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isoclinic"
+ROOT = Path(__file__).resolve().parent.parent
+FOLDERS = (("total", ROOT / "src" / "isoclinic"), ("scripts total", ROOT / "scripts"))
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -38,12 +40,13 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name:<16} {count:>5}")
-    print(f"{'total':<16} {total:>5}")
+    for label, folder in FOLDERS:
+        total = 0
+        for path in sorted(folder.glob("*.py")):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{path.name:<20} {count:>5}")
+        print(f"{label:<20} {total:>5}")
     return 0
 
 

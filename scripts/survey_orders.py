@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Survey a range of orders: classify each k and verify the admissible ones.
 
-For every admissible k the full chain is built and the key residuals are
-tabulated, so a clean run prints a table of numbers near machine epsilon.
+For every admissible k, `isoclinic.cli.run_pipeline` runs the full chain and
+the value each residual row was judged on is tabulated, so a clean run
+prints a table of numbers near machine epsilon.  A stage the run did not
+reach, or a row with no residual, prints `-`.
 
     python3 scripts/survey_orders.py --k-min 3 --k-max 51
 """
@@ -12,20 +14,15 @@ from __future__ import annotations
 import argparse
 import time
 
-from isoclinic import (
-    build_conference,
-    build_seidel,
-    classify_order,
-    conference_residual,
-    critical_omega,
-    double,
-    hadamard_residual,
-    isoclinic_residual,
-    make_field,
-    orthonormality_residual,
-    planes_from_seidel,
-    seidel_square_residual,
-    verify_counts,
+from isoclinic import classify_order, cli
+
+# the residual rows of run_pipeline the table shows, with their column heads and widths
+COLUMNS = (
+    ("conference-residual", "|CC*-(q-1)I|", 12),
+    ("seidel-square", "|S^2-(q-1)I|", 12),
+    ("plane-extraction", "orth", 9),
+    ("isoclinic", "iso", 9),
+    ("hadamard", "hadamard", 9),
 )
 
 
@@ -36,7 +33,7 @@ def main() -> int:
     ap.add_argument("--skip-open", action="store_true", help="do not list open/excluded orders")
     args = ap.parse_args()
 
-    header = f"{'k':>3} {'q':>4} {'status':<10} {'counts':<6} {'|CC*-(q-1)I|':>12} {'|S^2-(q-1)I|':>12} {'orth':>9} {'iso':>9} {'hadamard':>9}"
+    header = f"{'k':>3} {'q':>4} {'status':<10} {'counts':<6} " + " ".join(f"{h:>{w}}" for _, h, w in COLUMNS)
     print(header)
     print("-" * len(header))
     start = time.perf_counter()
@@ -46,17 +43,11 @@ def main() -> int:
             if not args.skip_open:
                 print(f"{k:>3} {info.q:>4} {info.status:<10} {info.reason}")
             continue
-        field = make_field(info.p, info.alpha)
-        C = build_conference(field, critical_omega(k))
-        counts_ok = verify_counts(C)
-        S = build_seidel(field)
-        pt = planes_from_seidel(S)
-        print(
-            f"{k:>3} {info.q:>4} {info.status:<10} {'exact' if counts_ok else 'FAIL':<6} "
-            f"{conference_residual(C):>12.2e} {seidel_square_residual(S):>12.2e} "
-            f"{orthonormality_residual(pt):>9.2e} {isoclinic_residual(pt):>9.2e} "
-            f"{hadamard_residual(double(C)):>9.2e}"
-        )
+        rows = {row.name: row for row in cli.run_pipeline(k, 1e-9)}
+        counts = rows["conference-exact-counts"]  # the first stage, always reached
+        values = [rows[name].value if name in rows else None for name, _, _ in COLUMNS]
+        cells = " ".join(f"{'-' if v is None else format(v, '.2e'):>{w}}" for v, (_, _, w) in zip(values, COLUMNS))
+        print(f"{k:>3} {info.q:>4} {info.status:<10} {'exact' if counts.ok else 'FAIL':<6} {cells}")
     print(f"total {time.perf_counter() - start:.2f}s")
     return 0
 

@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -54,19 +55,19 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 
 
-def _admissible(k: int, info: OrderInfo | None = None) -> OrderInfo:
-    """The classification of k (info, when given); ValueError unless k is admissible."""
-    info = classify_order(k) if info is None else info
+def _admissible(k: int) -> OrderInfo:
+    """The classification of k; ValueError unless k is admissible."""
+    info = classify_order(k)
     if info.status != "admissible":
         raise ValueError(f"k={k} is not admissible: {info.reason}")
     return info
 
 
-def build_record(kind: str, k: int, info: OrderInfo | None = None) -> ExportRecord:
+def build_record(kind: str, k: int) -> ExportRecord:
     """Build the requested family member at the critical scalar for order k."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    info = _admissible(k, info)
+    info = _admissible(k)
     field = make_field(info.p, info.alpha)
     theta = critical_angle(k)
     omega0 = critical_omega(k)
@@ -125,9 +126,22 @@ def _metadata_lambda(meta: dict) -> Fraction:
     raise RecordParseError(f"metadata lambda must be two integers with a nonzero denominator, got {pair!r}")
 
 
-def _row(name: str, value: float, limit: float, detail: str = "{:.3e}") -> tuple[str, bool, str]:
-    """A threshold row (name, ok, detail): value <= limit passes, so a nan fails; detail formats value."""
-    return name, value <= limit, detail.format(value)
+class Check(namedtuple("Check", "name ok detail")):
+    """A report row: the tuple (name, ok, detail), and value, the float a threshold row compared with its limit.
+
+    value is None on a yes/no row.  A row unpacks, compares and slices as
+    the plain 3-tuple.
+    """
+
+    def __new__(cls, name: str, ok: bool, detail: str, value: float | None = None):
+        row = super().__new__(cls, name, ok, detail)
+        row.value = value
+        return row
+
+
+def _row(name: str, value: float, limit: float, detail: str = "{:.3e}") -> Check:
+    """A threshold row: value <= limit passes, so a nan fails; detail formats value."""
+    return Check(name, value <= limit, detail.format(value), value)
 
 
 def _asymmetry(M: np.ndarray, m: int) -> float:
@@ -141,8 +155,8 @@ def _asymmetry(M: np.ndarray, m: int) -> float:
     return float(np.abs(M[:, :m] - M[:m].T).max())
 
 
-def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[str, bool, str]]:
-    """Kind-appropriate checks as (name, ok, detail) rows.
+def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[Check]:
+    """Kind-appropriate checks as Check rows.
 
     Every form row reads the m leading rows of the entries, or m / 2
     leading block rows, with one m per record taken from the form check
@@ -160,7 +174,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     else:
         formula, expected = "2(2k-1)", 4 * record.k - 2
     same = record.order == expected
-    checks = [("order", same, f"{record.order} {'=' if same else '!='} {formula} = {expected}")]
+    checks = [Check("order", same, f"{record.order} {'=' if same else '!='} {formula} = {expected}")]
     if kind == "conference":
         omega = _metadata_omega(record.metadata)
         values = record.entries.astype(np.complex128, copy=False)
@@ -180,7 +194,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
             if record.exponents is None:
                 raise _ExactUnavailable("exact layer unavailable: record has no exponent matrix")
             ok = verify_counts(C)
-            checks.append(("exact-counts", ok, "match" if ok else "counts differ"))
+            checks.append(Check("exact-counts", ok, "match" if ok else "counts differ"))
         return checks
     if exact:
         raise _ExactUnavailable("exact layer unavailable: only conference records carry one")
@@ -218,13 +232,13 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
         checks.append(_row("isoclinic", isoclinic_residual(pt), tol))
         # 2k - 1 planes in R^(2k - 1): as many planes as dimensions, and that
         # count attains the exact bound at this lambda
-        checks.append(("plane-count", pt.n == pt.r, f"n = {pt.n}, r = {pt.r}"))
+        checks.append(Check("plane-count", pt.n == pt.r, f"n = {pt.n}, r = {pt.r}"))
         try:
             bc = ls_bound(pt.r, pt.lam, pt.n)
         except ValueError as exc:  # r < 4 or lambda outside (0, 1): no bound applies
-            checks.append(("count-bound-tight", False, str(exc)))
+            checks.append(Check("count-bound-tight", False, str(exc)))
         else:
-            checks.append(("count-bound-tight", bc.tight, f"v = {pt.n}, bound {bc.bound}"))
+            checks.append(Check("count-bound-tight", bc.tight, f"v = {pt.n}, bound {bc.bound}"))
         return checks
     # hadamard
     H = HadamardMatrix(values=record.entries.astype(np.complex128, copy=False))
@@ -233,7 +247,7 @@ def _record_checks(record: ExportRecord, tol: float, exact: bool) -> list[tuple[
     # the residual above has checked that form already and H keeps the verdict
     form = H.doubling_of is not None
     shape = "H = [[C+I, C~-I], [C-I, -C~-I]]"
-    checks.append(("doubling-form", form, shape if form else f"no symmetric C with zero diagonal gives {shape}"))
+    checks.append(Check("doubling-form", form, shape if form else f"no symmetric C with zero diagonal gives {shape}"))
     return checks
 
 
@@ -251,63 +265,59 @@ STAGES = (
 
 
 def _chain(field: GaloisField, k: int, tol: float):
-    """Yield the (name, ok, detail) row of each stage of STAGES in turn."""
+    """Yield the Check row of each stage of STAGES in turn."""
     counts, residual, square, spectral, witnesses, extraction, isoclinic, bound, hadamard = STAGES
     q = field.q
     C = build_conference(field, critical_omega(k))
     ok = verify_counts(C)
     kk = (k - 1) // 2
-    yield counts, ok, f"(r,s,t) = ({k - 2},{kk},{kk}) at every off-diagonal" if ok else "counts differ"
+    yield Check(counts, ok, f"(r,s,t) = ({k - 2},{kk},{kk}) at every off-diagonal" if ok else "counts differ")
     yield _row(residual, conference_residual(C), tol)
     S = build_seidel(field)
     yield _row(square, seidel_square_residual(S), tol)
     pairs = spectrum(S)
-    yield spectral, all(m == q for _, m in pairs), " ".join(f"{v:+.6f} x{m}" for v, m in pairs)
+    yield Check(spectral, all(m == q for _, m in pairs), " ".join(f"{v:+.6f} x{m}" for v, m in pairs))
     equivalence_witnesses(field)
-    yield witnesses, True, "permutation and all-i scaling verified"
+    yield Check(witnesses, True, "permutation and all-i scaling verified")
     pt = planes_from_seidel(S)
     del S  # no later stage reads it, so the plane residuals do not hold it beside their products
     yield _row(extraction, orthonormality_residual(pt), tol, "orthonormality {:.3e}")
     yield _row(isoclinic, isoclinic_residual(pt), tol, f"{{:.3e}} at lambda = {pt.lam}")
     bc = ls_bound(q, pt.lam, q)
-    yield bound, bc.tight, f"v = {q} = bound {bc.bound}"
+    yield Check(bound, bc.tight, f"v = {q} = bound {bc.bound}")
     del pt  # no later stage reads it, so the 2q x 2q H of the doubling does not sit beside it
     H = double(C)
     del C  # H does not keep it, so the hadamard residual does not hold C beside H
     yield _row(hadamard, hadamard_residual(H), tol, f"order {H.n2}, residual {{:.3e}}")
 
 
-def run_pipeline(k: int, tol: float) -> list[tuple[str, bool, str]]:
+def run_pipeline(k: int, tol: float) -> list[Check]:
     """Construction and verification chain for one admissible k, up to its first FAIL.
 
     ValueError, before any field is built, unless k is admissible.
     """
     info = _admissible(k)
     chain = _chain(make_field(info.p, info.alpha), k, tol)
-    rows: list[tuple[str, bool, str]] = []
+    rows: list[Check] = []
     for name in STAGES:
         try:
             rows.append(next(chain))
         except IsoclinicError as exc:  # raised by the work of this stage
-            rows.append((name, False, f"{type(exc).__name__}: {exc}"))
+            rows.append(Check(name, False, f"{type(exc).__name__}: {exc}"))
         if not rows[-1][1]:
             break
     return rows
 
 
-def _report(rows: list[tuple[str, bool, str]], width: int) -> bool:
-    """Print each (name, ok, detail) row with its name padded to width; whether every row passed."""
+def _report(rows: list[Check], width: int) -> bool:
+    """Print each row with its name padded to width; whether every row passed."""
     for name, ok, detail in rows:
         print(f"{name:<{width}} {'PASS' if ok else 'FAIL':<4} {detail}")
     return all(ok for _, ok, _ in rows)
 
 
 def cmd_generate(args) -> int:
-    info = classify_order(args.k)
-    if info.status != "admissible":
-        print(f"k={args.k} (q={info.q}) is not admissible: {info.reason}", file=sys.stderr)
-        return EXIT_PARAMS
-    record = build_record(args.kind, args.k, info)
+    record = build_record(args.kind, args.k)
     if args.out is None:
         sys.stdout.writelines(record_pieces(record, args.format))
         return EXIT_OK
@@ -363,10 +373,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    info = classify_order(args.k)
-    if info.status != "admissible":
-        print(f"k={args.k} (q={info.q}) is not admissible: {info.reason}", file=sys.stderr)
-        return EXIT_PARAMS
     stages = run_pipeline(args.k, args.tol)
     if not _report(stages, 24):  # run_pipeline stops at the first FAIL
         print(f"pipeline failed at stage {stages[-1][0]}", file=sys.stderr)
@@ -415,6 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "format", None) == "json-like":
         args.format = "json"
+    info = classify_order(args.k) if args.command in ("generate", "pipeline") else None
+    if info is not None and info.status != "admissible":  # the one refusal of an inadmissible k
+        print(f"k={args.k} (q={info.q}) is not admissible: {info.reason}", file=sys.stderr)
+        return EXIT_PARAMS
     handlers = {
         "generate": cmd_generate,
         "verify": cmd_verify,

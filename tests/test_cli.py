@@ -25,6 +25,7 @@ from isoclinic import (
     ExportRecord,
     HadamardMatrix,
     NotSymmetrizable,
+    admissible_orders,
     build_conference,
     build_gram,
     build_seidel,
@@ -768,6 +769,41 @@ def test_pipeline_attributes_an_error_to_the_stage_that_raised(monkeypatch):
     assert [name for name, _, _ in rows] == list(cli.STAGES[:3])
     assert [ok for _, ok, _ in rows[:2]] == [True, True]
     assert rows[-1] == ("seidel-square", False, "NotSymmetrizable: refused")
+    assert isinstance(rows[-1], cli.Check) and rows[-1].value is None
+
+
+# the rows whose verdict is a yes or no and reads no residual; every other row compares a value with its limit
+YES_NO_ROWS = (
+    "order", "exact-counts", "plane-count", "count-bound-tight", "doubling-form",
+    "conference-exact-counts", "spectrum", "equivalence-witnesses",
+)  # fmt: skip
+
+
+def assert_checks_carry_their_values(rows):
+    for row in rows:
+        name, ok, detail = row
+        assert isinstance(row, cli.Check) and row == (name, ok, detail) and row[:2] == (name, ok)
+        if name in YES_NO_ROWS:
+            assert row.value is None, name
+        else:
+            assert isinstance(row.value, float) and f"{row.value:.3e}" in detail, name
+
+
+def test_every_pipeline_row_is_a_check_that_carries_its_value():
+    orders = admissible_orders(125)  # the 20 orders of the pipeline-ladder benchmark
+    assert len(orders) == 20
+    for info in orders:
+        rows = cli.run_pipeline(info.k, 1e-9)
+        assert [name for name, _, _ in rows] == list(cli.STAGES)
+        assert_checks_carry_their_values(rows)
+
+
+@pytest.mark.parametrize("k", [3, 61])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_verify_row_is_a_check_that_carries_its_value(kind, k):
+    rows = cli._record_checks(build_record(kind, k), 1e-9, kind == "conference")
+    assert all(ok for _, ok, _ in rows) and any(row.value is not None for row in rows)
+    assert_checks_carry_their_values(rows)
 
 
 def test_pipeline_stops_after_the_first_fail(monkeypatch, capsys):

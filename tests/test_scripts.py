@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from isoclinic import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,7 +33,16 @@ def run_script(name: str, *args: str) -> str:
 
 @pytest.mark.parametrize("k,triple", [(3, "(1, 1, 1)"), (13, "(11, 6, 6)")])
 def test_show_construction_prints_the_count_triple(k, triple):
-    assert f"every off-diagonal count triple: {triple}\n" in run_script("show_construction.py", "--k", str(k))
+    # the counts row of the pipeline report the script prints after the exponent pattern, which writes
+    # the triple without spaces
+    row = f"{'conference-exact-counts':<24} PASS (r,s,t) = {triple.replace(' ', '')} at every off-diagonal\n"
+    assert row in run_script("show_construction.py", "--k", str(k))
+
+
+def test_show_construction_refuses_an_inadmissible_k_as_the_pipeline_does():
+    proc = run("show_construction.py", "--k", "4")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "k=4 (q=7) is not admissible: 2k != 2 (mod 4)\n"
 
 
 def test_survey_reads_every_admissible_order_exact():
@@ -38,6 +50,27 @@ def test_survey_reads_every_admissible_order_exact():
     rows = [line.split() for line in lines[2:-1]]  # between the header rule and the total
     assert [int(row[0]) for row in rows] == [3, 5, 7, 9, 13]
     assert all(row[2:4] == ["admissible", "exact"] for row in rows)
+
+
+# the run_pipeline rows whose values the survey prints, in its column order
+SURVEYED = ("conference-residual", "seidel-square", "plane-extraction", "isoclinic", "hadamard")
+
+
+def test_survey_prints_the_values_run_pipeline_judged():
+    lines = run_script("survey_orders.py", "--k-max", "13", "--skip-open").splitlines()
+    for row in (line.split() for line in lines[2:-1]):
+        checks = {check.name: check for check in cli.run_pipeline(int(row[0]), 1e-9)}
+        assert row[4:] == [f"{checks[name].value:.2e}" for name in SURVEYED]
+
+
+def test_survey_prints_a_dash_for_a_stage_the_run_did_not_reach(monkeypatch, capsys):
+    survey = runpy.run_path(str(ROOT / "scripts" / "survey_orders.py"))
+    monkeypatch.setattr(cli, "spectrum", lambda S: [(2.0, S.q + 1), (-2.0, S.q - 1)])
+    monkeypatch.setattr(sys, "argv", ["survey_orders.py", "--k-max", "3"])
+    assert survey["main"]() == 0
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[:4] == ["3", "5", "admissible", "exact"]
+    assert row[6:] == ["-", "-", "-"]  # the run stops at the spectrum, before the planes and the doubling
 
 
 def test_rss_guard_passes_the_childs_exit_code_and_fails_past_its_limit():
