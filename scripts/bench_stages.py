@@ -9,13 +9,11 @@ The field cache is cleared before every run, so each run builds its field.
 
 For each q of the ladder, in ascending order, the file holds the median
 seconds of each stage and of the whole `run_pipeline` call over the
-repeats, and the peak RSS (`ru_maxrss`) of one child process
-`python -m isoclinic pipeline --k K`, read from that child's own rusage,
-so no earlier q and no allocator state of this process sets it.  Linux
-carries the peak RSS of the spawning process into the child's ru_maxrss
-at exec, so every child runs first, while this process holds only its
-imports (about 36 MB with numpy): a reading near that floor says only
-that the child peaked no higher.
+repeats, and the peak RSS (`ru_maxrss`, whole MB) of one child process
+`python -m isoclinic pipeline --k K`, read by scripts/rss_guard.py as CI
+reads it, so no earlier q and no allocator state of this process sets it.
+Linux carries the peak RSS of the spawning process into the child's
+ru_maxrss at exec; rss_guard.py is the spawner, small beside any child.
 One more run at the largest q is traced with `tracemalloc` (this process
 only) for the peak of traced memory during each stage.  The numpy and
 Python versions and the CPU count are recorded beside them.  The script
@@ -32,6 +30,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -85,15 +84,17 @@ def run(k: int) -> bool:
 
 
 def child_rss_mb(k: int) -> tuple[float, bool]:
-    """ru_maxrss in MB of one child `python -m isoclinic pipeline --k k`, and whether it exited 0.
+    """ru_maxrss in whole MB of one child `python -m isoclinic pipeline --k k`, and whether it exited 0.
 
-    os.wait4 returns the rusage of that child alone, where RUSAGE_CHILDREN
-    is the maximum over every child this process has waited for.
+    The child runs under scripts/rss_guard.py with no limit, the reader CI
+    uses, so also under -W error: rss_guard.py is a small process that
+    spawns the child and reads its rusage, so the child carries
+    rss_guard.py's peak, not this process's, and the reading is the
+    ru_maxrss of its report line.
     """
-    argv = [sys.executable, "-m", "isoclinic", "pipeline", "--k", str(k)]
-    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]  # the report goes nowhere
-    _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet), 0)
-    return usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status) == 0  # ru_maxrss is in KB on Linux
+    guard = [sys.executable, os.path.join(os.path.dirname(__file__), "rss_guard.py"), "inf", "pipeline", "--k", str(k)]
+    proc = subprocess.run(guard, capture_output=True, text=True)  # the pipeline report is dropped
+    return float(proc.stdout.rsplit("ru_maxrss ", 1)[1].split()[0]), proc.returncode == 0
 
 
 def timed(q: int, repeats: int) -> tuple[dict, bool]:
@@ -146,11 +147,10 @@ def main() -> int:
     if not ladder or args.repeats < 1:
         ap.error(f"need --q-max >= {min(LADDER)} and --repeats >= 1")
 
-    children = {q: child_rss_mb((q + 1) // 2) for q in ladder}  # before any run here raises this process's peak
     orders, passed = [], True
     for q in ladder:
         reading, ok = timed(q, args.repeats)
-        rss_mb, child_ok = children[q]
+        rss_mb, child_ok = child_rss_mb((q + 1) // 2)
         ok &= child_ok
         passed &= ok
         orders.append({"q": q, "k": (q + 1) // 2, **reading, "ru_maxrss_mb": rss_mb})

@@ -39,7 +39,9 @@ hadamard.double reads the residual too.
 The diagonal of C C* is read entry by entry (see _gram_deviation).
 hadamard_residual forms the deviation again, from the ConferenceMatrix
 that the doubling-form check of H builds, so H need not keep the C it was
-doubled from.  The equivalence witnesses are integer identities on E and
+doubled from; that copy keeps the verdict of H's form check as its
+column, so no check reads its form again.  The equivalence witnesses are
+integer identities on E and
 build no C(omega).
 """
 

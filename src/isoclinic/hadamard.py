@@ -12,12 +12,15 @@ information; this module only builds and verifies them.
 form, and from column 0 of C C* alone when C is also group-developed over
 GF(q), as the construction is; otherwise it forms the full product.  The
 form check runs once per HadamardMatrix and is kept on it, so the residual
-and the doubling-form row of a verified record share it.  It copies C out
-of H as a ConferenceMatrix, whose one kept form check (column) picks the m
-columns that both the symmetry read and the deviation of C C* take.  The
-gate of `double` reads the residual its ConferenceMatrix keeps.  H does
-not keep the C it was doubled from, so a caller may drop C once H is
-built.
+and the doubling-form row of a verified record share it.  It reads H by
+the m-row rule: one gf.developed_column call on the stack of H's four
+blocks picks m = 1 when all four are group-developed over GF(q) and
+m = q otherwise, and the block relations are read on m columns.  It
+copies C out of H as a ConferenceMatrix that keeps this verdict as its
+form check (column), so the copy is not checked again; the symmetry read
+and the deviation of C C* take the same m columns.  The gate of `double`
+reads the residual its ConferenceMatrix keeps.  H does not keep the C it
+was doubled from, so a caller may drop C once H is built.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from .conference import ConferenceMatrix, _gram_deviation
 from .errors import InvalidOrder, NotConference
+from .gf import developed_column
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,25 +131,35 @@ def _doubled(V: np.ndarray) -> ConferenceMatrix | None:
     """C when V is exactly [[C + I, C~ - I], [C - I, -C~ - I]] with C symmetric, zero on the diagonal; else None.
 
     Compared block against block with ==, with no identity and no complex
-    temporary.  With V10 = C - I anchored by its diagonal of -1, the form is
-    V00 = V10 + 2I, V01 = conj(V10) and V11 = -conj(V00).  The last two
-    hold on the whole block, read through the .real and .imag views; the
-    first is a diagonal of 1 and exactly q mismatches with V10, all on the
-    diagonal.  C is a ConferenceMatrix on a copy of V10 with a zero
-    diagonal, and no check on it reads its k.  Its symmetry is read with ==
-    on the m columns that its kept form check picks, as cli._asymmetry
-    reads a record: for a group-developed C, C[i, j] = c(a_i - a_j),
-    column 0 against row 0 holds every c(x) - c(-x), so m = 1; any other C
-    is compared whole, m = q.
+    temporary.  The blocks are read as one (2, 2, q, q) stack, a view of a
+    contiguous V, whose one form check gf.developed_column picks m: 1 when
+    all four blocks are group-developed over GF(q), q otherwise.  With
+    V10 = C - I anchored by its diagonal of -1, the form is V00 = V10 + 2I,
+    V01 = conj(V10) and V11 = -conj(V00), read on the m leading columns of
+    each block: the last two through the .real and .imag views, the first
+    as a diagonal of 1 and exactly m mismatches with V10, all on the
+    diagonal.  m = 1 is exact: every block is compared with its column 0
+    through the same digit-difference index, so a relation holds entrywise
+    if and only if it holds on column 0, with the diagonal at (0, 0).
+    C is a ConferenceMatrix on a copy of V10 with a zero diagonal, and no
+    check on it reads its k.  It keeps the verdict as its column: the view
+    C.values[:, 0] at m = 1, which is what developed_column(C.values)
+    returns, and None at m = q, since blocks in this form follow from V10,
+    so neither V10 nor C is group-developed when the stack is not.  Its
+    symmetry is read with == on the same m columns, as cli._asymmetry reads
+    a record: for a group-developed C, C[i, j] = c(a_i - a_j), column 0
+    against row 0 holds every c(x) - c(-x); any other C is compared whole.
     """
     q, odd = divmod(V.shape[0], 2)
     if odd:
         return None
-    V00, V01, V10, V11 = V[:q, :q], V[:q, q:], V[q:, :q], V[q:, q:]
+    blocks = V.reshape(2, q, 2, q).swapaxes(1, 2)  # blocks[a, b] is block (a, b) of V
+    m = 1 if developed_column(blocks) is not None else q
+    (V00, V01), (V10, V11) = blocks[..., :m]
     form = (
         (V10.diagonal() == -1.0).all()
         and (V00.diagonal() == 1.0).all()
-        and np.count_nonzero(V00 != V10) == q
+        and np.count_nonzero(V00 != V10) == m
         and (V01.real == V10.real).all()
         and (V01.imag == -V10.imag).all()
         and (V11.real == -V00.real).all()
@@ -153,7 +167,7 @@ def _doubled(V: np.ndarray) -> ConferenceMatrix | None:
     )
     if not form:
         return None
-    C = ConferenceMatrix(k=(q + 1) // 2, exponents=None, values=V10.copy())
-    np.fill_diagonal(C.values, 0.0)  # before anything reads C.column
-    m = 1 if C.column is not None else q
+    C = ConferenceMatrix(k=(q + 1) // 2, exponents=None, values=blocks[1, 0].copy())
+    np.fill_diagonal(C.values, 0.0)
+    vars(C)["column"] = C.values[:, 0] if m == 1 else None  # what developed_column(C.values) would return
     return C if (C.values[:, :m] == C.values[:m].T).all() else None

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from isoclinic import (
+    HadamardMatrix,
     NotConference,
     NotInvolutory,
     SeidelMatrix,
@@ -96,9 +97,12 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     assert len(conferences) == 1
     # the form of E for the counts, then the form of C for column 0 of C C*, the conference residual
     # that the gate of double reads; then S in 2 x 2 blocks, once for seidel-square, spectrum and the
-    # planes; then the form of the C copied out of H, once for its symmetry and for hadamard_residual
+    # planes; then H's four blocks as one stack, whose verdict the C copied out of H keeps as its column,
+    # once for its symmetry and for hadamard_residual
     assert len(developed) == 4 and developed[0] is C.exponents and developed[1] is C.values
-    assert developed[2] is S.dense and developed[3] is H.doubling_of.values
+    assert developed[2] is S.dense and np.shares_memory(developed[3], H.values)
+    assert developed[3].shape == (2, 2, S.q, S.q)
+    assert np.shares_memory(H.doubling_of.column, H.doubling_of.values)
     assert len(products) == 2 and products[0] is C and products[1] is H.doubling_of
     assert len(doubled) == 1 and np.array_equal(H.doubling_of.values, C.values)
     # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals; the
@@ -234,6 +238,29 @@ def test_a_corrupted_copy_of_a_checked_hadamard_matrix_fails(p, alpha):
     bad = replace(H, values=turned)
     assert hadamard_residual(bad) > 1e-3
     assert bad.doubling_of is None
+
+
+# entries of H off column 0 of their block, (1, 2) of the block: V01 alone, V11 alone, then V00 and V10
+# together, which keeps V00 = V10 + 2I off the diagonal
+OFF_COLUMN_0 = {"V01": [(0, 1)], "V11": [(1, 1)], "V00 and V10": [(0, 0), (1, 0)]}
+
+
+@pytest.mark.parametrize("blocks", OFF_COLUMN_0)
+@pytest.mark.parametrize("p,alpha", FIELDS)
+def test_the_doubling_form_reads_every_column_of_every_block(p, alpha, blocks):
+    # each forgery leaves column 0 of every block as it was, so only the form check of the block stack,
+    # not column 0 of the blocks or the form of V10 alone, sees that the blocks are no doubling
+    _, C, _ = canonical(p, alpha)
+    q = C.q
+    V = double(C).values.copy()
+    v = C.values[1, 2] * np.exp(0.01j)
+    doubled = {(0, 0): v, (0, 1): v.conjugate(), (1, 0): v, (1, 1): -v.conjugate()}  # block (a, b) of C[1, 2] = v
+    for a, b in OFF_COLUMN_0[blocks]:
+        V[a * q + 1, b * q + 2] = doubled[a, b]
+    assert np.array_equal(V[:, [0, q]], double(C).values[:, [0, q]])
+    forged = HadamardMatrix(values=V)
+    assert hadamard._doubled(V) is None and forged.doubling_of is None
+    assert hadamard_residual(forged) == hadamard._dense_residual(forged) > 1e-3
 
 
 @pytest.mark.parametrize("p,alpha", FIELDS)

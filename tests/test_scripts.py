@@ -84,3 +84,25 @@ def test_rss_guard_passes_the_childs_exit_code_and_fails_past_its_limit():
     refused = run("rss_guard.py", "10000", "pipeline", "--k", "4")
     assert refused.returncode == 2
     assert "pipeline: exit 2," in refused.stdout
+
+
+# touches 200 MB, then reads one small child through bench_stages.child_rss_mb; prints the spawner's own
+# ru_maxrss and the child's reading
+BIG_SPAWNER = """
+import resource, runpy, sys
+import numpy as np
+np.ones(200 * 2**20, dtype=np.uint8)
+rss_mb, ok = runpy.run_path(sys.argv[1])["child_rss_mb"](3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, rss_mb, ok)
+"""
+
+
+def test_bench_child_reading_is_not_the_spawners_peak():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", BIG_SPAWNER, str(ROOT / "scripts" / "bench_stages.py")],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spawner, child, ok = proc.stdout.split()
+    assert float(spawner) >= 200 and float(child) < 100 and ok == "True"
