@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Time each stage of `isoclinic pipeline` over a ladder of orders and write the readings as JSON.
 
-A stage is one of the functions that `cli._chain` calls to build or check
-an object, plus `make_field`, which `cli.run_pipeline` calls first.  Each
-is wrapped in the `isoclinic.cli` namespace only, so a call that the
-program makes from inside another module is timed as part of its caller.
-The field cache is cleared before every run, so each run builds its field.
+The stages are `field` and the nine `cli.STAGES`.  Each run clears the
+field cache and builds the field with its own `gf.make_field` call, the
+`field` stage, which the pipeline then finds in the cache.  It then walks
+`cli.iter_pipeline`: each other stage is one step of that generator, read
+between the steps, so nothing in the package is patched or timed.  A stage
+covers the work done from the end of the previous stage to its own row;
+the field's lazily cached arrays fall into the first stage that reads them.
 
 For each q of the ladder, in ascending order, the file holds the median
-seconds of each stage and of the whole `run_pipeline` call over the
-repeats, and the peak RSS (`ru_maxrss`, whole MB) of one child process
+seconds of each stage and of the whole run over the repeats, and the peak
+RSS (`ru_maxrss`, whole MB) of one child process
 `python -m isoclinic pipeline --k K`, read by scripts/rss_guard.py as CI
 reads it, so no earlier q and no allocator state of this process sets it.
 Linux carries the peak RSS of the spawning process into the child's
@@ -35,52 +37,30 @@ import sys
 import time
 import tracemalloc
 from collections import defaultdict
-from unittest.mock import patch
 
 import numpy as np
 
 from isoclinic import cli, gf
 
 LADDER = (5, 9, 25, 121, 241, 529, 729, 2197, 4913)
-FUNCTIONS = (
-    "make_field",
-    "build_conference",
-    "verify_counts",
-    "conference_residual",
-    "build_seidel",
-    "seidel_square_residual",
-    "spectrum",
-    "equivalence_witnesses",
-    "planes_from_seidel",
-    "orthonormality_residual",
-    "isoclinic_residual",
-    "ls_bound",
-    "double",
-    "hadamard_residual",
-)
 
 
-def wrapped(before, after):
-    """A patch of each of FUNCTIONS in isoclinic.cli that calls before(name), the function, then after(name)."""
+def run(k: int, start, stop) -> tuple[dict, bool]:
+    """Each stage's reading in one pipeline run at order k on a fresh field, and whether every stage passed.
 
-    def wrap(name, fn):
-        def stage(*args, **kwargs):
-            before(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                after(name)
-
-        return stage
-
-    return patch.multiple(cli, **{name: wrap(name, getattr(cli, name)) for name in FUNCTIONS})
-
-
-def run(k: int) -> bool:
-    """One pipeline run at order k on a fresh field; whether every stage passed."""
+    start() is called before each stage and stop(its result) after it; the
+    reading is what stop returns.  No stage after the first FAIL runs.
+    """
     gf.make_field.cache_clear()
-    rows = cli.run_pipeline(k, 1e-9)
-    return len(rows) == len(cli.STAGES) and all(ok for _, ok, _ in rows)
+    info = cli.classify_order(k)
+    mark = start()
+    gf.make_field(info.p, info.alpha)
+    readings = {"field": stop(mark)}
+    mark = start()
+    for name, ok, _ in cli.iter_pipeline(k, 1e-9):
+        readings[name] = stop(mark)
+        mark = start()
+    return readings, ok  # iter_pipeline stops after the first FAIL, so the last row holds the verdict
 
 
 def child_rss_mb(k: int) -> tuple[float, bool]:
@@ -99,42 +79,26 @@ def child_rss_mb(k: int) -> tuple[float, bool]:
 
 def timed(q: int, repeats: int) -> tuple[dict, bool]:
     """Median seconds per stage and of the whole run at order q over repeats runs, and whether all passed."""
-    starts: dict[str, float] = {}
     seconds: dict[str, list[float]] = defaultdict(list)
     totals, passed = [], True
-
-    def before(name):
-        starts[name] = time.perf_counter()
-
-    def after(name):
-        seconds[name].append(time.perf_counter() - starts[name])
-
-    with wrapped(before, after):
-        for _ in range(repeats):
-            start = time.perf_counter()
-            passed &= run((q + 1) // 2)
-            totals.append(time.perf_counter() - start)
-    medians = {name: statistics.median(seconds[name]) for name in FUNCTIONS if seconds[name]}
+    for _ in range(repeats):
+        start = time.perf_counter()
+        readings, ok = run((q + 1) // 2, time.perf_counter, lambda mark: time.perf_counter() - mark)
+        totals.append(time.perf_counter() - start)
+        passed &= ok
+        for name, value in readings.items():
+            seconds[name].append(value)
+    medians = {name: statistics.median(values) for name, values in seconds.items()}
     return {"seconds": medians, "total_s": statistics.median(totals)}, passed
 
 
 def traced_peaks(q: int) -> tuple[dict, bool]:
     """The peak of traced memory in MB during each stage of one run at order q, and whether it passed."""
-    peaks: dict[str, float] = {}
-
-    def before(name):
-        tracemalloc.reset_peak()
-
-    def after(name):
-        peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
-
     tracemalloc.start()
     try:
-        with wrapped(before, after):
-            passed = run((q + 1) // 2)
+        return run((q + 1) // 2, tracemalloc.reset_peak, lambda _: tracemalloc.get_traced_memory()[1] / 2**20)
     finally:
         tracemalloc.stop()
-    return {name: peaks[name] for name in FUNCTIONS if name in peaks}, passed
 
 
 def main() -> int:

@@ -17,6 +17,7 @@ import functools
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -291,22 +292,31 @@ def _chain(field: GaloisField, k: int, tol: float):
     yield _row(hadamard, hadamard_residual(H), tol, f"order {H.n2}, residual {{:.3e}}")
 
 
-def run_pipeline(k: int, tol: float) -> list[Check]:
-    """Construction and verification chain for one admissible k, up to its first FAIL.
+def iter_pipeline(k: int, tol: float) -> Iterator[Check]:
+    """Yield the Check row of each stage of STAGES as soon as that stage ends, up to the first FAIL.
 
-    ValueError, before any field is built, unless k is admissible.
+    An IsoclinicError raised by the work of a stage becomes that stage's
+    FAIL row.  The first step raises ValueError, before any field is built,
+    unless k is admissible.
     """
     info = _admissible(k)
     chain = _chain(make_field(info.p, info.alpha), k, tol)
-    rows: list[Check] = []
     for name in STAGES:
         try:
-            rows.append(next(chain))
+            row = next(chain)
         except IsoclinicError as exc:  # raised by the work of this stage
-            rows.append(Check(name, False, f"{type(exc).__name__}: {exc}"))
-        if not rows[-1][1]:
-            break
-    return rows
+            row = Check(name, False, f"{type(exc).__name__}: {exc}")
+        yield row
+        if not row.ok:
+            return
+
+
+def run_pipeline(k: int, tol: float) -> list[Check]:
+    """The rows of iter_pipeline(k, tol): the chain for one admissible k, up to its first FAIL.
+
+    ValueError, before any field is built, unless k is admissible.
+    """
+    return list(iter_pipeline(k, tol))
 
 
 def _report(rows: list[Check], width: int) -> bool:
@@ -380,6 +390,14 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def tolerance(text: str) -> float:
+    """The --tol argument: a finite float >= 0, since a nan, inf or negative limit judges no residual."""
+    tol = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 <= tol < math.inf:  # false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache  # parse_args returns a fresh Namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="re-check an exported record")
     v.add_argument("path")
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=tolerance, default=1e-9)
     v.add_argument("--exact", action="store_true", help="also run the integer count certificate")
 
     e = sub.add_parser("enumerate", help="classify orders as admissible / open / excluded")
@@ -412,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("pipeline", help="full construction + verification chain for one k")
     pl.add_argument("--k", type=int, required=True)
-    pl.add_argument("--tol", type=float, default=1e-9)
+    pl.add_argument("--tol", type=tolerance, default=1e-9)
 
     return parser
 

@@ -816,6 +816,29 @@ def test_pipeline_stops_after_the_first_fail(monkeypatch, capsys):
     assert "pipeline failed at stage spectrum" in stderr
 
 
+def test_iter_pipeline_yields_the_rows_run_pipeline_returns():
+    for info in admissible_orders(125):  # the 20 orders of the pipeline-ladder benchmark
+        assert list(cli.iter_pipeline(info.k, 1e-9)) == cli.run_pipeline(info.k, 1e-9)
+
+
+def test_iter_pipeline_runs_no_stage_after_the_first_fail(monkeypatch):
+    monkeypatch.setattr(cli, "spectrum", lambda S: [(2.0, S.q + 1), (-2.0, S.q - 1)])
+    monkeypatch.setattr(cli, "equivalence_witnesses", lambda field: pytest.fail("a stage ran after the FAIL"))
+    steps = cli.iter_pipeline(3, 1e-9)
+    assert [next(steps).name for _ in range(3)] == list(cli.STAGES[:3])
+    assert next(steps)[:2] == ("spectrum", False)
+    with pytest.raises(StopIteration):
+        next(steps)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_iter_pipeline_refuses_an_inadmissible_k_on_its_first_step(monkeypatch, k):
+    monkeypatch.setattr(cli, "make_field", lambda *args: pytest.fail("a field was built"))
+    steps = cli.iter_pipeline(k, 1e-9)
+    with pytest.raises(ValueError, match=f"k={k} is not admissible"):
+        next(steps)
+
+
 # the construction functions and the checks whose results the stages report
 PIPELINE_CALLS = (
     "build_conference", "build_seidel", "planes_from_seidel", "double",
@@ -972,6 +995,20 @@ def test_cached_parser_does_not_leak_tol(tmp_path, capsys):
     assert code == EXIT_VERIFY and "(tol 1e-300)" in stdout
     code, stdout, _ = run(capsys, ["verify", str(out)])
     assert code == EXIT_OK and "(tol 1e-09)" in stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_tol_must_be_a_finite_number_at_least_zero(tmp_path, tol):
+    # a nan, inf or negative limit judges no residual: argparse refuses it with exit 2, before any record is read
+    out = tmp_path / "s.json"
+    assert main(["generate", "--kind", "seidel", "--k", "7", "--out", str(out)]) == EXIT_OK
+    for argv in (["verify", str(out)], ["pipeline", "--k", "3"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoclinic", *argv, f"--tol={tol}"], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_PARAMS and proc.stdout == ""
+        assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_cached_parser_usage_error_repeats(capsys):

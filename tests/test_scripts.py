@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from isoclinic import cli
+from isoclinic import cli, seidel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,3 +106,24 @@ def test_bench_child_reading_is_not_the_spawners_peak():
     assert proc.returncode == 0, proc.stderr
     spawner, child, ok = proc.stdout.split()
     assert float(spawner) >= 200 and float(child) < 100 and ok == "True"
+
+
+def test_bench_reads_the_field_and_every_stage_and_patches_nothing():
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench_stages.py"))
+    reading, passed = bench["timed"](9, 1)
+    peaks, traced = bench["traced_peaks"](9)
+    assert passed and traced
+    assert tuple(reading["seconds"]) == tuple(peaks) == ("field", *cli.STAGES)
+    assert all(s >= 0 for s in reading["seconds"].values()) and all(mb >= 0 for mb in peaks.values())
+    assert sum(reading["seconds"].values()) <= reading["total_s"]
+    assert cli.build_seidel is seidel.build_seidel and cli.spectrum is seidel.spectrum
+
+
+def test_bench_stops_at_a_failing_stage(monkeypatch):
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench_stages.py"))
+    monkeypatch.setattr(cli, "spectrum", lambda S: [(2.0, S.q + 1), (-2.0, S.q - 1)])
+    stages = ("field", *cli.STAGES[: cli.STAGES.index("spectrum") + 1])
+    reading, passed = bench["timed"](9, 1)
+    assert not passed and tuple(reading["seconds"]) == stages
+    peaks, traced = bench["traced_peaks"](9)
+    assert not traced and tuple(peaks) == stages
