@@ -47,9 +47,13 @@ q = 1 (mod 4) it is symmetric, for q = 3 (mod 4) antisymmetric.
 characters psi_b(a_x) = exp(2 pi i b.x / p), the digitwise dot product,
 in the smallest unsigned dtype that holds p - 1: the character transform
 of the seidel module and the plane basis read their cos and sin tables
-through it.  These three arrays and `GaloisField.digits` are attributes,
-each computed once per field (the three on first use) and shared
-read-only.
+through it.  It is built by the loop that builds the difference index
+(`_digitwise`): the sum of alpha copies of the p x p table i j mod p, each
+digit weighted 1 where the differences weight digit d by p^d, in the
+smallest unsigned dtype that holds alpha (p - 1), the largest sum, and
+then reduced mod p in place.  These three arrays and `GaloisField.digits`
+are attributes, each computed once per field (the three on first use) and
+shared read-only.
 """
 
 from __future__ import annotations
@@ -147,22 +151,22 @@ class GaloisField:
         """Quadratic character: 0 on zero, +1 on squares, -1 on non-squares."""
         return self._chi_table[self._index[x]]
 
+    def _digitwise(self, table: np.ndarray, base: int) -> np.ndarray:
+        """sum_d base^d table[i_d, j_d] at (i, j), over the base-p digits i_d, j_d; q x q in table's dtype."""
+        index = table
+        for d in range(1, self.alpha):
+            # digit d is the more significant one: rows i_d p^d + i_rest, columns likewise
+            index = np.add.outer(table * base**d, index).transpose(0, 2, 1, 3).reshape(self.p ** (d + 1), -1)
+        return index
+
     @functools.cached_property
     def digit_differences(self) -> np.ndarray:
         """The q x q index of a_i - a_j, computed once and shared read-only.
 
         The dtype is the smallest unsigned integer type that holds q - 1.
         """
-        p = self.p
-        dtype = np.min_scalar_type(self.q - 1)
-        i = np.arange(p)
-        table = ((i[:, None] - i[None, :]) % p).astype(dtype)
-        index = table
-        for d in range(1, self.alpha):
-            # digit d is the more significant one: rows i_d p^d + i_rest, columns likewise
-            high = table * dtype.type(p**d)
-            m = index.shape[0]
-            index = np.add.outer(high, index).transpose(0, 2, 1, 3).reshape(m * p, m * p)
+        i = np.arange(self.p)
+        index = self._digitwise(((i[:, None] - i) % self.p).astype(np.min_scalar_type(self.q - 1)), self.p)
         index.flags.writeable = False
         return index
 
@@ -172,7 +176,10 @@ class GaloisField:
 
         The dtype is the smallest unsigned integer type that holds p - 1.
         """
-        phases = (self.digits @ self.digits.T % self.p).astype(np.min_scalar_type(self.p - 1))
+        i = np.arange(self.p)
+        # the digitwise sum of alpha products, each below p, is taken mod p only at the end
+        phases = self._digitwise((i[:, None] * i % self.p).astype(np.min_scalar_type(self.alpha * (self.p - 1))), 1)
+        phases = np.remainder(phases, self.p, out=phases).astype(np.min_scalar_type(self.p - 1), copy=False)
         phases.flags.writeable = False
         return phases
 

@@ -43,12 +43,10 @@ S^2 = (2k-2) I of S through the one guard of the seidel module
 (_require_involutory, S^2 residual at most 1e-10), and reads the form
 check and the S^2 residual that S keeps once computed (see
 seidel.SeidelMatrix), so extracting the planes of an S whose S^2 residual
-or spectrum was taken repeats neither.  The transform is not kept:
-planes_from_seidel, its one reader, computes it on each call from the
-phase index that the field keeps (gf.GaloisField.character_phases).  The
-table is kept, on the plane tuple it was built for (PlaneTuple.table), so
-the form check of the residuals reads it again instead of building a
-second one: a pipeline run builds the table once.
+or spectrum was taken repeats neither.  Neither the transform nor the
+table is kept: planes_from_seidel, their one reader, computes both on each
+call from the phase index that the field keeps
+(gf.GaloisField.character_phases).
 
 Table form.  That basis is exactly X = table * w: entry (t, 2i + c) is
 table[t, i] * w[t, c], with table the real character table and w[t] the
@@ -57,14 +55,18 @@ _character_table fixes the layout of the table, and this module alone
 reads it: m = (q + 1) / 2 cos rows, the first (b = 0) a row of ones, then
 a sin row for each b != 0 in the order of the cos rows.  Column i = 0 of
 the table reads cos 0 = 1 on every cos row, so block column 0 of X
-returns w bit for bit, and PlaneTuple.gram_rows compares the whole of X
-with table * w by ==.  The table it reads is the one the shape of X
-selects (PlaneTuple.table, built from the shape unless planes_from_seidel
-stored it), so the check needs the basis alone.
+returns w bit for bit.  planes_from_seidel therefore knows the table form
+of the X it builds, and stores that verdict on the tuple
+(PlaneTuple.rows = 1): a pipeline run forms the table and the table basis
+once.  A tuple made any other way (a record, dataclasses.replace, a fresh
+PlaneTuple(lam, basis)) takes the form check, which needs the basis
+alone: it builds the table that the shape of X selects and compares the
+whole of X with table * w by ==, w read from block column 0 of X.
 
 The m-row rule.  Both residuals read one product, PlaneTuple.gram_rows:
-block rows 0..m-1 of X^T X, the (2m, 2q) product X[:, :2m]^T X.  For any w,
-block (i, j) of (table * w)^T (table * w) is
+block rows 0..m-1 of X^T X, the (2m, 2q) product X[:, :2m]^T X, with
+m = PlaneTuple.rows.  For any w, block (i, j) of (table * w)^T (table * w)
+is
 
     sum_b w_b w_b^T (cos(b.a_i) cos(b.a_j) + sin(b.a_i) sin(b.a_j))
         = sum_b w_b w_b^T cos(b.(a_i - a_j))
@@ -73,12 +75,12 @@ block (i, j) of (table * w)^T (table * w) is
 addition law, so X^T X is block group-developed over GF(q): block
 row 0 holds every distinct block, the diagonal ones P_i^T P_i at (0, 0)
 and every B = P_i^T P_j, i != j, at (0, j') with a_j' = a_j - a_i.  On a
-basis that passes that check, m = 1: the orthonormality residual
-reads block (0, 0) and the isoclinic residual blocks (0, j), j >= 1, with
-no 2q x 2q product.  Any other basis is read on every block row, m = n:
-the eigh route of extract_bases, a record not in table form (a rotated QX,
-a row permutation, one changed entry) and a tuple of any other shape.
-The form check uses the basis alone, no metadata.  The isoclinic residual
+table basis, m = 1: the orthonormality residual reads block (0, 0) and
+the isoclinic residual blocks (0, j), j >= 1, with no 2q x 2q product.
+Any other basis is read on every block row, m = n: the eigh route of
+extract_bases, a record not in table form (a rotated QX, a row
+permutation, one changed entry) and a tuple of any other shape.  The
+form check uses the basis alone, no metadata.  The isoclinic residual
 reads the four entries of every block as four strided m x n arrays b00,
 b01, b10, b11 and forms the three distinct entries of every B^T B from
 them elementwise: b00^2 + b10^2, b01^2 + b11^2 and b00 b01 + b10 b11.
@@ -141,10 +143,9 @@ class PlaneTuple:
     floating point.
 
     Both residuals read one Gram product, kept on the object (gram_rows),
-    and its form check reads the character table that the shape of the
-    basis selects, kept too (table).  Do not change `basis` in place after
-    a residual has read it: build a new tuple instead (dataclasses.replace
-    gives one with nothing cached).
+    on as many block rows as its form check picks, kept too (rows).  Do not
+    change `basis` in place after a residual has read it: build a new tuple
+    instead (dataclasses.replace gives one with nothing cached).
     """
 
     lam: Fraction
@@ -156,32 +157,30 @@ class PlaneTuple:
             raise InvalidOrder(f"a plane basis must be 2-D with an even number of columns, got shape {shape}")
 
     @cached_property
-    def gram_rows(self) -> np.ndarray:
-        """Block rows 0..m-1 of basis^T basis, the (2m, 2n) product basis[:, :2m]^T basis; computed once.
+    def rows(self) -> int:
+        """m, the block rows of basis^T basis that the residuals read: 1 on a table basis, else n; computed once.
 
         m = 1 when the basis is exactly the table basis of planes_from_seidel
         for the w that its block column 0 holds, in which case block row 0
-        holds every distinct block (see the module docstring); m = n on any
-        other basis.  The check needs nothing but the basis: its shape gives
-        the character table (table, None for any other shape), and its block
+        holds every distinct block (see the module docstring).  The check
+        needs nothing but the basis: its shape gives the character table
+        (none unless it is (q, 2q), q an odd prime power), and its block
         column 0 gives w bit for bit, since column 0 of the table reads
         cos 0 = 1 on every cos row.  The whole basis is then compared with
         _table_basis(table, w) by ==, so a sin row whose w differs from that
-        of its cos row fails too.
+        of its cos row fails too.  planes_from_seidel stores 1 here, which
+        its construction makes true, so a pipeline run forms the table basis
+        once.
         """
-        table, X = self.table, self.basis
-        m = 1 if table is not None and (X == _table_basis(table, X[: self.r // 2 + 1, :2])).all() else self.n
-        return X[:, : 2 * m].T @ X
+        X = self.basis
+        field = field_of_order(self.r) if X.shape[1] == 2 * self.r else None
+        table_form = field is not None and (X == _table_basis(_character_table(field), X[: self.r // 2 + 1, :2])).all()
+        return 1 if table_form else self.n
 
     @cached_property
-    def table(self) -> np.ndarray | None:
-        """_character_table of GF(q) when the basis has shape (q, 2q), q an odd prime power, else None; computed once.
-
-        planes_from_seidel stores here the table it built the basis on, the
-        value this would compute, so a pipeline run builds the table once.
-        """
-        field = field_of_order(self.r) if self.basis.shape[1] == 2 * self.r else None
-        return None if field is None else _character_table(field)
+    def gram_rows(self) -> np.ndarray:
+        """Block rows 0..m-1 of basis^T basis, the (2m, 2n) product basis[:, :2m]^T basis, m = rows; computed once."""
+        return self.basis[:, : 2 * self.rows].T @ self.basis
 
     @property
     def r(self) -> int:
@@ -298,7 +297,7 @@ def planes_from_seidel(S: SeidelMatrix) -> PlaneTuple:
     scale[0] = math.sqrt(2.0 / q)  # the cos row of b = 0 has no sin row
     w = v * np.copysign(scale, np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1]))[:, None]
     pt = PlaneTuple(lam=lam, basis=_table_basis(table, w))
-    vars(pt)["table"] = table  # the table PlaneTuple.table would build again from the shape
+    vars(pt)["rows"] = 1  # block column 0 of the basis is w bit for bit: what PlaneTuple.rows would find
     return pt
 
 

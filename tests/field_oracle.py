@@ -3,9 +3,9 @@
 The package reads its field through arrays (chi_differences,
 digit_differences, character_phases) and keeps `mul` only to build the chi
 table.  These element operations are the plain reference that the chi,
-modulus, field-axiom and character-sum tests compare `mul` and the tables
-against.  Elements are the package's coefficient tuples, constant term
-first.
+modulus, field-axiom, character-sum and index tests compare `mul` and the
+tables against.  Elements are the package's coefficient tuples, constant
+term first.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ def neg(field, x):
 
 def sub(field, x, y):
     return tuple((a - b) % field.p for a, b in zip(x, y))
+
+
+def phase(field, b, x):
+    """b.x mod p, the digitwise dot product: psi_b(x) = exp(2 pi i phase / p)."""
+    return sum(c * d for c, d in zip(b, x)) % field.p
 
 
 def power(field, x, n):

@@ -105,9 +105,10 @@ def test_pipeline_checks_each_object_once(monkeypatch, p, alpha):
     assert np.shares_memory(H.doubling_of.column, H.doubling_of.values)
     assert len(products) == 2 and products[0] is C and products[1] is H.doubling_of
     assert len(doubled) == 1 and np.array_equal(H.doubling_of.values, C.values)
-    # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals; the
-    # table basis is formed twice on one character table, to build X and for its one form check
-    assert len(table_bases) == 2 and table_bases[0] is table_bases[1] is pt.table
+    # one Gram product of the planes, block row 0 of X^T X, read by both plane residuals; the table
+    # basis is formed once, to build X, and the tuple keeps the verdict of its table form as its rows
+    assert len(table_bases) == 1 and table_bases[0].shape == (S.q, S.q)
+    assert vars(pt)["rows"] == 1 and not hasattr(pt, "table")
     assert pt.gram_rows.shape == (2, 2 * S.q)
 
 
@@ -118,18 +119,17 @@ def test_pipeline_builds_one_character_table(monkeypatch, p, alpha):
     cli.run_pipeline((p**alpha + 1) // 2, TOL)
     (pt,) = built
     f = make_field(p, alpha)
-    # the transform builds it, and the tuple keeps it for the form check of both plane residuals
-    assert tables == [f] and pt.gram_rows.shape == (2, 2 * f.q)
-    # a new tuple builds the table again from its shape, and reads a changed basis on every row
+    # the transform builds it, and the tuple keeps no table: planes_from_seidel stores its rows instead
+    assert tables == [f] and not hasattr(pt, "table") and pt.gram_rows.shape == (2, 2 * f.q)
+    # a new tuple builds the table again inside its own form check, and reads a changed basis on every row
     X = pt.basis.copy()
     X[:, -2:] *= 1.01
     scaled = replace(pt, basis=X)
-    assert scaled.table is not pt.table and np.array_equal(scaled.table, pt.table) and tables == [f, f]
-    assert scaled.gram_rows.shape == (2 * f.q, 2 * f.q)
+    assert "rows" not in vars(scaled) and scaled.gram_rows.shape == (2 * f.q, 2 * f.q) and tables == [f, f]
     # no table for a shape other than (q, 2q) with q an odd prime power: every row is read
     for basis in (np.zeros((f.q, 2 * f.q + 2)), np.zeros((6, 12))):
         other = replace(pt, basis=basis)
-        assert other.table is None and other.gram_rows.shape == (basis.shape[1], basis.shape[1])
+        assert other.gram_rows.shape == (basis.shape[1], basis.shape[1])
     assert tables == [f, f]
 
 

@@ -32,6 +32,7 @@ from isoclinic import (
     cli,
     critical_omega,
     extract_bases,
+    gf,
     make_field,
     normalize,
     parse,
@@ -837,6 +838,46 @@ def test_iter_pipeline_refuses_an_inadmissible_k_on_its_first_step(monkeypatch, 
     steps = cli.iter_pipeline(k, 1e-9)
     with pytest.raises(ValueError, match=f"k={k} is not admissible"):
         next(steps)
+
+
+# The traced peak of each stage of one pipeline run at q = 729, in bytes per q^2: the readings of
+# scripts/bench_stages.py traced_peaks, which this test repeats, rounded up by about 10 %.  A change that
+# lowers a stage's peak lowers its budget with it; a budget is never raised to turn a failure into a pass.
+STAGE_BUDGETS = {
+    "field": 0.5,  # the element tuples and their index dict (0.34): Python objects, sized by the Python version
+    "conference-exact-counts": 41,
+    "conference-residual": 49,
+    "seidel-square": 101,
+    "spectrum": 58,
+    "equivalence-witnesses": 61,
+    "plane-extraction": 86,
+    "isoclinic": 41,
+    "count-bound-tight": 41,
+    # 135 here, above the 85 it reads at q = 4913: at q = 729 the 16 MiB band in which gf.developed_column
+    # compares H's four-block stack covers most of that stack
+    "hadamard": 150,
+}
+
+
+def test_each_stage_stays_within_its_memory_budget():
+    q = 729
+    gf.make_field.cache_clear()  # the field's cached arrays fall into the first stage that reads them
+    info = cli.classify_order((q + 1) // 2)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        gf.make_field(info.p, info.alpha)
+        peaks["field"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for name, ok, detail in cli.iter_pipeline(info.k, 1e-9):
+            assert ok, (name, detail)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
+    assert list(peaks) == list(STAGE_BUDGETS)
+    per_q2 = {name: peak / q**2 for name, peak in peaks.items()}
+    assert all(per_q2[name] <= budget for name, budget in STAGE_BUDGETS.items()), per_q2
 
 
 # the construction functions and the checks whose results the stages report

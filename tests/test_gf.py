@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_oracle import add, index, inv, neg, power, sub
+from field_oracle import add, index, inv, neg, phase, power, sub
 from isoclinic import (
     GaloisField,
     InvalidExponent,
@@ -308,6 +308,25 @@ def test_digit_differences_index_the_difference(p, alpha):
     # row 0 is negation
     assert [f.elements[int(j)] for j in differences[0]] == [neg(f, x) for x in f.elements]
     assert np.array_equal(f.digits, np.array(f.elements))
+
+
+@pytest.mark.parametrize(
+    "p,alpha", [(5, 1), (3, 2), (13, 1), (5, 2), (3, 4), (5, 3), (7, 1), (3, 3), (251, 1), (257, 1)]
+)
+def test_character_phases_index_the_digit_dot_product(p, alpha):
+    f = make_field(p, alpha)
+    phases = f.character_phases
+    assert phases.shape == (f.q, f.q)
+    assert phases.dtype == np.min_scalar_type(p - 1)
+    if f.q <= 125:
+        expected = [[phase(f, b, x) for x in f.elements] for b in f.elements]
+        assert np.array_equal(phases, np.array(expected))
+    else:
+        i = np.arange(f.q)
+        assert np.array_equal(phases, i[:, None] * i[None, :] % p)
+    assert f.character_phases is phases
+    with pytest.raises(ValueError):
+        phases[0, 1] = 0
 
 
 def test_digit_differences_is_shared_and_read_only():

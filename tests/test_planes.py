@@ -377,13 +377,12 @@ def test_a_plane_basis_must_be_2d_with_an_even_number_of_columns():
         replace(pt, basis=pt.basis[:, :7])
 
 
-def every_row_reading(monkeypatch, pt):
+def every_row_reading(pt):
     """Both residuals of pt's basis read on every block row: the oracle of the row read."""
-    with monkeypatch.context() as m:
-        m.setattr(planes.PlaneTuple, "table", None)  # no table: the form check of gram_rows fails
-        tup = replace(pt)
-        assert rows_read(tup) == pt.n
-        return orthonormality_residual(tup), isoclinic_residual(tup)
+    tup = replace(pt)
+    vars(tup)["rows"] = pt.n  # the every-row read, whatever the form check would pick
+    assert rows_read(tup) == pt.n
+    return orthonormality_residual(tup), isoclinic_residual(tup)
 
 
 def previous_residuals(pt):
@@ -403,7 +402,7 @@ def addition_law_error(p):
 
 
 @pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS + [(3, 6)])
-def test_row_read_agrees_with_the_every_row_read_within_the_stated_bound(monkeypatch, p, alpha):
+def test_row_read_agrees_with_the_every_row_read_within_the_stated_bound(p, alpha):
     f = make_field(p, alpha)
     pt = planes_from_seidel(build_seidel(f))
     assert rows_read(pt) == 1
@@ -412,10 +411,24 @@ def test_row_read_agrees_with_the_every_row_read_within_the_stated_bound(monkeyp
     blocks = seidel._blocks(pt.basis.T @ pt.basis)
     delta = float(np.abs(blocks - blocks[0][f.digit_differences.T]).max())
     assert delta <= (2 * f.q + 40) * EPS
-    orth, iso = every_row_reading(monkeypatch, pt)
+    orth, iso = every_row_reading(pt)
     assert abs(orthonormality_residual(pt) - orth) <= delta + EPS
     assert abs(isoclinic_residual(pt) - iso) <= 2 * delta + EPS
     assert max(abs(orthonormality_residual(pt) - orth), abs(isoclinic_residual(pt) - iso)) <= row_read_bound(f.q)
+
+
+@pytest.mark.parametrize("p,alpha", FAST_PATH_FIELDS)
+def test_the_stored_row_count_is_what_the_form_check_finds(monkeypatch, p, alpha):
+    # planes_from_seidel stores rows = 1 on the tuple it builds; a fresh tuple on that basis must reach
+    # rows = 1 through the full form check, one table basis compared by ==, and read the same residuals
+    pt = planes_from_seidel(build_seidel(make_field(p, alpha)))
+    table_basis, formed = planes._table_basis, []
+    monkeypatch.setattr(planes, "_table_basis", lambda *args: formed.append(args) or table_basis(*args))
+    fresh = PlaneTuple(pt.lam, pt.basis)
+    assert "rows" not in vars(fresh) and rows_read(fresh) == 1 and len(formed) == 1
+    got = (orthonormality_residual(fresh), isoclinic_residual(fresh))
+    assert [x.hex() for x in got] == [x.hex() for x in (orthonormality_residual(pt), isoclinic_residual(pt))]
+    assert len(formed) == 1  # pt's residuals read the rows it stores: no second table basis
 
 
 class MatmulShapes(np.ndarray):
